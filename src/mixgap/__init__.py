@@ -23,12 +23,7 @@ from .chain import (
     time_reversal,
 )
 from .confidence import ConfidenceReport, confidence_interval, gamma_diagnostic
-from .eigensolve import (
-    LanczosConfig,
-    deflated_spectral_radius,
-    dense_symmetric_spectrum,
-    lanczos_second_eigenvalue,
-)
+from .eigensolve import dense_symmetric_spectrum
 from .errors import (
     DegenerateEmpiricalGapError,
     MixgapError,
@@ -54,12 +49,10 @@ from .estimators import (
 from .oracle import (
     SpectralReport,
     absolute_spectral_gap,
-    dilated_pseudo_spectral_gap,
     full_spectral_report,
     gamma_dagger,
     gamma_ddagger,
     mixing_time_sandwich,
-    pseudo_spectral_gap,
     spectral_gaps,
     verify_lemma_properties,
 )
@@ -72,7 +65,6 @@ __all__ = [
     "DegenerateEmpiricalGapError",
     "DilatedMatrix",
     "EstimateReport",
-    "LanczosConfig",
     "MixgapError",
     "NoConvergenceError",
     "NonconvergentGapError",
@@ -92,9 +84,7 @@ __all__ = [
     "additive_reversiblization",
     "build_L",
     "confidence_interval",
-    "deflated_spectral_radius",
     "dense_symmetric_spectrum",
-    "dilated_pseudo_spectral_gap",
     "full_spectral_report",
     "gamma_dagger",
     "gamma_ddagger",
@@ -108,12 +98,10 @@ __all__ = [
     "is_ergodic",
     "is_irreducible",
     "is_reversible",
-    "lanczos_second_eigenvalue",
     "matrix_power",
     "mixing_time",
     "mixing_time_sandwich",
     "pi_star_hat",
-    "pseudo_spectral_gap",
     "reversible_dilation",
     "simulate",
     "smoothed_estimates",

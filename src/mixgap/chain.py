@@ -26,9 +26,6 @@ ROW_SUM_TOL = 1e-12
 STATIONARY_TOL = 1e-10
 DETAILED_BALANCE_TOL = 1e-12
 
-# dense linear solve below this size, power iteration above
-_DENSE_STATIONARY_LIMIT = 2048
-
 
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a, dtype=float)
@@ -47,6 +44,8 @@ class StochasticMatrix:
         rows = np.asarray(self.rows, dtype=float)
         if rows.ndim != 2 or rows.shape[0] != rows.shape[1] or rows.shape[0] < 1:
             raise ValueError(f"expected a square matrix, got shape {rows.shape}")
+        if not np.all(np.isfinite(rows)):
+            raise ValueError("non-finite transition probability")
         if np.min(rows) < 0:
             raise ValueError("negative transition probability")
         err = np.max(np.abs(rows.sum(axis=1) - 1.0))
@@ -150,8 +149,8 @@ def is_ergodic(P: StochasticMatrix) -> bool:
 def stationary_distribution(P: StochasticMatrix) -> np.ndarray:
     """Stationary distribution pi with pi P = pi, sum(pi) = 1, pi > 0.
 
-    Solves the null-space linear system by dense factorization for moderate
-    sizes and falls back to power iteration beyond.
+    Solves the null-space linear system by dense factorization at every size;
+    unlike power iteration this also converges on periodic chains.
 
     Raises:
         ReducibleChainError: if the support digraph is not strongly connected.
@@ -161,21 +160,12 @@ def stationary_distribution(P: StochasticMatrix) -> np.ndarray:
     if not is_irreducible(P):
         raise ReducibleChainError("support graph is not strongly connected")
     n = P.n
-    if n <= _DENSE_STATIONARY_LIMIT:
-        # (P^T - I) pi^T = 0 with the last equation replaced by sum(pi) = 1
-        A = P.rows.T - np.eye(n)
-        A[-1, :] = 1.0
-        b = np.zeros(n)
-        b[-1] = 1.0
-        pi = np.linalg.solve(A, b)
-    else:
-        pi = np.full(n, 1.0 / n)
-        for _ in range(200_000):
-            nxt = pi @ P.rows
-            if np.abs(nxt - pi).sum() < 1e-14:
-                pi = nxt
-                break
-            pi = nxt
+    # (P^T - I) pi^T = 0 with the last equation replaced by sum(pi) = 1
+    A = P.rows.T - np.eye(n)
+    A[-1, :] = 1.0
+    b = np.zeros(n)
+    b[-1] = 1.0
+    pi = np.linalg.solve(A, b)
     pi = np.maximum(pi, 0.0)
     pi /= pi.sum()
     residual = np.max(np.abs(pi @ P.rows - pi))
@@ -185,11 +175,6 @@ def stationary_distribution(P: StochasticMatrix) -> np.ndarray:
         )
     P._cache_stationary(pi)
     return P.stationary
-
-
-def min_stationary(P: StochasticMatrix) -> float:
-    """Minimum stationary probability."""
-    return float(np.min(stationary_distribution(P)))
 
 
 def time_reversal(P: StochasticMatrix) -> StochasticMatrix:
@@ -272,11 +257,6 @@ def additive_reversiblization(P: StochasticMatrix) -> StochasticMatrix:
     out = StochasticMatrix(0.5 * (P.rows + rev.rows))
     out._cache_stationary(pi)
     return out
-
-
-def tv_distance(p: np.ndarray, q: np.ndarray) -> float:
-    """Total variation distance between two distributions on a finite space."""
-    return 0.5 * float(np.abs(np.asarray(p) - np.asarray(q)).sum())
 
 
 def _worst_tv(Pt: np.ndarray, pi: np.ndarray) -> float:

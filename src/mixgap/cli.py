@@ -3,7 +3,8 @@
 Subcommands: simulate, stats, estimate, interval, oracle, bench, lemma-check.
 Reports are JSON on stdout (or --out); domain errors exit with code 2 and a
 machine-readable JSON error object on stderr; I/O and argument errors exit
-with code 1. All randomness flows from --seed.
+with code 1 and an INVALID_INPUT error object. All randomness flows from
+--seed.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from pathlib import Path
 from . import bench as bench_mod
 from . import confidence, estimators, io as mio, oracle
 from .chain import StochasticMatrix, simulate
-from .eigensolve import LanczosConfig, set_defaults
 from .errors import MixgapError
 from .fixtures import get_fixture
 from .tallies import tally
@@ -46,9 +46,6 @@ class RunConfig:
     c_override: float | None = None
     m_grid: list[int] = field(default_factory=lambda: [1000, 10000])
     seeds: int = 20
-    lanczos_iters: int | None = None
-    lanczos_tol: float | None = None
-    eig_dense_threshold: int | None = None
 
 
 def _load_chain(cfg: RunConfig) -> StochasticMatrix:
@@ -111,7 +108,7 @@ def _cmd_estimate(cfg: RunConfig) -> None:
         _emit_json(cfg, {"estimator": "pi-star", "value": estimators.pi_star_hat(tr)})
         return
     if method == "ps-prefix":
-        report = estimators.gamma_ps_prefix_hat(tr, cfg.K or 10)
+        report = estimators.gamma_ps_prefix_hat(tr, 10 if cfg.K is None else cfg.K)
     elif method == "ps-additive":
         report = estimators.gamma_ps_additive(tr, cfg.epsilon)
     elif method == "ps-amplified":
@@ -171,15 +168,6 @@ _COMMANDS = {
 
 def run(cfg: RunConfig) -> int:
     """Execute one command; returns the process exit code."""
-    if cfg.lanczos_iters or cfg.lanczos_tol:
-        base = LanczosConfig(
-            max_iter=cfg.lanczos_iters or 300,
-            tol=cfg.lanczos_tol or 1e-10,
-            seed=cfg.seed,
-        )
-        set_defaults(cfg=base)
-    if cfg.eig_dense_threshold is not None:
-        set_defaults(dense_threshold=cfg.eig_dense_threshold)
     try:
         _COMMANDS[cfg.command](cfg)
         return 0
@@ -187,14 +175,28 @@ def run(cfg: RunConfig) -> int:
         sys.stderr.write(json.dumps({"error": err.code, "message": str(err)}) + "\n")
         return 2
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as err:
-        sys.stderr.write(
-            json.dumps({"error": "INVALID_INPUT", "message": str(err)}) + "\n"
-        )
+        _invalid_input(str(err))
         return 1
 
 
+def _invalid_input(message: str) -> None:
+    sys.stderr.write(json.dumps({"error": "INVALID_INPUT", "message": message}) + "\n")
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Argument errors exit 1 with INVALID_INPUT, like every other bad input."""
+
+    def error(self, message):
+        _invalid_input(f"{self.prog}: {message}")
+        sys.exit(1)
+
+
+def _int_list(raw: str) -> list[int]:
+    return [int(tok) for tok in raw.split(",")]
+
+
 def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="mixgap",
         description="Spectral mixing parameters of ergodic Markov chains: "
         "exact oracles and single-trajectory estimation.",
@@ -204,9 +206,6 @@ def _parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--out", help="write the report here instead of stdout")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--lanczos-iters", type=int, dest="lanczos_iters")
-        p.add_argument("--lanczos-tol", type=float, dest="lanczos_tol")
-        p.add_argument("--eig-dense-threshold", type=int, dest="eig_dense_threshold")
 
     def add_matrix(p):
         p.add_argument("--matrix", help="matrix file (.json or .csv)")
@@ -260,7 +259,10 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="convergence/coverage table as CSV")
     add_common(p)
     add_matrix(p)
-    p.add_argument("--m-grid", dest="m_grid", default="1000,10000", help="comma-separated m values")
+    p.add_argument(
+        "--m-grid", dest="m_grid", type=_int_list, default="1000,10000",
+        help="comma-separated m values",
+    )
     p.add_argument("--seeds", type=int, default=20)
     p.add_argument("--alpha", type=float, default=1e-2)
     p.add_argument("--delta", type=float, default=0.05)
@@ -270,8 +272,6 @@ def _parser() -> argparse.ArgumentParser:
 
 def parse_args(argv: list[str] | None = None) -> RunConfig:
     ns = vars(_parser().parse_args(argv))
-    if isinstance(ns.get("m_grid"), str):
-        ns["m_grid"] = [int(tok) for tok in ns["m_grid"].split(",")]
     fields = {f for f in RunConfig.__dataclass_fields__}
     return RunConfig(**{k: v for k, v in ns.items() if k in fields and v is not None})
 

@@ -1,56 +1,41 @@
-"""Symmetric eigenvalue routines.
+"""The second-singular-value kernel, plus two reference eigensolvers.
 
-A dense full-spectrum solver backs all small problems; a seeded Lanczos
-iteration with full reorthogonalization targets the second-largest eigenvalue
-of shifted dilations and the spectral radius of deflated dilations, both
-applied matrix-free so the 2n x 2n block matrix never has to be formed.
+Every spectral gap in the package is a function of sigma_2, the second
+singular value of an n x n matrix: the multiplicative reversiblization gap is
+1 - sigma_2^2 (Fill 1991; Paulin 2015) and the reversible dilation gap is
+1 - sigma_2. `second_singular_value` computes it by a direct SVD, which keeps
+full precision where an eigensolve of the Gram matrix A^T A loses half the
+digits. The dense symmetric spectrum and the seeded two-pass Lanczos
+iteration are independent routes to the same number through the dilation
+[[0, A], [A^T, 0]], whose eigenvalues are +/- the singular values of A.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import NoConvergenceError, NotSymmetricError
 
 SYMMETRY_TOL = 1e-10
-DENSE_THRESHOLD = 512  # dense eigensolve at or below this dimension
+# no solver reads it; kept because the benchmark records it with each workload
+DENSE_THRESHOLD = 512
 
 
-@dataclass(frozen=True)
-class LanczosConfig:
-    max_iter: int = 300
-    tol: float = 1e-10
-    reorthogonalize: bool = True
-    seed: int = 0
+def second_singular_value(A: np.ndarray) -> float:
+    """sigma_2 of a square matrix; 0.0 for a 1 x 1 matrix.
 
-    def __post_init__(self):
-        if self.max_iter < 2:
-            raise ValueError("max_iter must be >= 2")
-        if self.tol <= 0:
-            raise ValueError("tol must be > 0")
+    On a one-dimensional space the operator deflated by its top singular pair
+    is zero, so its norm, the second singular value, is 0.
+    """
+    A = np.asarray(A, dtype=float)
+    if A.shape[0] < 2:
+        return 0.0
+    return float(np.linalg.svd(A, compute_uv=False)[1])
 
 
-_defaults = {"cfg": LanczosConfig(), "dense_threshold": DENSE_THRESHOLD}
-
-
-def set_defaults(cfg: LanczosConfig | None = None, dense_threshold: int | None = None) -> None:
-    """Override the solver defaults process-wide (CLI knob plumbing)."""
-    if cfg is not None:
-        _defaults["cfg"] = cfg
-    if dense_threshold is not None:
-        _defaults["dense_threshold"] = int(dense_threshold)
-
-
-def _resolve(cfg: LanczosConfig | None) -> LanczosConfig:
-    return cfg if cfg is not None else _defaults["cfg"]
-
-
-def _resolve_threshold(dense_threshold: int | None) -> int:
-    return dense_threshold if dense_threshold is not None else _defaults["dense_threshold"]
-
-
+# kept as a reference route: tests and the benchmark's tracer call it by name
 def dense_symmetric_spectrum(A: np.ndarray) -> np.ndarray:
     """Full spectrum of a symmetric matrix, sorted descending.
 
@@ -63,13 +48,18 @@ def dense_symmetric_spectrum(A: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(0.5 * (A + A.T))[::-1]
 
 
-def _as_matvec(A):
-    """Normalize a matrix-like input to (matvec, dimension)."""
-    if isinstance(A, np.ndarray):
-        return (lambda v: A @ v), A.shape[0]
-    if hasattr(A, "matvec") and hasattr(A, "shape"):
-        return A.matvec, A.shape[0]
-    raise TypeError("expected ndarray or object with .matvec and .shape")
+# kept as the iterative reference route for tests and the benchmark's tracer
+@dataclass(frozen=True)
+class LanczosConfig:
+    max_iter: int = 300
+    tol: float = 1e-10
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.max_iter < 2:
+            raise ValueError("max_iter must be >= 2")
+        if self.tol <= 0:
+            raise ValueError("tol must be > 0")
 
 
 def _ritz(alphas, betas):
@@ -81,16 +71,15 @@ def _ritz(alphas, betas):
     return theta[::-1], S[:, ::-1]
 
 
-def _lanczos_ritz(matvec, dim, cfg: LanczosConfig, targets, lock=()):
-    """Run Lanczos until the targeted Ritz pairs converge.
+def _lanczos_ritz(matvec, dim, cfg: LanczosConfig, lock=()):
+    """Run Lanczos until the top Ritz pair converges.
 
-    ``targets`` selects indices into the descending Ritz values (e.g. [0] for
-    the largest, [0, -1] for both spectrum ends). ``lock`` holds orthonormal
-    vectors to deflate: every iterate is kept orthogonal to them, so the
-    iteration acts on the restriction of the operator to their complement.
+    ``lock`` holds orthonormal vectors to deflate: every iterate is kept
+    orthogonal to them, so the iteration acts on the restriction of the
+    operator to their complement.
 
     Returns (theta, Y) with theta the descending Ritz values and Y the
-    corresponding Ritz vectors as columns, once every target's residual bound
+    corresponding Ritz vectors as columns, once the top pair's residual bound
     beta * |last eigenvector component| is at most cfg.tol, or exactly when
     the Krylov space exhausts the (restricted) dimension.
 
@@ -119,10 +108,9 @@ def _lanczos_ritz(matvec, dim, cfg: LanczosConfig, targets, lock=()):
         alpha = float(q @ w)
         alphas.append(alpha)
         w = w - alpha * q - beta * q_prev
-        if cfg.reorthogonalize:
-            Q = np.asarray(basis)
-            for _ in range(2):
-                w = project_out(w - Q.T @ (Q @ w), lock)
+        Q = np.asarray(basis)
+        for _ in range(2):
+            w = project_out(w - Q.T @ (Q @ w), lock)
         beta = float(np.linalg.norm(w))
 
         theta, S = _ritz(alphas, betas)
@@ -144,10 +132,8 @@ def _lanczos_ritz(matvec, dim, cfg: LanczosConfig, targets, lock=()):
             q = w / norm
             beta = 0.0
         else:
-            if len(alphas) >= 2:
-                residuals = [beta * abs(S[-1, t]) for t in targets]
-                if max(residuals) <= cfg.tol:
-                    return theta, np.asarray(basis).T @ S
+            if len(alphas) >= 2 and beta * abs(S[-1, 0]) <= cfg.tol:
+                return theta, np.asarray(basis).T @ S
             q = w / beta
         basis.append(q)
         betas.append(beta)
@@ -156,112 +142,21 @@ def _lanczos_ritz(matvec, dim, cfg: LanczosConfig, targets, lock=()):
     )
 
 
-def lanczos_second_eigenvalue(S_plus_I, cfg: LanczosConfig | None = None) -> float:
-    """Second-largest eigenvalue of a symmetric (near-)PSD matrix or operator.
+# kept as the iterative reference route for tests and the benchmark's tracer
+def lanczos_second_eigenvalue(S_plus_I: np.ndarray, cfg: LanczosConfig | None = None) -> float:
+    """Second-largest eigenvalue of a symmetric (near-)PSD matrix.
 
-    Intended for shifted dilations S(L) + I whose spectrum lives in [0, 2];
-    the caller recovers the gap as 2 minus the returned value. Runs two
-    passes: the first converges the top Ritz pair, the second deflates it and
-    converges the top of the complement, so an exactly repeated top
-    eigenvalue is still reported as the second eigenvalue.
+    Intended for shifted dilations S(L) + I whose spectrum lives in [0, 2].
+    Runs two passes: the first converges the top Ritz pair, the second
+    deflates it and converges the top of the complement, so an exactly
+    repeated top eigenvalue is still reported as the second eigenvalue.
     """
-    cfg = _resolve(cfg)
-    matvec, dim = _as_matvec(S_plus_I)
+    cfg = cfg if cfg is not None else LanczosConfig()
+    A = np.asarray(S_plus_I, dtype=float)
+    dim = A.shape[0]
     if dim < 2:
         raise ValueError("need dimension >= 2 for a second eigenvalue")
-    theta1, Y1 = _lanczos_ritz(matvec, dim, cfg, targets=(0,))
-    top = Y1[:, 0]
-    top = top / np.linalg.norm(top)
-    second_cfg = LanczosConfig(
-        max_iter=cfg.max_iter,
-        tol=cfg.tol,
-        reorthogonalize=cfg.reorthogonalize,
-        seed=cfg.seed + 1,
-    )
-    theta2, _ = _lanczos_ritz(matvec, dim, second_cfg, targets=(0,), lock=(top,))
+    _, Y1 = _lanczos_ritz(A.dot, dim, cfg)
+    top = Y1[:, 0] / np.linalg.norm(Y1[:, 0])
+    theta2, _ = _lanczos_ritz(A.dot, dim, replace(cfg, seed=cfg.seed + 1), lock=(top,))
     return float(theta2[0])
-
-
-class DilationShiftOperator:
-    """Matrix-free v -> (S(A) + I) v for the symmetric dilation of A."""
-
-    def __init__(self, A: np.ndarray):
-        self.A = np.asarray(A, dtype=float)
-        n = self.A.shape[0]
-        self.shape = (2 * n, 2 * n)
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        n = self.A.shape[0]
-        top = v[:n] + self.A @ v[n:]
-        bot = self.A.T @ v[:n] + v[n:]
-        return np.concatenate([top, bot])
-
-
-def dilation_shift_second_eigenvalue(
-    A: np.ndarray,
-    cfg: LanczosConfig | None = None,
-    dense_threshold: int | None = None,
-) -> float:
-    """lambda_2 of S(A) + I, dense below the threshold and Lanczos above."""
-    A = np.asarray(A, dtype=float)
-    n = A.shape[0]
-    if 2 * n <= _resolve_threshold(dense_threshold):
-        S = np.zeros((2 * n, 2 * n))
-        S[:n, n:] = A
-        S[n:, :n] = A.T
-        return float(dense_symmetric_spectrum(S + np.eye(2 * n))[1])
-    return lanczos_second_eigenvalue(DilationShiftOperator(A), cfg)
-
-
-def second_largest_eigenvalue(
-    A: np.ndarray,
-    cfg: LanczosConfig | None = None,
-    dense_threshold: int | None = None,
-) -> float:
-    """lambda_2 (descending) of a symmetric matrix."""
-    A = np.asarray(A, dtype=float)
-    if A.shape[0] <= _resolve_threshold(dense_threshold):
-        return float(dense_symmetric_spectrum(A)[1])
-    return lanczos_second_eigenvalue(A, cfg)
-
-
-class _DeflatedDilationOperator:
-    """Matrix-free v -> S(L - q^T q) v with q the known top singular direction."""
-
-    def __init__(self, L, q: np.ndarray):
-        if isinstance(L, np.ndarray):
-            self._mv = lambda v: L @ v
-            self._rmv = lambda v: L.T @ v
-            n = L.shape[0]
-        elif hasattr(L, "matvec") and hasattr(L, "rmatvec") and hasattr(L, "shape"):
-            self._mv = L.matvec
-            self._rmv = L.rmatvec
-            n = L.shape[0]
-        else:
-            raise TypeError("L must be an ndarray or expose matvec/rmatvec/shape")
-        self.q = np.asarray(q, dtype=float)
-        self.shape = (2 * n, 2 * n)
-        self._n = n
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        n = self._n
-        v1, v2 = v[:n], v[n:]
-        top = self._mv(v2) - self.q * float(self.q @ v2)
-        bot = self._rmv(v1) - self.q * float(self.q @ v1)
-        return np.concatenate([top, bot])
-
-
-def deflated_spectral_radius(L, pi_sqrt: np.ndarray, cfg: LanczosConfig | None = None) -> float:
-    """Spectral radius of S(L) - S(pi_sqrt^T pi_sqrt), computed matrix-free.
-
-    With pi_sqrt the (unit-norm) top singular direction of L, the deflation
-    removes the leading +/-1 eigenvalue pair of the dilation, so the radius
-    equals the second singular value of L.
-    """
-    cfg = _resolve(cfg)
-    pi_sqrt = np.asarray(pi_sqrt, dtype=float)
-    if abs(np.linalg.norm(pi_sqrt) - 1.0) > 1e-8:
-        raise ValueError("pi_sqrt must be a unit vector")
-    op = _DeflatedDilationOperator(L, pi_sqrt)
-    theta, _ = _lanczos_ritz(op.matvec, op.shape[0], cfg, targets=(0, -1))
-    return float(max(theta[0], -theta[-1], 0.0))

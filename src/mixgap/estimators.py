@@ -68,7 +68,7 @@ def _prefix_cap(tr: Trajectory, K: int) -> int:
 def gamma_ps_prefix_hat(tr: Trajectory, K: int) -> EstimateReport:
     """Truncated empirical pseudo-spectral gap over skips 1..K.
 
-    Per skip k the gap is 1 - lambda_2(L_hat^T L_hat) of the unsmoothed tally
+    Per skip k the gap is 1 - sigma_2(L_hat)^2 of the unsmoothed tally
     matrix; skips whose tallies leave states unvisited are skipped and
     recorded in diagnostics rather than aborting the maximum.
 
@@ -86,8 +86,7 @@ def gamma_ps_prefix_hat(tr: Trajectory, K: int) -> EstimateReport:
         except UnvisitedStateError:
             skipped.append(k)
             continue
-        lam2 = eigensolve.second_largest_eigenvalue(L_hat.T @ L_hat)
-        per_k[k] = 1.0 - float(lam2)
+        per_k[k] = 1.0 - eigensolve.second_singular_value(L_hat) ** 2
     if not per_k:
         raise NoUsableKError(f"no usable skip rate in 1..{K}")
     value = max(g / k for k, g in per_k.items())
@@ -192,10 +191,12 @@ def adaptive_K_dps(n_min: int, m: int) -> int:
 
 
 def dilation_gap_of_smoothed(t: SkippedTallies, alpha: float) -> float:
-    """Per-skip gap 2 - lambda_2(S(L_hat) + I) of the alpha-smoothed tallies."""
-    est = smoothed_estimates(t, alpha)
-    lam2 = eigensolve.dilation_shift_second_eigenvalue(est.L_hat)
-    return 2.0 - float(lam2)
+    """Per-skip dilation gap 1 - sigma_2(L_hat) of the alpha-smoothed tallies.
+
+    Equals 2 - lambda_2(S(L_hat) + I), since the dilation S(L_hat) has
+    eigenvalues +/- the singular values of L_hat.
+    """
+    return 1.0 - eigensolve.second_singular_value(smoothed_estimates(t, alpha).L_hat)
 
 
 def gamma_dps_from_tallies(

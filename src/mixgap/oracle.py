@@ -57,45 +57,37 @@ class SpectralReport:
         }
 
 
-def _second_eigenvalue_of_gram(Lk: np.ndarray) -> float:
-    """lambda_2 of (L^k)^T L^k, clipped into [0, 1]."""
-    lam2 = eigensolve.second_largest_eigenvalue(Lk.T @ Lk)
-    return float(min(max(lam2, 0.0), 1.0))
+def _sigma2(Lk: np.ndarray) -> float:
+    """sigma_2(L^k), clipped to at most 1."""
+    return min(eigensolve.second_singular_value(Lk), 1.0)
+
+
+def _sigma2_of_power(P: StochasticMatrix, k: int) -> float:
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    return _sigma2(np.linalg.matrix_power(build_L(P), k))
 
 
 def gamma_dagger(P: StochasticMatrix, k: int = 1) -> float:
-    """Gap of the multiplicative reversiblization of P^k: 1 - lambda_2((L^k)^T L^k)."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    L = build_L(P)
-    Lk = np.linalg.matrix_power(L, k)
-    return 1.0 - _second_eigenvalue_of_gram(Lk)
+    """Gap of the multiplicative reversiblization of P^k: 1 - sigma_2(L^k)^2."""
+    return 1.0 - _sigma2_of_power(P, k) ** 2
 
 
 def gamma_ddagger(P: StochasticMatrix, k: int = 1) -> float:
-    """Gap of the reversible dilation of P^k: 1 - sqrt(lambda_2((L^k)^T L^k))."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    L = build_L(P)
-    Lk = np.linalg.matrix_power(L, k)
-    return 1.0 - math.sqrt(_second_eigenvalue_of_gram(Lk))
+    """Gap of the reversible dilation of P^k: 1 - sigma_2(L^k)."""
+    return 1.0 - _sigma2_of_power(P, k)
 
 
 def absolute_spectral_gap(P: StochasticMatrix) -> float:
     """Absolute spectral gap 1 - max{|lambda| : lambda in sigma(P), |lambda| != 1}.
 
-    For reversible chains this is computed from the deflated symmetric matrix
-    L - sqrt(pi)^T sqrt(pi); for non-reversible chains (diagnostics only) the
-    complex spectrum is used with the Perron eigenvalue removed.
+    For reversible chains L is symmetric, so its singular values are the
+    moduli of its eigenvalues and the largest non-Perron modulus is
+    sigma_2(L); for non-reversible chains (diagnostics only) the complex
+    spectrum is used with the Perron eigenvalue removed.
     """
-    pi = stationary_distribution(P)
-    if P.n == 1:
-        return 1.0
     if is_reversible(P):
-        L = build_L(P)
-        root = np.sqrt(pi)
-        spectrum = eigensolve.dense_symmetric_spectrum(L - np.outer(root, root))
-        rho = max(abs(spectrum[0]), abs(spectrum[-1]))
+        rho = eigensolve.second_singular_value(build_L(P))
     else:
         eigs = np.linalg.eigvals(P.rows)
         perron = int(np.argmin(np.abs(eigs - 1.0)))
@@ -107,8 +99,8 @@ def absolute_spectral_gap(P: StochasticMatrix) -> float:
 def spectral_gaps(P: StochasticMatrix, k_cap: int = DEFAULT_K_CAP) -> SpectralReport:
     """Exact pseudo-spectral and dilated pseudo-spectral gaps of P.
 
-    Iterates k = 1, 2, ... computing both per-skip gaps from lambda_2 of
-    (L^k)^T L^k. Because each per-skip value is at most 1/k, the loop stops as
+    Iterates k = 1, 2, ... computing both per-skip gaps from sigma_2(L^k).
+    Because each per-skip value is at most 1/k, the loop stops as
     soon as k * best >= 1 for both running maxima: no unexplored skip rate can
     improve either gap, which makes the result exact rather than truncated.
 
@@ -126,9 +118,9 @@ def spectral_gaps(P: StochasticMatrix, k_cap: int = DEFAULT_K_CAP) -> SpectralRe
     while True:
         k += 1
         Lk = Lk @ L
-        lam2 = _second_eigenvalue_of_gram(Lk)
-        gd = 1.0 - lam2
-        gdd = 1.0 - math.sqrt(lam2)
+        sigma2 = _sigma2(Lk)
+        gd = 1.0 - sigma2**2
+        gdd = 1.0 - sigma2
         gamma_dagger_at_k[k] = gd
         gamma_ddagger_at_k[k] = gdd
         if gd / k > best_ps:
@@ -154,18 +146,6 @@ def spectral_gaps(P: StochasticMatrix, k_cap: int = DEFAULT_K_CAP) -> SpectralRe
         gamma_ddagger_at_k=gamma_ddagger_at_k,
         gamma_star=gamma_star,
     )
-
-
-def pseudo_spectral_gap(P: StochasticMatrix, k_cap: int = DEFAULT_K_CAP) -> SpectralReport:
-    """Exact gamma_ps = max_k gamma_dagger(P^k)/k with its self-termination certificate."""
-    return spectral_gaps(P, k_cap=k_cap)
-
-
-def dilated_pseudo_spectral_gap(
-    P: StochasticMatrix, k_cap: int = DEFAULT_K_CAP
-) -> SpectralReport:
-    """Exact gamma_dps = max_k gamma_ddagger(P^k)/k with the same certificate."""
-    return spectral_gaps(P, k_cap=k_cap)
 
 
 def full_spectral_report(P: StochasticMatrix, k_cap: int = DEFAULT_K_CAP) -> SpectralReport:

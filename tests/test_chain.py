@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from mixgap.chain import (
+    STATIONARY_TOL,
     StochasticMatrix,
     Trajectory,
     additive_reversiblization,
@@ -41,6 +42,11 @@ class TestStochasticMatrix:
         with pytest.raises(ValueError):
             StochasticMatrix([[1.5, -0.5], [0.5, 0.5]])
 
+    def test_rejects_non_finite_entries(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="non-finite"):
+                StochasticMatrix([[bad, 1.0], [0.5, 0.5]])
+
     def test_rows_are_immutable(self):
         P = StochasticMatrix(UNIFORM2)
         with pytest.raises(ValueError):
@@ -70,6 +76,19 @@ class TestStationaryDistribution:
             assert np.max(np.abs(pi @ P.rows - pi)) < 1e-10
             assert pi.min() > 0
             assert abs(pi.sum() - 1.0) < 1e-12
+
+    def test_large_periodic_chain(self):
+        # complete bipartite chain on 1000 + 1100 states: period 2, so power
+        # iteration would oscillate forever; the dense solve must not
+        a, b = 1000, 1100
+        rows = np.zeros((a + b, a + b))
+        rows[:a, a:] = 1.0 / b
+        rows[a:, :a] = 1.0 / a
+        P = StochasticMatrix(rows)
+        pi = stationary_distribution(P)
+        assert np.max(np.abs(pi @ P.rows - pi)) <= STATIONARY_TOL
+        assert_allclose(pi[:a], 0.5 / a, rtol=1e-9)
+        assert_allclose(pi[a:], 0.5 / b, rtol=1e-9)
 
 
 class TestTimeReversal:

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from mixgap.chain import simulate
-from mixgap.cli import RunConfig, parse_args, run
+from mixgap.cli import RunConfig, main, parse_args, run
 from mixgap.fixtures import example_chain
 from mixgap.io import save_matrix, save_trajectory
 
@@ -40,6 +40,14 @@ class TestOracleCommand:
         assert report["gamma_dps"] == pytest.approx(0.19282161153045782)
         assert report["t_mix"] == 5
         assert report["k_ps"] == 2
+
+    def test_one_state_matrix(self, tmp_path):
+        path = tmp_path / "one.json"
+        path.write_text('{"n": 1, "rows": [[1.0]]}')
+        out = tmp_path / "r.json"
+        assert run(RunConfig(command="oracle", matrix=str(path), out=str(out))) == 0
+        report = read_json(out)
+        assert report["gamma_ps"] == report["gamma_dps"] == 1.0
 
     def test_fixture_source(self, tmp_path):
         out = tmp_path / "r.json"
@@ -97,6 +105,11 @@ class TestEstimateCommand:
         code = run(RunConfig(command="oracle", matrix=str(path)))
         assert code == 2
         assert json.loads(capsys.readouterr().err)["error"] == "REDUCIBLE"
+
+    def test_prefix_K_zero_is_invalid(self, traj_file, capsys):
+        code = main(["estimate", "--trajectory", traj_file, "--method", "ps-prefix", "--K", "0"])
+        assert code == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "INVALID_INPUT"
 
     def test_missing_file_exit_code(self, capsys):
         code = run(RunConfig(command="estimate", trajectory="/nonexistent/x.trj"))
@@ -167,6 +180,16 @@ class TestArgumentParsing:
         cfg = parse_args(["estimate", "--trajectory", "x.trj"])
         assert cfg.method == "dps"
         assert cfg.alpha == pytest.approx(0.01)
+
+    @pytest.mark.parametrize(
+        "extra", [["--bogus"], ["--lanczos-iters", "50"], ["--m", "x"]], ids=["unknown", "removed", "bad-type"]
+    )
+    def test_argument_errors_exit_invalid_input(self, extra, capsys):
+        # --lanczos-iters was an eigensolver knob; old scripts passing it land here
+        with pytest.raises(SystemExit) as exc:
+            parse_args(["simulate", "--fixture", "ex31", "--m", "10", *extra])
+        assert exc.value.code == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "INVALID_INPUT"
 
     def test_main_pipe_stdin(self, ex31_json, tmp_path):
         sim = subprocess.run(

@@ -224,6 +224,11 @@ class TestConfidenceInterval:
         for terms in report.per_k_terms.values():
             assert terms["W"] >= 0 and terms["V"] >= 0
 
+    def test_one_state_trajectory_gives_valid_report(self):
+        report = confidence_interval(Trajectory(np.zeros(50, dtype=np.int64), n=1))
+        assert report.point == 1.0
+        assert report.vacuous and report.interval == (0.0, 1.0)
+
     def test_empirical_gamma_ps_strictly_positive(self):
         t = tally(ZIGZAG, 1)
         assert empirical_gamma_ps(t, alpha=0.1) > 0

@@ -4,18 +4,14 @@ from numpy.testing import assert_allclose
 
 from mixgap.chain import build_L, generic_dilation, stationary_distribution
 from mixgap.eigensolve import (
-    DilationShiftOperator,
     LanczosConfig,
-    deflated_spectral_radius,
     dense_symmetric_spectrum,
-    dilation_shift_second_eigenvalue,
     lanczos_second_eigenvalue,
-    second_largest_eigenvalue,
+    second_singular_value,
 )
 from mixgap.errors import NoConvergenceError, NotSymmetricError
-from mixgap.oracle import gamma_ddagger
 
-from conftest import random_ergodic
+from conftest import random_ergodic, random_reversible
 
 
 def random_symmetric(n, seed):
@@ -75,15 +71,6 @@ class TestLanczos:
         lam2 = lanczos_second_eigenvalue(A, LanczosConfig(seed=5))
         assert abs(lam2 - 2.0) <= 1e-8
 
-    def test_matrix_free_operator_matches_dense(self, ex31):
-        L = build_L(ex31)
-        op = DilationShiftOperator(L)
-        dense = generic_dilation(L).entries + np.eye(6)
-        v = np.random.default_rng(2).standard_normal(6)
-        assert_allclose(op.matvec(v), dense @ v, atol=1e-12)
-        lam_op = lanczos_second_eigenvalue(op, LanczosConfig(seed=3))
-        assert abs(lam_op - dense_symmetric_spectrum(dense)[1]) <= 1e-8
-
     def test_no_convergence_error(self):
         A = random_symmetric(60, 4)
         cfg = LanczosConfig(max_iter=3, tol=1e-15, seed=0)
@@ -102,51 +89,42 @@ class TestLanczos:
             LanczosConfig(tol=0.0)
 
 
+def deflated_dilation_radius(L, q):
+    """Spectral radius of S(L) - S(q q^T) from the dense spectrum of the explicit dilation."""
+    spectrum = dense_symmetric_spectrum(generic_dilation(L - np.outer(q, q)).entries)
+    return max(spectrum[0], -spectrum[-1])
+
+
 class TestDeflatedRadius:
+    """sigma_2(L) is the radius of the dilation of L deflated by its top singular pair."""
+
     def test_perfect_deflation_rank_one(self):
         q = np.full(4, 0.5)
-        L = np.outer(q, q)
-        assert deflated_spectral_radius(L, q, LanczosConfig(seed=0)) <= 1e-10
+        assert second_singular_value(np.outer(q, q)) <= 1e-15
+
+    def test_one_state_is_zero(self):
+        # the deflated operator on a one-dimensional space is zero
+        assert second_singular_value(np.array([[1.0]])) == 0.0
 
     def test_matches_dilation_gap_on_reversible(self):
-        # deflated radius equals 1 - gamma_ddagger = second singular value
-        from conftest import random_reversible
-
+        # for symmetric L the radius is the largest non-Perron |eigenvalue|
         P = random_reversible(17)
         L = build_L(P)
         q = np.sqrt(stationary_distribution(P))
-        rho = deflated_spectral_radius(L, q, LanczosConfig(seed=1))
-        assert abs(rho - (1.0 - gamma_ddagger(P, 1))) <= 1e-8
+        spectrum = dense_symmetric_spectrum(L - np.outer(q, q))
+        rho = max(abs(spectrum[0]), abs(spectrum[-1]))
+        assert abs(second_singular_value(L) - rho) <= 1e-12
 
     def test_example_chain_k1(self, ex31):
         L = build_L(ex31)
         q = np.sqrt(stationary_distribution(ex31))
-        rho = deflated_spectral_radius(L, q, LanczosConfig(seed=2))
-        assert abs(rho - (1.0 - gamma_ddagger(ex31, 1))) <= 1e-8
+        assert abs(second_singular_value(L) - deflated_dilation_radius(L, q)) <= 1e-12
 
     def test_shift_and_deflation_routes_agree(self):
         for seed in range(25):
             P = random_ergodic(seed)
             L = build_L(P)
-            q = np.sqrt(stationary_distribution(P))
-            by_shift = 2.0 - dilation_shift_second_eigenvalue(L)
-            by_deflation = 1.0 - deflated_spectral_radius(L, q, LanczosConfig(seed=seed))
-            assert abs(by_shift - by_deflation) <= 1e-8
-
-    def test_rejects_non_unit_direction(self):
-        with pytest.raises(ValueError):
-            deflated_spectral_radius(np.eye(3), np.ones(3))
-
-
-class TestFacade:
-    def test_second_largest_matches_dense(self):
-        A = random_symmetric(20, 3)
-        assert second_largest_eigenvalue(A) == dense_symmetric_spectrum(A)[1]
-
-    def test_dilation_shift_dense_vs_lanczos_branches(self, ex31):
-        L = build_L(ex31)
-        dense = dilation_shift_second_eigenvalue(L, dense_threshold=512)
-        lanczos = dilation_shift_second_eigenvalue(
-            L, cfg=LanczosConfig(seed=11), dense_threshold=1
-        )
-        assert abs(dense - lanczos) <= 1e-8
+            S = generic_dilation(L).entries + np.eye(2 * P.n)
+            by_shift = 2.0 - lanczos_second_eigenvalue(S, LanczosConfig(seed=seed))
+            by_kernel = 1.0 - second_singular_value(L)
+            assert abs(by_shift - by_kernel) <= 1e-8

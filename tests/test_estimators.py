@@ -223,6 +223,12 @@ class TestDpsEstimator:
         assert dps_med <= ps_med + 0.05
         assert ps_med <= 2 * dps_med + 0.05
 
+    def test_one_state_trajectory_gap_is_one(self):
+        # sigma_2 of a 1 x 1 matrix is 0, so the per-skip dilation gap is 1, not 2
+        report = gamma_dps_hat(Trajectory(np.zeros(50, dtype=np.int64), n=1))
+        assert report.per_k_values == {1: 1.0}
+        assert report.value == 1.0
+
     def test_diagnostics_record_adaptive_K(self):
         tr = simulate(example_chain(), 5_000, seed=0)
         report = gamma_dps_hat(tr)

@@ -11,13 +11,13 @@ from mixgap.chain import (
 )
 from mixgap.eigensolve import dense_symmetric_spectrum
 from mixgap.errors import NonconvergentGapError, ReducibleChainError
+from mixgap.fixtures import get_fixture
 from mixgap.oracle import (
     absolute_spectral_gap,
     gamma_dagger,
     gamma_ddagger,
     mixing_time_sandwich,
     pi_norm,
-    pseudo_spectral_gap,
     reversiblization_norm,
     spectral_gaps,
     verify_lemma_properties,
@@ -91,6 +91,22 @@ class TestGammaDdagger:
                 via_dilation = 1.0 - spectrum[1]
                 assert abs(via_dilation - gamma_ddagger(P, k)) <= 1e-10
 
+    def test_fixtures_match_dilation_to_full_precision(self):
+        # squaring into a Gram matrix loses about 1e-8 here; the SVD kernel must not
+        for name in ("fast3", "rand5a", "rand5b"):
+            P = get_fixture(name)
+            report = spectral_gaps(P)
+            L = build_L(P)
+            Lk = np.eye(P.n)
+            for k in range(1, 40):
+                Lk = Lk @ L
+                sigma2 = dense_symmetric_spectrum(generic_dilation(Lk).entries)[1]
+                assert abs(gamma_ddagger(P, k) - (1.0 - sigma2)) <= 1e-12, (name, k)
+                assert abs(gamma_dagger(P, k) - (1.0 - sigma2**2)) <= 1e-12, (name, k)
+                if k in report.gamma_ddagger_at_k:
+                    assert abs(report.gamma_ddagger_at_k[k] - (1.0 - sigma2)) <= 1e-12
+                    assert abs(report.gamma_dagger_at_k[k] - (1.0 - sigma2**2)) <= 1e-12
+
     def test_identity_links_the_two_gaps(self):
         for seed in range(25):
             P = random_ergodic(seed)
@@ -103,9 +119,14 @@ class TestGammaDdagger:
 
 class TestPseudoSpectralGap:
     def test_rank_one(self):
-        rep = pseudo_spectral_gap(UNIFORM2)
+        rep = spectral_gaps(UNIFORM2)
         assert rep.gamma_ps == pytest.approx(1.0, abs=1e-12)
         assert rep.k_ps == 1
+
+    def test_one_state_chain(self):
+        rep = spectral_gaps(StochasticMatrix([[1.0]]))
+        assert (rep.gamma_ps, rep.gamma_dps, rep.gamma_star) == (1.0, 1.0, 1.0)
+        assert rep.k_ps == rep.k_dps == rep.k_explored == 1
 
     def test_reversible_identity(self):
         for seed in range(20):
