@@ -341,8 +341,15 @@ def simulate(
         if p.shape != (n,) or abs(p.sum() - 1.0) > 1e-9 or np.min(p) < 0:
             raise ValueError("start distribution must be a length-n probability vector")
         x = int(rng.choice(n, p=p / p.sum()))
-    # interior cumulative thresholds per row; bisect gives the sampled column
-    thresholds = [tuple(np.cumsum(P.rows[i])[:-1]) for i in range(n)]
+    # interior cumulative thresholds per row; bisect gives the sampled column.
+    # A row may sum to as little as 1 - 1e-12, so u can pass its last real
+    # threshold: thresholds from the last positive column on are +inf, which
+    # clamps the draw to that column instead of a zero-probability one.
+    thresholds = []
+    for row in P.rows:
+        cuts = np.cumsum(row)[:-1]
+        cuts[np.flatnonzero(row)[-1]:] = np.inf
+        thresholds.append(tuple(cuts))
     u = rng.random(m)
     out = [0] * m
     out[0] = x

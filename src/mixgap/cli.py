@@ -3,14 +3,16 @@
 Subcommands: simulate, stats, estimate, interval, oracle, bench, lemma-check.
 Reports are JSON on stdout (or --out); domain errors exit with code 2 and a
 machine-readable JSON error object on stderr; I/O and argument errors exit
-with code 1 and an INVALID_INPUT error object. All randomness flows from
---seed.
+with code 1 and an INVALID_INPUT error object. Reports are strict JSON: a
+non-finite float (the infinite half-width of a vacuous interval) is written
+as null. All randomness flows from --seed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -71,8 +73,18 @@ def _emit(cfg: RunConfig, text: str) -> None:
             sys.stdout.write("\n")
 
 
+def _finite_or_null(obj):
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {key: _finite_or_null(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(value) for value in obj]
+    return obj
+
+
 def _emit_json(cfg: RunConfig, obj: dict) -> None:
-    _emit(cfg, json.dumps(obj, sort_keys=True))
+    _emit(cfg, json.dumps(_finite_or_null(obj), sort_keys=True, allow_nan=False))
 
 
 def _parse_start(raw: str):

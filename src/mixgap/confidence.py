@@ -62,7 +62,7 @@ def term_W(t: SkippedTallies, alpha: float, delta: float) -> float:
         raise ValueError("delta must be in (0, 1)")
     n = t.n
     visits = t.visits.astype(float)
-    root_sums = np.asarray(np.sqrt(t.transitions_dense()).sum(axis=1)).ravel()
+    root_sums = np.sqrt(t.counts).sum(axis=1)
     # with zero pairs every count is zero and the log factor has weight 0
     log_term = math.sqrt(math.log(2.0 * t.num_pairs * n / delta)) if t.num_pairs else 0.0
     numer = root_sums + 3.0 * np.sqrt(visits / 2.0) * log_term + alpha * n

@@ -54,7 +54,10 @@ def matrix_to_json(P: StochasticMatrix) -> str:
 
 
 def trajectory_to_text(tr: Trajectory) -> str:
-    return "\n".join(str(int(s)) for s in tr.states) + "\n"
+    # states repeat, so format each distinct state once and look the rest up
+    states = tr.states.tolist()
+    labels = {s: str(s) for s in set(states)}
+    return "\n".join(map(labels.__getitem__, states)) + "\n"
 
 
 def trajectory_to_bytes(tr: Trajectory) -> bytes:
@@ -74,7 +77,10 @@ def save_trajectory(tr: Trajectory, path: str | Path, fmt: str = "text") -> None
 def _states_from_bytes(raw: bytes) -> np.ndarray:
     if raw.startswith(TRAJECTORY_MAGIC):
         return np.frombuffer(raw[len(TRAJECTORY_MAGIC):], dtype="<u4").astype(np.int64)
-    return np.array([int(tok) for tok in raw.split()], dtype=np.int64)
+    tokens = raw.split()
+    # parse each distinct token once; int() decides which tokens are valid
+    values = {tok: int(tok) for tok in set(tokens)}
+    return np.array(list(map(values.__getitem__, tokens)), dtype=np.int64)
 
 
 def load_trajectory(path: str | Path, n: int | None = None) -> Trajectory:

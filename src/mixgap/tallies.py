@@ -1,10 +1,11 @@
 """Skipped-chain tallying and empirical transition estimates.
 
-A single pass over a trajectory produces, for each skip rate k, the visit
-counts N_x and transition counts N_{xx'} of the k-skipped chain (pairs
-(X_{1+k(t-1)}, X_{1+kt}) for t = 1..floor((m-1)/k)). On top of the raw counts
-sit the unsmoothed rescaled matrix N_{xx'}/sqrt(N_x N_{x'}) and the
-alpha-smoothed transition/stationary/rescaled estimates.
+For a skip rate k, one `np.bincount` pass over the pairs
+(X_{1+k(t-1)}, X_{1+kt}), t = 1..floor((m-1)/k), gives the transition counts
+N_{xx'} of the k-skipped chain as a dense n x n int64 table; the visit counts
+N_x are its row sums. On top of the counts sit the unsmoothed rescaled matrix
+N_{xx'}/sqrt(N_x N_{x'}) and the alpha-smoothed transition/stationary/rescaled
+estimates.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix, csr_matrix
+from scipy.sparse import csr_matrix
 
 from .chain import Trajectory
 from .errors import TrajectoryTooShortError, UnvisitedStateError
@@ -26,20 +27,28 @@ class SkippedTallies:
     n: int
     m: int
     visits: np.ndarray
-    transitions: csr_matrix
+    counts: np.ndarray
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("skip rate must be >= 1")
         visits = np.asarray(self.visits, dtype=np.int64)
-        visits.flags.writeable = False
-        object.__setattr__(self, "visits", visits)
+        counts = np.asarray(self.counts, dtype=np.int64)
+        if counts.shape != (self.n, self.n):
+            raise ValueError("transition counts must be an n x n table")
+        for name, arr in (("visits", visits), ("counts", counts)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
         pairs = (self.m - 1) // self.k
         if visits.sum() != pairs:
             raise ValueError("visit counts must sum to floor((m-1)/k)")
-        rowsums = np.asarray(self.transitions.sum(axis=1)).ravel()
-        if not np.array_equal(rowsums.astype(np.int64), visits):
+        if not np.array_equal(counts.sum(axis=1), visits):
             raise ValueError("transition row sums must match visit counts")
+
+    @property
+    def transitions(self) -> csr_matrix:
+        """The counts as a sparse matrix, built on each access."""
+        return csr_matrix(self.counts)
 
     @property
     def num_pairs(self) -> int:
@@ -55,19 +64,16 @@ class SkippedTallies:
         return int(self.visits.max())
 
     def transitions_dense(self) -> np.ndarray:
-        return self.transitions.toarray().astype(float)
+        return self.counts.astype(float)
 
     def to_dict(self) -> dict:
-        coo = self.transitions.tocoo()
+        rows, cols = np.nonzero(self.counts)
         return {
             "k": self.k,
             "n": self.n,
             "m": self.m,
             "visits": self.visits.tolist(),
-            "transitions": [
-                [int(r), int(c), int(v)]
-                for r, c, v in sorted(zip(coo.row, coo.col, coo.data))
-            ],
+            "transitions": np.column_stack((rows, cols, self.counts[rows, cols])).tolist(),
         }
 
 
@@ -93,15 +99,10 @@ def tally(tr: Trajectory, k: int = 1) -> SkippedTallies:
         raise TrajectoryTooShortError(
             f"need at least {k + 1} observations for skip {k}, got {tr.m}"
         )
+    n = tr.n
     skipped = tr.states[::k]
-    src = skipped[:-1]
-    dst = skipped[1:]
-    visits = np.bincount(src, minlength=tr.n).astype(np.int64)
-    trans = coo_matrix(
-        (np.ones(src.size, dtype=np.int64), (src, dst)), shape=(tr.n, tr.n)
-    ).tocsr()
-    trans.sum_duplicates()
-    return SkippedTallies(k=k, n=tr.n, m=tr.m, visits=visits, transitions=trans)
+    counts = np.bincount(skipped[:-1] * n + skipped[1:], minlength=n * n).reshape(n, n)
+    return SkippedTallies(k=k, n=n, m=tr.m, visits=counts.sum(axis=1), counts=counts)
 
 
 def unsmoothed_L_hat(t: SkippedTallies) -> np.ndarray:
@@ -114,7 +115,7 @@ def unsmoothed_L_hat(t: SkippedTallies) -> np.ndarray:
     if zero.size:
         raise UnvisitedStateError(zero)
     root = np.sqrt(t.visits.astype(float))
-    return t.transitions_dense() / np.outer(root, root)
+    return t.counts / np.outer(root, root)
 
 
 def smoothed_estimates(t: SkippedTallies, alpha: float) -> SmoothedEstimates:
@@ -127,9 +128,8 @@ def smoothed_estimates(t: SkippedTallies, alpha: float) -> SmoothedEstimates:
     if alpha <= 0:
         raise ValueError("alpha must be > 0")
     n = t.n
-    counts = t.transitions_dense()
     visits = t.visits.astype(float)
-    P_hat = (counts + alpha) / (visits + n * alpha)[:, None]
+    P_hat = (t.counts + alpha) / (visits + n * alpha)[:, None]
     pi_hat = (visits + n * alpha) / (t.num_pairs + n * n * alpha)
     root = np.sqrt(pi_hat)
     L_hat = (root[:, None] * P_hat) / root[None, :]

@@ -1,4 +1,5 @@
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from mixgap.chain import (
     time_reversal,
 )
 from mixgap.errors import NotMixedByCapError, ReducibleChainError
+from mixgap.fixtures import FIXTURES, get_fixture
 
 from conftest import random_ergodic, random_reversible
 
@@ -296,6 +298,30 @@ class TestSimulate:
         tr = simulate(ex31, 200_000, seed=5)
         freq = np.bincount(tr.states, minlength=3) / tr.m
         assert np.max(np.abs(freq - stationary_distribution(ex31))) < 0.01
+
+    @pytest.mark.parametrize("name", sorted(FIXTURES))
+    def test_matches_per_step_bisect_reference(self, name):
+        P = get_fixture(name)
+        rng = np.random.default_rng(11)
+        thresholds = [tuple(np.cumsum(row)[:-1]) for row in P.rows]
+        u = rng.random(20_000)
+        expected = [0]
+        for t in range(1, u.size):
+            expected.append(bisect_right(thresholds[expected[-1]], u[t]))
+        assert simulate(P, 20_000, start=0, seed=11).states.tolist() == expected
+
+    def test_draw_near_one_stays_on_positive_columns(self, monkeypatch):
+        # rows 0 and 2 sum to 1 - 5e-13, inside the 1e-12 tolerance, and end in
+        # zero-probability columns that a draw in [1 - 5e-13, 1) used to land in
+        P = StochasticMatrix([[0.3, 0.7 - 5e-13, 0.0], [0.0, 0.0, 1.0], [1.0 - 5e-13, 0.0, 0.0]])
+
+        class NearOne:
+            def random(self, m):
+                return np.linspace(1 - 5e-13, np.nextafter(1.0, 0.0), m)
+
+        monkeypatch.setattr("mixgap.chain.np.random.default_rng", lambda seed: NearOne())
+        tr = simulate(P, 30, start=0, seed=0)
+        assert tr.states.tolist() == [0, 1, 2] * 10
 
     def test_trajectory_validates_indices(self):
         with pytest.raises(ValueError):

@@ -8,6 +8,7 @@ from mixgap.chain import simulate
 from mixgap.cli import RunConfig, main, parse_args, run
 from mixgap.fixtures import example_chain
 from mixgap.io import save_matrix, save_trajectory
+from mixgap.oracle import full_spectral_report
 
 
 @pytest.fixture
@@ -40,6 +41,11 @@ class TestOracleCommand:
         assert report["gamma_dps"] == pytest.approx(0.19282161153045782)
         assert report["t_mix"] == 5
         assert report["k_ps"] == 2
+
+    def test_finite_report_bytes(self, capsys):
+        assert main(["oracle", "--fixture", "ex31"]) == 0
+        report = full_spectral_report(example_chain()).to_dict()
+        assert capsys.readouterr().out == json.dumps(report, sort_keys=True) + "\n"
 
     def test_one_state_matrix(self, tmp_path):
         path = tmp_path / "one.json"
@@ -140,6 +146,19 @@ class TestIntervalCommand:
         )
         assert run(cfg) == 0
         assert not read_json(out)["vacuous"]
+
+    def test_vacuous_report_is_strict_json(self, tmp_path, capsys):
+        path = tmp_path / "zeros.txt"
+        path.write_text("0\n0\n0\n0\n0\n")
+        assert main(["interval", "--trajectory", str(path)]) == 0
+
+        def reject(token):
+            raise ValueError(f"non-JSON constant {token}")
+
+        report = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert report["vacuous"]
+        assert report["half_width"] is None
+        assert report["per_k_terms"]["1"]["U"] is None
 
 
 class TestLemmaCheckCommand:

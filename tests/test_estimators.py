@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.sparse import csr_matrix
 
 from mixgap.chain import StochasticMatrix, Trajectory, simulate
 from mixgap.errors import NoTriggerError, NoUsableKError
@@ -34,7 +33,7 @@ def make_tallies(counts, k, m):
         n=counts.shape[0],
         m=m,
         visits=counts.sum(axis=1),
-        transitions=csr_matrix(counts),
+        counts=counts,
     )
 
 

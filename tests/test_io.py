@@ -1,8 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from mixgap.chain import Trajectory
+from mixgap.cli import main
 from mixgap.fixtures import example_chain
 from mixgap.io import (
     TRAJECTORY_MAGIC,
@@ -10,6 +13,7 @@ from mixgap.io import (
     load_trajectory,
     save_matrix,
     save_trajectory,
+    trajectory_to_text,
 )
 
 
@@ -64,3 +68,36 @@ def test_empty_trajectory_rejected(tmp_path):
     path.write_text("")
     with pytest.raises(ValueError):
         load_trajectory(path)
+
+
+def test_text_encoding_matches_per_state_formatting(tmp_path):
+    # multi-digit indices, so a lookup-table encoder must not mix up labels
+    tr = Trajectory(np.random.default_rng(7).integers(0, 300, size=10**5), n=300)
+    expected = "\n".join(str(int(s)) for s in tr.states) + "\n"
+    assert trajectory_to_text(tr) == expected
+    path = tmp_path / "traj.txt"
+    save_trajectory(tr, path, fmt="text")
+    assert path.read_bytes() == expected.encode()
+    assert np.array_equal(load_trajectory(path, n=300).states, tr.states)
+
+
+def test_text_tokens_follow_python_int(tmp_path):
+    path = tmp_path / "traj.txt"
+    path.write_text("+1\n1_0\n 0\t2\n")
+    assert load_trajectory(path).states.tolist() == [1, 10, 0, 2]
+
+
+@pytest.mark.parametrize("token", ["1.0", "abc", "\ufeff0"])
+def test_non_integer_token_rejected(tmp_path, token):
+    path = tmp_path / "traj.txt"
+    path.write_text(f"0\n{token}\n1\n", encoding="utf-8")
+    with pytest.raises(ValueError):
+        load_trajectory(path)
+
+
+@pytest.mark.parametrize("token", ["1.0", "abc", "\ufeff0"])
+def test_stats_on_non_integer_token_is_invalid_input(tmp_path, capsys, token):
+    path = tmp_path / "traj.txt"
+    path.write_text(f"0\n{token}\n1\n", encoding="utf-8")
+    assert main(["stats", "--trajectory", str(path)]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "INVALID_INPUT"

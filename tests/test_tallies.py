@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -50,6 +52,26 @@ class TestTally:
         assert t.visits.sum() == (m - 1) // k
         rowsums = np.asarray(t.transitions.sum(axis=1)).ravel()
         assert np.array_equal(rowsums, t.visits)
+
+    @given(st.data(), st.integers(1, 8), st.integers(2, 200), st.integers(1, 9))
+    @settings(max_examples=100, deadline=None)
+    def test_counts_match_brute_force(self, data, n, m, k):
+        states = data.draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m))
+        tr = Trajectory(np.array(states), n=n)
+        if m < k + 1:
+            with pytest.raises(TrajectoryTooShortError):
+                tally(tr, k)
+            return
+        t = tally(tr, k)
+        skipped = states[::k]
+        pairs = Counter(zip(skipped[:-1], skipped[1:]))
+        expected = np.zeros((n, n), dtype=np.int64)
+        for (src, dst), count in pairs.items():
+            expected[src, dst] = count
+        assert np.array_equal(t.counts, expected)
+        assert t.visits.tolist() == [sum(expected[x]) for x in range(n)]
+        triples = sorted([src, dst, count] for (src, dst), count in pairs.items())
+        assert t.to_dict()["transitions"] == triples
 
     def test_purity(self):
         a = tally(ZIGZAG, 2)
