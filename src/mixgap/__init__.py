@@ -23,7 +23,6 @@ from .chain import (
     time_reversal,
 )
 from .confidence import ConfidenceReport, confidence_interval, gamma_diagnostic
-from .eigensolve import dense_symmetric_spectrum
 from .errors import (
     DegenerateEmpiricalGapError,
     MixgapError,
@@ -84,7 +83,6 @@ __all__ = [
     "additive_reversiblization",
     "build_L",
     "confidence_interval",
-    "dense_symmetric_spectrum",
     "full_spectral_report",
     "gamma_dagger",
     "gamma_ddagger",

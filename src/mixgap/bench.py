@@ -2,16 +2,14 @@
 
 Each (m, seed) cell simulates one trajectory, runs the smoothed dilation
 estimator with its confidence interval, and records the error against the
-exact oracle value plus a coverage bit. Cells are independent and
-deterministic, so they may run in a process pool (capped by the
-MIXGAP_THREADS environment variable) without affecting the output bytes.
+exact oracle value plus a coverage bit. Cells run one after another in
+(m, seed) order, and each is deterministic, so the output bytes depend only
+on the inputs.
 """
 
 from __future__ import annotations
 
 import io
-import os
-from concurrent.futures import ProcessPoolExecutor
 from statistics import median
 
 from .chain import StochasticMatrix, simulate
@@ -23,24 +21,6 @@ CSV_HEADER = "m,seed,point,abs_error,half_width,covered"
 
 def _fmt(x: float) -> str:
     return repr(float(x))
-
-
-def _one_trial(args) -> tuple[int, int, float, float, float, int]:
-    rows, m, seed, alpha, delta, c, gamma_dps = args
-    P = StochasticMatrix(rows)
-    tr = simulate(P, m, start="stationary", seed=seed)
-    report = confidence_interval(tr, alpha=alpha, delta=delta, c=c)
-    lo, hi = report.interval
-    covered = int(lo <= gamma_dps <= hi)
-    return (m, seed, report.point, abs(report.point - gamma_dps), report.half_width, covered)
-
-
-def max_workers() -> int:
-    raw = os.environ.get("MIXGAP_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def bench_convergence(
@@ -58,17 +38,17 @@ def bench_convergence(
     byte-identical.
     """
     gamma_dps = spectral_gaps(P).gamma_dps
-    jobs = [
-        (P.rows, m, seed, alpha, delta, c, gamma_dps)
-        for m in m_grid
-        for seed in range(seeds)
-    ]
-    workers = max_workers()
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_one_trial, jobs))
-    else:
-        results = [_one_trial(job) for job in jobs]
+    results = []
+    for m in m_grid:
+        for seed in range(seeds):
+            report = confidence_interval(
+                simulate(P, m, start="stationary", seed=seed), alpha=alpha, delta=delta, c=c
+            )
+            lo, hi = report.interval
+            covered = int(lo <= gamma_dps <= hi)
+            results.append(
+                (m, seed, report.point, abs(report.point - gamma_dps), report.half_width, covered)
+            )
     results.sort(key=lambda r: (r[0], r[1]))
 
     out = io.StringIO()

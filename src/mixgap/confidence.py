@@ -1,7 +1,8 @@
 """Fully empirical confidence intervals for the dilated pseudo-spectral gap.
 
-Implements the per-skip interval terms W, V, T, U, the adaptive confidence
-split delta_hat and prefix K_hat, and assembles the final interval
+The point estimate, adaptive prefix K_hat and per-skip tallies come from the
+scan behind `gamma_dps_hat`. This module adds the per-skip terms W, V, T, U
+and the confidence split delta_hat, and assembles the final interval
 point +/- (1/K_hat + max_k (V + U(2+U))/k), clipped to [0, 1]. Whenever the
 U term blows up (a smoothed visit frequency falls at or below T) the interval
 degrades to the vacuous [0, 1] with a flag instead of failing.
@@ -16,9 +17,9 @@ import numpy as np
 
 from .chain import StochasticMatrix, Trajectory, stationary_distribution
 from .errors import DegenerateEmpiricalGapError
-from .estimators import adaptive_K_dps, gamma_dps_from_tallies
+from .estimators import _dps_scan
 from .oracle import spectral_gaps
-from .tallies import SkippedTallies, smoothed_estimates, tally
+from .tallies import SkippedTallies, smoothed_estimates
 
 DEFAULT_C = 48.0
 DEGENERATE_GAP_TOL = 1e-12
@@ -145,12 +146,9 @@ def confidence_interval(
     if alpha <= 0:
         raise ValueError("alpha must be > 0")
     m, n = tr.m, tr.n
-    base = tally(tr, 1)
-    K_hat = adaptive_K_dps(base.n_min, m)
+    estimate, tallies_by_k = _dps_scan(tr, alpha, None)
+    point, K_hat = estimate.value, estimate.K_used
     d_hat = delta_hat(m, K_hat, n, delta)
-    usable_K = min(K_hat, m - 1)
-    tallies_by_k = {k: (base if k == 1 else tally(tr, k)) for k in range(1, usable_K + 1)}
-    point, _ = gamma_dps_from_tallies(tallies_by_k, alpha)
 
     per_k_terms: dict[int, dict[str, float]] = {}
     worst = 0.0

@@ -1,16 +1,19 @@
 """Point estimators computed from a single observed trajectory.
 
-Implements the minimum-stationary-probability statistic, the truncated
-empirical pseudo-spectral gap over a skip prefix, its additive-error and
-adaptive-prefix instantiations, the amplified constant-multiplicative-error
-estimator, and the smoothed dilation plug-in estimator with its data-driven
-prefix.
+Every estimator is a function of per-skip count tables (`SkippedTallies`);
+the trajectory-level entry points only choose which skips to tally. The
+pseudo-spectral reduce `_gamma_ps_from_tallies` serves the truncated prefix
+estimator, its additive-error and adaptive-prefix schedules, and each level
+of the amplified scan, which tallies skips 2^p j of the trajectory itself.
+The smoothed dilation reduce `gamma_dps_from_tallies` serves `_dps_scan`,
+which the confidence interval shares with `gamma_dps_hat`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Iterable
+from dataclasses import dataclass, field, replace
 
 from . import eigensolve
 from .chain import Trajectory
@@ -44,13 +47,6 @@ class EstimateReport:
         }
 
 
-def skip_trajectory(tr: Trajectory, k: int) -> Trajectory:
-    """The k-skipped trajectory X_1, X_{1+k}, ..., X_{1+floor((m-1)/k)k}."""
-    if k < 1:
-        raise ValueError("skip rate must be >= 1")
-    return Trajectory(tr.states[::k].copy(), tr.n)
-
-
 def pi_star_hat(tr: Trajectory) -> float:
     """Minimum-visit-frequency statistic N_min / (m - 1).
 
@@ -65,38 +61,56 @@ def _prefix_cap(tr: Trajectory, K: int) -> int:
     return min(K, tr.m - 1)
 
 
-def gamma_ps_prefix_hat(tr: Trajectory, K: int) -> EstimateReport:
-    """Truncated empirical pseudo-spectral gap over skips 1..K.
+def _best_rate(per_k: dict[int, float]) -> float:
+    """max_k gap_k / k clipped to [0, 1]; 0 when no skip is usable."""
+    value = max((g / k for k, g in per_k.items()), default=0.0)
+    return float(min(max(value, 0.0), 1.0))
 
-    Per skip k the gap is 1 - sigma_2(L_hat)^2 of the unsmoothed tally
-    matrix; skips whose tallies leave states unvisited are skipped and
-    recorded in diagnostics rather than aborting the maximum.
 
-    Raises:
-        NoUsableKError: if every skip in the prefix is unusable.
+def _gamma_ps_from_tallies(
+    tallies: Iterable[tuple[int, SkippedTallies]],
+) -> tuple[float, dict[int, float], list[int]]:
+    """Truncated empirical pseudo-spectral gap over (skip, tallies) pairs.
+
+    Per skip k the gap is 1 - sigma_2(L_hat)^2 of the unsmoothed tallies;
+    a skip whose tallies leave states unvisited is listed as skipped instead.
+    The pairs are read one at a time, so a long prefix holds one table.
+    Returns (value, per-skip gaps, skipped ks).
     """
-    if K < 1:
-        raise ValueError("K must be >= 1")
     per_k: dict[int, float] = {}
     skipped: list[int] = []
-    for k in range(1, _prefix_cap(tr, K) + 1):
-        t = tally(tr, k)
+    for k, t in tallies:
         try:
             L_hat = unsmoothed_L_hat(t)
         except UnvisitedStateError:
             skipped.append(k)
             continue
         per_k[k] = 1.0 - eigensolve.second_singular_value(L_hat) ** 2
+    return _best_rate(per_k), per_k, skipped
+
+
+def gamma_ps_prefix_hat(tr: Trajectory, K: int) -> EstimateReport:
+    """Truncated empirical pseudo-spectral gap over skips 1..K.
+
+    Skips whose tallies leave states unvisited are recorded in diagnostics
+    rather than aborting the maximum.
+
+    Raises:
+        NoUsableKError: if every skip in the prefix is unusable.
+    """
+    if K < 1:
+        raise ValueError("K must be >= 1")
+    value, per_k, skipped = _gamma_ps_from_tallies(
+        (k, tally(tr, k)) for k in range(1, _prefix_cap(tr, K) + 1)
+    )
     if not per_k:
         raise NoUsableKError(f"no usable skip rate in 1..{K}")
-    value = max(g / k for k, g in per_k.items())
-    diagnostics = {"skipped_k": skipped} if skipped else {}
     return EstimateReport(
         estimator="ps-prefix",
-        value=float(min(max(value, 0.0), 1.0)),
+        value=value,
         K_used=K,
         per_k_values=per_k,
-        diagnostics=diagnostics,
+        diagnostics={"skipped_k": skipped} if skipped else {},
     )
 
 
@@ -106,13 +120,8 @@ def gamma_ps_additive(tr: Trajectory, epsilon: float) -> EstimateReport:
         raise ValueError("epsilon must be in (0, 1)")
     K = math.ceil(2.0 / epsilon)
     report = gamma_ps_prefix_hat(tr, K)
-    return EstimateReport(
-        estimator="ps-additive",
-        value=report.value,
-        K_used=K,
-        per_k_values=report.per_k_values,
-        diagnostics={**report.diagnostics, "epsilon": epsilon},
-    )
+    diagnostics = {**report.diagnostics, "epsilon": epsilon}
+    return replace(report, estimator="ps-additive", diagnostics=diagnostics)
 
 
 def gamma_ps_amplified(
@@ -122,39 +131,35 @@ def gamma_ps_amplified(
 ) -> EstimateReport:
     """Amplified estimator: scan skip powers of two until the gap exceeds 3/8.
 
-    At each p = 0, 1, 2, ... the prefix-16 estimator runs on the 2^p-skipped
-    trajectory; the first p whose estimate exceeds the threshold stops the
-    scan and the output is that estimate divided by 2^p.
+    At each k = 2^p, p = 0, 1, 2, ..., the prefix-16 estimator runs on the
+    k-skipped trajectory, whose skip j counts the same pairs as skip k j of
+    the trajectory itself. The first k whose estimate exceeds the threshold
+    stops the scan, and the output is that estimate divided by k.
 
     Raises:
         NoTriggerError: if the skipped data runs out before the threshold fires.
     """
+    if prefix < 1:
+        raise ValueError("prefix must be >= 1")
     scan: dict[int, float] = {}
-    p = 0
-    while True:
-        k = 2**p
-        sub = skip_trajectory(tr, k) if k > 1 else tr
-        if sub.m < 3:
-            raise NoTriggerError(
-                f"skipped trajectory exhausted at skip {k} before exceeding {threshold}"
-            )
-        try:
-            inner = gamma_ps_prefix_hat(sub, prefix)
-            estimate = inner.value
-        except NoUsableKError:
-            inner = None
-            estimate = 0.0
+    k = 1
+    # the k-skipped trajectory keeps floor((m-1)/k) pairs; it needs two
+    while (pairs := (tr.m - 1) // k) >= 2:
+        estimate, per_j, _ = _gamma_ps_from_tallies(
+            (j, tally(tr, k * j)) for j in range(1, min(prefix, pairs) + 1)
+        )
         scan[k] = estimate
         if estimate > threshold:
             return EstimateReport(
                 estimator="ps-amplified",
                 value=float(min(max(estimate / k, 0.0), 1.0)),
                 K_used=prefix,
-                per_k_values=inner.per_k_values if inner else {},
+                per_k_values=per_j,
                 K_star=k,
                 diagnostics={"scan": {str(kk): v for kk, v in scan.items()}},
             )
-        p += 1
+        k *= 2
+    raise NoTriggerError(f"skipped trajectory exhausted at skip {k} before exceeding {threshold}")
 
 
 def adaptive_K_multiplicative(n_min: int, epsilon: float) -> tuple[int, bool]:
@@ -173,13 +178,7 @@ def gamma_ps_adaptive_multiplicative(tr: Trajectory, epsilon: float) -> Estimate
     diagnostics = {**report.diagnostics, "epsilon": epsilon, "N_min": n_min}
     if clamped:
         diagnostics["K_clamped"] = True
-    return EstimateReport(
-        estimator="ps-adaptive",
-        value=report.value,
-        K_used=K,
-        per_k_values=report.per_k_values,
-        diagnostics=diagnostics,
-    )
+    return replace(report, estimator="ps-adaptive", diagnostics=diagnostics)
 
 
 def adaptive_K_dps(n_min: int, m: int) -> int:
@@ -190,22 +189,52 @@ def adaptive_K_dps(n_min: int, m: int) -> int:
     return max(K, 1)
 
 
-def dilation_gap_of_smoothed(t: SkippedTallies, alpha: float) -> float:
-    """Per-skip dilation gap 1 - sigma_2(L_hat) of the alpha-smoothed tallies.
-
-    Equals 2 - lambda_2(S(L_hat) + I), since the dilation S(L_hat) has
-    eigenvalues +/- the singular values of L_hat.
-    """
-    return 1.0 - eigensolve.second_singular_value(smoothed_estimates(t, alpha).L_hat)
-
-
 def gamma_dps_from_tallies(
     tallies_by_k: dict[int, SkippedTallies], alpha: float
 ) -> tuple[float, dict[int, float]]:
-    """Smoothed dilation plug-in over explicit per-skip tallies."""
-    per_k = {k: dilation_gap_of_smoothed(t, alpha) for k, t in sorted(tallies_by_k.items())}
-    value = max((g / k for k, g in per_k.items()), default=0.0)
-    return float(min(max(value, 0.0), 1.0)), per_k
+    """Smoothed dilation plug-in over explicit per-skip tallies.
+
+    Per skip k the gap is 1 - sigma_2(L_hat) of the alpha-smoothed tallies.
+    That equals 2 - lambda_2(S(L_hat) + I), since the dilation S(L_hat) has
+    eigenvalues +/- the singular values of L_hat.
+    """
+    per_k = {
+        k: 1.0 - eigensolve.second_singular_value(smoothed_estimates(t, alpha).L_hat)
+        for k, t in sorted(tallies_by_k.items())
+    }
+    return _best_rate(per_k), per_k
+
+
+def _dps_scan(
+    tr: Trajectory, alpha: float, K: int | None
+) -> tuple[EstimateReport, dict[int, SkippedTallies]]:
+    """The dps estimate over skips 1..K, together with the tallies it read.
+
+    Skip 1 opens every prefix, and with K omitted its N_min also sets the
+    adaptive K, so one skip-1 tally serves both.
+    """
+    if tr.m < 3:
+        raise TrajectoryTooShortError("need m >= 3 for the smoothed estimator")
+    if K is not None and K < 1:
+        raise ValueError("K must be >= 1")
+    base = tally(tr, 1)
+    diagnostics: dict = {}
+    if K is None:
+        K = adaptive_K_dps(base.n_min, tr.m)
+        diagnostics = {"N_min": base.n_min, "K_adaptive": True}
+        if base.n_min == 0:
+            diagnostics["K_clamped"] = True
+    tallies_by_k = {1: base}
+    tallies_by_k.update((k, tally(tr, k)) for k in range(2, _prefix_cap(tr, K) + 1))
+    value, per_k = gamma_dps_from_tallies(tallies_by_k, alpha)
+    report = EstimateReport(
+        estimator="dps",
+        value=value,
+        K_used=K,
+        per_k_values=per_k,
+        diagnostics={**diagnostics, "alpha": alpha},
+    )
+    return report, tallies_by_k
 
 
 def gamma_dps_hat(
@@ -217,24 +246,4 @@ def gamma_dps_hat(
     Smoothing keeps every skip usable, so there is no unvisited-state failure
     mode here.
     """
-    if tr.m < 3:
-        raise TrajectoryTooShortError("need m >= 3 for the smoothed estimator")
-    diagnostics: dict = {}
-    if K is None:
-        n_min = tally(tr, 1).n_min
-        K = adaptive_K_dps(n_min, tr.m)
-        diagnostics["N_min"] = n_min
-        diagnostics["K_adaptive"] = True
-        if n_min == 0:
-            diagnostics["K_clamped"] = True
-    elif K < 1:
-        raise ValueError("K must be >= 1")
-    tallies_by_k = {k: tally(tr, k) for k in range(1, _prefix_cap(tr, K) + 1)}
-    value, per_k = gamma_dps_from_tallies(tallies_by_k, alpha)
-    return EstimateReport(
-        estimator="dps",
-        value=value,
-        K_used=K,
-        per_k_values=per_k,
-        diagnostics={**diagnostics, "alpha": alpha},
-    )
+    return _dps_scan(tr, alpha, K)[0]

@@ -80,7 +80,10 @@ def _states_from_bytes(raw: bytes) -> np.ndarray:
     tokens = raw.split()
     # parse each distinct token once; int() decides which tokens are valid
     values = {tok: int(tok) for tok in set(tokens)}
-    return np.array(list(map(values.__getitem__, tokens)), dtype=np.int64)
+    try:
+        return np.array(list(map(values.__getitem__, tokens)), dtype=np.int64)
+    except OverflowError as err:
+        raise ValueError("state index outside the 64-bit integer range") from err
 
 
 def load_trajectory(path: str | Path, n: int | None = None) -> Trajectory:

@@ -2,14 +2,15 @@
 
 For a skip rate k, one `np.bincount` pass over the pairs
 (X_{1+k(t-1)}, X_{1+kt}), t = 1..floor((m-1)/k), gives the transition counts
-N_{xx'} of the k-skipped chain as a dense n x n int64 table; the visit counts
-N_x are its row sums. On top of the counts sit the unsmoothed rescaled matrix
-N_{xx'}/sqrt(N_x N_{x'}) and the alpha-smoothed transition/stationary/rescaled
-estimates.
+N_{xx'} of the k-skipped chain as a dense n x n int64 table, the only thing
+a `SkippedTallies` stores; the visit counts N_x are its row sums. On top of
+the counts sit the unsmoothed rescaled matrix N_{xx'}/sqrt(N_x N_{x'}) and
+the alpha-smoothed transition/stationary/rescaled estimates.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,29 +22,28 @@ from .errors import TrajectoryTooShortError, UnvisitedStateError
 
 @dataclass(frozen=True, eq=False)
 class SkippedTallies:
-    """Visit and transition counts of the k-skipped chain."""
+    """Transition counts of the k-skipped chain."""
 
     k: int
     n: int
     m: int
-    visits: np.ndarray
     counts: np.ndarray
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("skip rate must be >= 1")
-        visits = np.asarray(self.visits, dtype=np.int64)
         counts = np.asarray(self.counts, dtype=np.int64)
         if counts.shape != (self.n, self.n):
             raise ValueError("transition counts must be an n x n table")
-        for name, arr in (("visits", visits), ("counts", counts)):
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-        pairs = (self.m - 1) // self.k
-        if visits.sum() != pairs:
-            raise ValueError("visit counts must sum to floor((m-1)/k)")
-        if not np.array_equal(counts.sum(axis=1), visits):
-            raise ValueError("transition row sums must match visit counts")
+        counts.flags.writeable = False
+        object.__setattr__(self, "counts", counts)
+        if counts.sum() != self.num_pairs:
+            raise ValueError("transition counts must sum to floor((m-1)/k)")
+
+    @property
+    def visits(self) -> np.ndarray:
+        """Visit counts N_x, the row sums of the counts."""
+        return self.counts.sum(axis=1)
 
     @property
     def transitions(self) -> csr_matrix:
@@ -62,9 +62,6 @@ class SkippedTallies:
     @property
     def n_max(self) -> int:
         return int(self.visits.max())
-
-    def transitions_dense(self) -> np.ndarray:
-        return self.counts.astype(float)
 
     def to_dict(self) -> dict:
         rows, cols = np.nonzero(self.counts)
@@ -92,6 +89,7 @@ def tally(tr: Trajectory, k: int = 1) -> SkippedTallies:
 
     Raises:
         TrajectoryTooShortError: if the trajectory has no pair at skip k.
+        ValueError: if the n x n table would not fit in physical memory.
     """
     if k < 1:
         raise ValueError("skip rate must be >= 1")
@@ -100,9 +98,12 @@ def tally(tr: Trajectory, k: int = 1) -> SkippedTallies:
             f"need at least {k + 1} observations for skip {k}, got {tr.m}"
         )
     n = tr.n
+    # refuse before allocating, so a huge state index is an input error, not a crash
+    if 8 * n * n > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
+        raise ValueError(f"an n x n count table for n = {n} exceeds physical memory")
     skipped = tr.states[::k]
     counts = np.bincount(skipped[:-1] * n + skipped[1:], minlength=n * n).reshape(n, n)
-    return SkippedTallies(k=k, n=n, m=tr.m, visits=counts.sum(axis=1), counts=counts)
+    return SkippedTallies(k=k, n=n, m=tr.m, counts=counts)
 
 
 def unsmoothed_L_hat(t: SkippedTallies) -> np.ndarray:

@@ -1,6 +1,6 @@
 import math
 
-from mixgap.bench import CSV_HEADER, bench_convergence, max_workers
+from mixgap.bench import CSV_HEADER, bench_convergence
 from mixgap.fixtures import get_fixture
 
 
@@ -42,18 +42,3 @@ def test_half_width_tracks_log_cubed_over_m_shape():
     ]
     assert max(ratios) / min(ratios) < 4.0
 
-
-def test_parallel_workers_do_not_change_output(monkeypatch):
-    P = get_fixture("fast3")
-    serial = bench_convergence(P, m_grid=[500], seeds=4)
-    monkeypatch.setenv("MIXGAP_THREADS", "2")
-    assert max_workers() == 2
-    parallel = bench_convergence(P, m_grid=[500], seeds=4)
-    assert serial == parallel
-
-
-def test_worker_env_parsing(monkeypatch):
-    monkeypatch.setenv("MIXGAP_THREADS", "not-a-number")
-    assert max_workers() == 1
-    monkeypatch.delenv("MIXGAP_THREADS")
-    assert max_workers() == 1

@@ -1,8 +1,14 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mixgap.chain import simulate
 from mixgap.cli import RunConfig, main, parse_args, run
@@ -159,6 +165,68 @@ class TestIntervalCommand:
         assert report["vacuous"]
         assert report["half_width"] is None
         assert report["per_k_terms"]["1"]["U"] is None
+
+
+METHODS = ["pi-star", "ps-prefix", "ps-additive", "ps-amplified", "ps-adaptive", "dps"]
+TRAJECTORY_COMMANDS = [["stats"], *(["estimate", "--method", m] for m in METHODS), ["interval"]]
+# out of range, not an integer, outside int64, and a state index whose dense
+# n x n count table (8 TB) no machine can hold
+BAD_TOKENS = ["-1", "1.0", "abc", "99999999999999999999", "1000000"]
+
+
+def reject_constant(token):
+    raise ValueError(f"non-JSON constant {token}")
+
+
+def run_in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@st.composite
+def trajectory_texts(draw):
+    tokens = draw(st.lists(st.integers(0, 4).map(str), min_size=1, max_size=12))
+    if draw(st.booleans()):
+        tokens.insert(draw(st.integers(0, len(tokens))), draw(st.sampled_from(BAD_TOKENS)))
+    return "\n".join(tokens) + "\n"
+
+
+class TestTrajectoryInputContract:
+    @pytest.mark.parametrize(
+        "text",
+        ["0 1 99999999999999999999", "0 1 0 1000000 0"],
+        ids=["int64-overflow", "huge-index"],
+    )
+    @pytest.mark.parametrize("command", TRAJECTORY_COMMANDS, ids=lambda c: c[-1])
+    def test_former_traceback_inputs_exit_invalid_input(self, tmp_path, capsys, text, command):
+        path = tmp_path / "traj.txt"
+        path.write_text(text + "\n")
+        assert main([*command, "--trajectory", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "INVALID_INPUT"
+
+    @given(text=trajectory_texts(), n=st.one_of(st.none(), st.integers(1, 6)))
+    @settings(max_examples=30, deadline=None)
+    def test_report_or_typed_error_with_stable_bytes(self, text, n):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "traj.txt"
+            path.write_text(text)
+            n_flag = [] if n is None else ["--n", str(n)]
+            for command in TRAJECTORY_COMMANDS:
+                argv = [*command, "--trajectory", str(path), *n_flag]
+                code, out, err = run_in_process(argv)
+                if code == 0:
+                    json.loads(out, parse_constant=reject_constant)
+                    assert err == ""
+                else:
+                    assert code in (1, 2) and out == ""
+                    error = json.loads(err)
+                    assert set(error) == {"error", "message"}
+                    assert (error["error"] == "INVALID_INPUT") == (code == 1)
+                assert run_in_process(argv) == (code, out, err)
 
 
 class TestLemmaCheckCommand:

@@ -27,7 +27,6 @@ def make_tallies(counts, k, m):
         k=k,
         n=counts.shape[0],
         m=m,
-        visits=counts.sum(axis=1),
         counts=counts,
     )
 
@@ -121,7 +120,7 @@ class TestIndependentReevaluation:
             alpha = float(rng.uniform(0.01, 1.0))
             delta = float(rng.uniform(0.01, 0.5))
             pairs = (m - 1) // k
-            counts = t.transitions_dense()
+            counts = t.counts
 
             best = 0.0
             for x in range(n):

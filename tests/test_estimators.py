@@ -8,7 +8,6 @@ from mixgap.errors import NoTriggerError, NoUsableKError
 from mixgap.estimators import (
     adaptive_K_dps,
     adaptive_K_multiplicative,
-    dilation_gap_of_smoothed,
     gamma_dps_from_tallies,
     gamma_dps_hat,
     gamma_ps_additive,
@@ -16,7 +15,6 @@ from mixgap.estimators import (
     gamma_ps_amplified,
     gamma_ps_prefix_hat,
     pi_star_hat,
-    skip_trajectory,
 )
 from mixgap.fixtures import example_chain, get_fixture
 from mixgap.oracle import gamma_ddagger, spectral_gaps
@@ -32,7 +30,6 @@ def make_tallies(counts, k, m):
         k=k,
         n=counts.shape[0],
         m=m,
-        visits=counts.sum(axis=1),
         counts=counts,
     )
 
@@ -189,7 +186,8 @@ class TestDpsEstimator:
         S[:2, 2:] = est.L_hat
         S[2:, :2] = est.L_hat.T
         lam2 = np.sort(np.linalg.eigvalsh(S + np.eye(4)))[-2]
-        assert dilation_gap_of_smoothed(t, 0.1) == pytest.approx(2 - lam2, abs=1e-10)
+        gap = gamma_dps_hat(ZIGZAG, alpha=0.1, K=1).per_k_values[1]
+        assert gap == pytest.approx(2 - lam2, abs=1e-10)
 
     def test_plug_in_fixed_point_matches_oracle(self):
         # counts proportional to pi(x) P^k(x, x') reproduce the oracle gaps
@@ -235,9 +233,23 @@ class TestDpsEstimator:
         assert report.K_used >= 1
 
 
-class TestSkipTrajectory:
-    def test_matches_slicing(self):
-        tr = Trajectory(np.arange(10) % 3, n=3)
-        sk = skip_trajectory(tr, 3)
-        assert sk.states.tolist() == tr.states[::3].tolist()
-        assert sk.n == 3
+class TestAmplifiedScanLevels:
+    def test_each_level_is_the_prefix_estimator_on_the_skipped_trajectory(self):
+        # the scan tallies skips k j of the trajectory itself; each level must
+        # equal the prefix-16 estimator run on an explicit k-skipped copy
+        lazy_cycle = StochasticMatrix([[0.98, 0.02, 0], [0, 0.98, 0.02], [0.02, 0, 0.98]])
+        for P, m, seed in ((example_chain(), 3_000, 3), (lazy_cycle, 5_000, 0)):
+            tr = simulate(P, m, seed=seed)
+            report = gamma_ps_amplified(tr)
+            assert len(report.diagnostics["scan"]) > 1
+            for key, level in report.diagnostics["scan"].items():
+                k = int(key)
+                skipped = Trajectory(tr.states[::k], tr.n)
+                try:
+                    inner = gamma_ps_prefix_hat(skipped, 16)
+                except NoUsableKError:
+                    assert level == 0.0
+                    continue
+                assert level == inner.value
+                if k == report.K_star:
+                    assert report.per_k_values == inner.per_k_values

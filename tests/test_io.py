@@ -87,7 +87,7 @@ def test_text_tokens_follow_python_int(tmp_path):
     assert load_trajectory(path).states.tolist() == [1, 10, 0, 2]
 
 
-@pytest.mark.parametrize("token", ["1.0", "abc", "\ufeff0"])
+@pytest.mark.parametrize("token", ["1.0", "abc", "\ufeff0", "99999999999999999999"])
 def test_non_integer_token_rejected(tmp_path, token):
     path = tmp_path / "traj.txt"
     path.write_text(f"0\n{token}\n1\n", encoding="utf-8")
@@ -95,7 +95,7 @@ def test_non_integer_token_rejected(tmp_path, token):
         load_trajectory(path)
 
 
-@pytest.mark.parametrize("token", ["1.0", "abc", "\ufeff0"])
+@pytest.mark.parametrize("token", ["1.0", "abc", "\ufeff0", "99999999999999999999"])
 def test_stats_on_non_integer_token_is_invalid_input(tmp_path, capsys, token):
     path = tmp_path / "traj.txt"
     path.write_text(f"0\n{token}\n1\n", encoding="utf-8")

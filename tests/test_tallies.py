@@ -18,14 +18,13 @@ class TestTally:
     def test_skip_one_counts(self):
         t = tally(ZIGZAG, 1)
         assert t.visits.tolist() == [2, 2]
-        dense = t.transitions_dense()
-        assert dense.tolist() == [[0, 2], [1, 1]]
+        assert t.counts.tolist() == [[0, 2], [1, 1]]
 
     def test_skip_two_counts(self):
         # skipped sequence (0, 0, 1): pairs (0,0), (0,1)
         t = tally(ZIGZAG, 2)
         assert t.visits.tolist() == [2, 0]
-        assert t.transitions_dense().tolist() == [[1, 1], [0, 0]]
+        assert t.counts.tolist() == [[1, 1], [0, 0]]
 
     def test_constant_trajectory(self):
         tr = Trajectory(np.zeros(11, dtype=int), n=2)
@@ -33,7 +32,7 @@ class TestTally:
             t = tally(tr, k)
             pairs = (tr.m - 1) // k
             assert t.visits.tolist() == [pairs, 0]
-            assert t.transitions_dense()[0, 0] == pairs
+            assert t.counts[0, 0] == pairs
 
     def test_too_short(self):
         with pytest.raises(TrajectoryTooShortError):
@@ -114,7 +113,7 @@ class TestSmoothedEstimates:
     def test_alpha_zero_limit_matches_raw_ratios(self):
         t = tally(ZIGZAG, 1)
         est = smoothed_estimates(t, alpha=1e-12)
-        raw = t.transitions_dense() / t.visits[:, None]
+        raw = t.counts / t.visits[:, None]
         assert np.max(np.abs(est.P_hat - raw)) <= 1e-8
 
     def test_normalization_invariants(self):
