@@ -121,9 +121,13 @@ def is_irreducible(P: StochasticMatrix) -> bool:
 def is_aperiodic(P: StochasticMatrix) -> bool:
     """True when the gcd of cycle lengths through state 0 is 1.
 
-    Assumes irreducibility; uses BFS levels on the support digraph, where the
-    period equals gcd over edges (u, v) of (level(u) + 1 - level(v)).
+    Assumes irreducibility, so a self-loop anywhere (a cycle of length 1)
+    settles it at once. Otherwise labels states by search depth on the support
+    digraph, where the period equals gcd over edges (u, v) of
+    (level(u) + 1 - level(v)).
     """
+    if np.any(np.diagonal(P.rows) > 0):
+        return True
     n = P.n
     adj = [np.nonzero(P.rows[x] > 0)[0] for x in range(n)]
     level = np.full(n, -1, dtype=np.int64)

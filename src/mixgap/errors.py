@@ -26,7 +26,11 @@ class NotMixedByCapError(MixgapError):
 
 
 class NonconvergentGapError(MixgapError):
-    """The pseudo-spectral gap loop saw only zero gaps up to its k-cap."""
+    """The pseudo-spectral gap loop cannot certify its maxima.
+
+    Raised for a periodic chain, whose per-skip gaps are all zero, and when no
+    stopping certificate fires by the loop's k-cap.
+    """
 
     code = "NONCONVERGENT"
 

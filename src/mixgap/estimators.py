@@ -2,9 +2,10 @@
 
 Every estimator is a function of per-skip count tables (`SkippedTallies`);
 the trajectory-level entry points only choose which skips to tally. The
-pseudo-spectral reduce `_gamma_ps_from_tallies` serves the truncated prefix
+pseudo-spectral reduce `_gamma_ps_from_gaps` serves the truncated prefix
 estimator, its additive-error and adaptive-prefix schedules, and each level
-of the amplified scan, which tallies skips 2^p j of the trajectory itself.
+of the amplified scan, which tallies skips 2^p j of the trajectory itself,
+each distinct skip once.
 The smoothed dilation reduce `gamma_dps_from_tallies` serves `_dps_scan`,
 which the confidence interval shares with `gamma_dps_hat`.
 """
@@ -67,26 +68,51 @@ def _best_rate(per_k: dict[int, float]) -> float:
     return float(min(max(value, 0.0), 1.0))
 
 
-def _gamma_ps_from_tallies(
-    tallies: Iterable[tuple[int, SkippedTallies]],
-) -> tuple[float, dict[int, float], list[int]]:
-    """Truncated empirical pseudo-spectral gap over (skip, tallies) pairs.
+def _ps_gap(t: SkippedTallies) -> float | None:
+    """1 - sigma_2(L_hat)^2 of unsmoothed tallies; None when a state is unvisited."""
+    try:
+        L_hat = unsmoothed_L_hat(t)
+    except UnvisitedStateError:
+        return None
+    return 1.0 - eigensolve.second_singular_value(L_hat) ** 2
 
-    Per skip k the gap is 1 - sigma_2(L_hat)^2 of the unsmoothed tallies;
-    a skip whose tallies leave states unvisited is listed as skipped instead.
-    The pairs are read one at a time, so a long prefix holds one table.
-    Returns (value, per-skip gaps, skipped ks).
+
+def _gamma_ps_from_gaps(
+    gaps: Iterable[tuple[int, float | None]],
+) -> tuple[float, dict[int, float], list[int]]:
+    """Truncated empirical pseudo-spectral gap over (skip, per-skip gap) pairs.
+
+    A skip whose tallies leave states unvisited (gap None) is listed as
+    skipped instead. The pairs are read one at a time, so a prefix that
+    tallies lazily holds one table. Returns (value, per-skip gaps, skipped ks).
     """
     per_k: dict[int, float] = {}
     skipped: list[int] = []
-    for k, t in tallies:
-        try:
-            L_hat = unsmoothed_L_hat(t)
-        except UnvisitedStateError:
+    for k, gap in gaps:
+        if gap is None:
             skipped.append(k)
-            continue
-        per_k[k] = 1.0 - eigensolve.second_singular_value(L_hat) ** 2
+        else:
+            per_k[k] = gap
     return _best_rate(per_k), per_k, skipped
+
+
+def _ps_prefix(tr: Trajectory, K: int, first: SkippedTallies | None = None) -> EstimateReport:
+    """The prefix report over skips 1..K; `first`, if given, is the skip-1 tally."""
+    if K < 1:
+        raise ValueError("K must be >= 1")
+    value, per_k, skipped = _gamma_ps_from_gaps(
+        (k, _ps_gap(first if k == 1 and first is not None else tally(tr, k)))
+        for k in range(1, _prefix_cap(tr, K) + 1)
+    )
+    if not per_k:
+        raise NoUsableKError(f"no usable skip rate in 1..{K}")
+    return EstimateReport(
+        estimator="ps-prefix",
+        value=value,
+        K_used=K,
+        per_k_values=per_k,
+        diagnostics={"skipped_k": skipped} if skipped else {},
+    )
 
 
 def gamma_ps_prefix_hat(tr: Trajectory, K: int) -> EstimateReport:
@@ -98,20 +124,7 @@ def gamma_ps_prefix_hat(tr: Trajectory, K: int) -> EstimateReport:
     Raises:
         NoUsableKError: if every skip in the prefix is unusable.
     """
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    value, per_k, skipped = _gamma_ps_from_tallies(
-        (k, tally(tr, k)) for k in range(1, _prefix_cap(tr, K) + 1)
-    )
-    if not per_k:
-        raise NoUsableKError(f"no usable skip rate in 1..{K}")
-    return EstimateReport(
-        estimator="ps-prefix",
-        value=value,
-        K_used=K,
-        per_k_values=per_k,
-        diagnostics={"skipped_k": skipped} if skipped else {},
-    )
+    return _ps_prefix(tr, K)
 
 
 def gamma_ps_additive(tr: Trajectory, epsilon: float) -> EstimateReport:
@@ -142,11 +155,19 @@ def gamma_ps_amplified(
     if prefix < 1:
         raise ValueError("prefix must be >= 1")
     scan: dict[int, float] = {}
+    # per-skip gaps by skip of tr: level 2k rereads the even skips of level k
+    gaps: dict[int, float | None] = {}
+
+    def gap(skip: int) -> float | None:
+        if skip not in gaps:
+            gaps[skip] = _ps_gap(tally(tr, skip))
+        return gaps[skip]
+
     k = 1
     # the k-skipped trajectory keeps floor((m-1)/k) pairs; it needs two
     while (pairs := (tr.m - 1) // k) >= 2:
-        estimate, per_j, _ = _gamma_ps_from_tallies(
-            (j, tally(tr, k * j)) for j in range(1, min(prefix, pairs) + 1)
+        estimate, per_j, _ = _gamma_ps_from_gaps(
+            (j, gap(k * j)) for j in range(1, min(prefix, pairs) + 1)
         )
         scan[k] = estimate
         if estimate > threshold:
@@ -172,9 +193,10 @@ def gamma_ps_adaptive_multiplicative(tr: Trajectory, epsilon: float) -> Estimate
     """Prefix estimator with the data-driven K = ceil((N_min/epsilon)^{1/3})."""
     if not 0.0 < epsilon < 5.0:
         raise ValueError("epsilon must be in (0, 5)")
-    n_min = tally(tr, 1).n_min
+    base = tally(tr, 1)
+    n_min = base.n_min
     K, clamped = adaptive_K_multiplicative(n_min, epsilon)
-    report = gamma_ps_prefix_hat(tr, K)
+    report = _ps_prefix(tr, K, base)
     diagnostics = {**report.diagnostics, "epsilon": epsilon, "N_min": n_min}
     if clamped:
         diagnostics["K_clamped"] = True

@@ -13,11 +13,13 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+import scipy.linalg
 
 from . import eigensolve
 from .chain import (
     StochasticMatrix,
     build_L,
+    is_aperiodic,
     is_reversible,
     matrix_power,
     mixing_time,
@@ -27,6 +29,11 @@ from .chain import (
 from .errors import NonconvergentGapError
 
 DEFAULT_K_CAP = 1000
+# skip at which the loop first pays for the eigensolve behind the Weyl stop:
+# one dense eig costs about as much as 8 SVDs at n = 80 and n = 324
+_WEYL_START = 8
+# eigenvalue i of the computed L is trusted to within _EIG_MARGIN * n * eps / s_i
+_EIG_MARGIN = 4.0
 
 
 @dataclass(frozen=True)
@@ -38,6 +45,7 @@ class SpectralReport:
     k_ps: int
     k_dps: int
     k_explored: int
+    stop_reason: str
     gamma_dagger_at_k: dict[int, float]
     gamma_ddagger_at_k: dict[int, float]
     gamma_star: float | None = None
@@ -50,6 +58,7 @@ class SpectralReport:
             "k_ps": self.k_ps,
             "k_dps": self.k_dps,
             "k_explored": self.k_explored,
+            "stop_reason": self.stop_reason,
             "gamma_dagger_at_k": {str(k): v for k, v in self.gamma_dagger_at_k.items()},
             "gamma_ddagger_at_k": {str(k): v for k, v in self.gamma_ddagger_at_k.items()},
             "gamma_star": self.gamma_star,
@@ -96,23 +105,57 @@ def absolute_spectral_gap(P: StochasticMatrix) -> float:
     return float(min(max(1.0 - rho, 0.0), 1.0))
 
 
+def _second_modulus_floor(L: np.ndarray) -> float:
+    """A lower bound on |lambda_2(P)|, the largest non-Perron eigenvalue modulus.
+
+    L is diagonally similar to P, so it has the same spectrum. Each computed
+    eigenvalue is discounted by a few n eps / s_i, where s_i = |y_i^H x_i|
+    (unit left and right eigenvectors) is its condition number, so an
+    ill-conditioned spectrum only lowers the bound. The Perron eigenvalue 1
+    has s = 1 (both its eigenvectors are sqrt(pi)) and is the one nearest 1.
+    """
+    n = L.shape[0]
+    w, vl, vr = scipy.linalg.eig(L, left=True, right=True)
+    s = np.abs(np.sum(vl.conj() * vr, axis=0))
+    with np.errstate(divide="ignore"):
+        lower = np.abs(w) - _EIG_MARGIN * n * np.finfo(float).eps / s
+    lower = np.delete(lower, np.argmin(np.abs(w - 1.0)))
+    return float(np.clip(lower.max(), 0.0, 1.0))
+
+
 def spectral_gaps(P: StochasticMatrix, k_cap: int = DEFAULT_K_CAP) -> SpectralReport:
     """Exact pseudo-spectral and dilated pseudo-spectral gaps of P.
 
-    Iterates k = 1, 2, ... computing both per-skip gaps from sigma_2(L^k).
-    Because each per-skip value is at most 1/k, the loop stops as
-    soon as k * best >= 1 for both running maxima: no unexplored skip rate can
-    improve either gap, which makes the result exact rather than truncated.
+    Iterates k = 1, 2, ... computing both per-skip gaps from sigma_2(L^k):
+    gamma_dagger(P^k) = 1 - sigma_2(L^k)^2 for the multiplicative
+    reversiblization (Fill 1991; Paulin 2015) and gamma_ddagger(P^k) =
+    1 - sigma_2(L^k) for the reversible dilation. The loop stops at the
+    first k where one of two certificates shows that no skip j > k can beat
+    either running maximum, which makes the result exact rather than truncated:
+
+      * "1/k": every per-skip value is at most 1/j, so (k + 1) best >= 1
+        for both maxima ends the loop.
+      * "weyl": ||L||_2 = 1 and lambda_1 = 1, so Weyl's majorant inequality
+        (Weyl 1949) gives sigma_2(L^j) >= |lambda_2(P)|^j. For any
+        l <= |lambda_2(P)| the per-skip values are then at most
+        (1 - l^(2j))/j and (1 - l^j)/j, both decreasing in j, so the loop
+        ends once they fall to the maxima at j = k + 1. The bound l comes
+        from one eigensolve of L, paid only once k reaches 8.
+
+    `stop_reason` records which certificate fired.
 
     Raises:
-        NonconvergentGapError: if every per-skip gap up to k_cap is zero,
-            which means a non-ergodic matrix slipped through.
+        NonconvergentGapError: if P is periodic (|lambda_2| = 1, so every
+            per-skip gap is zero), or if neither certificate fires by k_cap.
     """
     L = build_L(P)
+    if not is_aperiodic(P):
+        raise NonconvergentGapError("chain is periodic: every per-skip gap is zero")
     gamma_dagger_at_k: dict[int, float] = {}
     gamma_ddagger_at_k: dict[int, float] = {}
     best_ps, k_ps = 0.0, 0
     best_dps, k_dps = 0.0, 0
+    lam2_floor = None
     Lk = np.eye(P.n)
     k = 0
     while True:
@@ -127,13 +170,23 @@ def spectral_gaps(P: StochasticMatrix, k_cap: int = DEFAULT_K_CAP) -> SpectralRe
             best_ps, k_ps = gd / k, k
         if gdd / k > best_dps:
             best_dps, k_dps = gdd / k, k
-        if best_dps > 0.0:
-            # dps certificate dominates: 1/best_dps >= 1/best_ps
-            if (k + 1) * best_dps >= 1.0:
+        # dps certificate dominates: 1/best_dps >= 1/best_ps
+        if (k + 1) * best_dps >= 1.0:
+            stop_reason = "1/k"
+            break
+        if k >= _WEYL_START:
+            if lam2_floor is None:
+                lam2_floor = _second_modulus_floor(L)
+            j = k + 1
+            ps_bound = (1.0 - lam2_floor ** (2 * j)) / j
+            if (1.0 - lam2_floor**j) / j <= best_dps and ps_bound <= best_ps:
+                stop_reason = "weyl"
                 break
-        elif k >= k_cap:
+        if k >= k_cap:
             raise NonconvergentGapError(
-                f"all per-skip gaps are zero up to k = {k_cap}; input looks non-ergodic"
+                f"no certificate closed the skip loop by k = {k_cap} "
+                f"(best gaps {best_ps:.3e}, {best_dps:.3e}); the chain is too close "
+                "to periodic or reducible to resolve"
             )
     gamma_star = absolute_spectral_gap(P) if is_reversible(P) else None
     return SpectralReport(
@@ -142,6 +195,7 @@ def spectral_gaps(P: StochasticMatrix, k_cap: int = DEFAULT_K_CAP) -> SpectralRe
         k_ps=k_ps,
         k_dps=k_dps,
         k_explored=k,
+        stop_reason=stop_reason,
         gamma_dagger_at_k=gamma_dagger_at_k,
         gamma_ddagger_at_k=gamma_ddagger_at_k,
         gamma_star=gamma_star,

@@ -27,3 +27,18 @@ def random_reversible(seed: int, n: int | None = None) -> StochasticMatrix:
     if n is None:
         n = int(rng.integers(2, 9))
     return random_reversible_chain(n, seed=int(rng.integers(0, 2**31)))
+
+
+# period 2: classes {0, 2, 4} and {1, 3, 5}
+PERIOD2_ROWS = [
+    [0, 1, 0, 0, 0, 0],
+    [0, 0, 1, 0, 0, 0],
+    [0, 0.381, 0, 0.619, 0, 0],
+    [0, 0, 0, 0, 1, 0],
+    [0, 0, 0, 0, 0, 1],
+    [0.395, 0, 0, 0, 0.605, 0],
+]
+
+# PERIOD2_ROWS with 1e-9 of state 0's mass moved onto a self-loop: aperiodic,
+# but |lambda_2| = 1 - O(1e-9)
+NEAR_PERIODIC_ROWS = [[1e-9, 1.0 - 1e-9, 0, 0, 0, 0], *PERIOD2_ROWS[1:]]

@@ -253,6 +253,35 @@ class TestErgodicityChecks:
     def test_dense_chain_is_ergodic(self):
         assert is_ergodic(random_ergodic(0))
 
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 7),
+        period=st.integers(1, 4),
+        self_loops=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_aperiodicity_matches_wielandt_power(self, seed, n, period, self_loops):
+        # no self-loops, and edges only from cyclic class c to c + 1 when
+        # period > 1; then self-loops on some states half the time. An
+        # irreducible P is primitive iff P^((n-1)^2 + 1) > 0 (Wielandt).
+        rng = np.random.default_rng(seed)
+        period = min(period, n)
+        cls = rng.permutation(n) % period
+        allowed = ((cls[:, None] + 1) % period == cls[None, :]) & ~np.eye(n, dtype=bool)
+        W = rng.random((n, n)) * allowed * (rng.random((n, n)) < 0.7)
+        for x in np.flatnonzero(W.sum(axis=1) == 0):
+            W[x, rng.choice(np.flatnonzero(allowed[x]))] = 1.0
+        if self_loops:
+            W[np.arange(n), np.arange(n)] += rng.random(n) * (rng.random(n) < 0.5)
+        P = StochasticMatrix(W / W.sum(axis=1, keepdims=True))
+        if not is_irreducible(P):
+            return
+        support = (P.rows > 0).astype(np.int64)
+        reach = np.eye(n, dtype=np.int64)
+        for _ in range((n - 1) ** 2 + 1):
+            reach = np.minimum(reach @ support, 1)
+        assert is_aperiodic(P) == bool(reach.all())
+
 
 class TestMixingTime:
     def test_one_step_chain(self):

@@ -1,11 +1,14 @@
 import contextlib
 import io
 import json
+import signal
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +18,8 @@ from mixgap.cli import RunConfig, main, parse_args, run
 from mixgap.fixtures import example_chain
 from mixgap.io import save_matrix, save_trajectory
 from mixgap.oracle import full_spectral_report
+
+from conftest import NEAR_PERIODIC_ROWS, PERIOD2_ROWS
 
 
 @pytest.fixture
@@ -227,6 +232,95 @@ class TestTrajectoryInputContract:
                     assert set(error) == {"error", "message"}
                     assert (error["error"] == "INVALID_INPUT") == (code == 1)
                 assert run_in_process(argv) == (code, out, err)
+
+
+class Hang(Exception):
+    pass
+
+
+@contextlib.contextmanager
+def time_cap(seconds):
+    """Raise Hang in the running command once `seconds` pass, so a hang fails."""
+
+    def fire(signum, frame):
+        raise Hang(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, fire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def write_matrix(directory, rows):
+    path = Path(directory) / "P.json"
+    path.write_text(json.dumps({"n": len(rows), "rows": rows}))
+    return str(path)
+
+
+@st.composite
+def stochastic_rows(draw):
+    """Small row-stochastic matrices: dense, sparse, periodic, reducible or 1 x 1."""
+    kind = draw(st.sampled_from(["one", "dense", "sparse", "periodic", "reducible"]))
+    n = 1 if kind == "one" else draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    W = rng.random((n, n))
+    if kind == "sparse":
+        W *= rng.random((n, n)) < 0.4
+    elif kind == "periodic":
+        period = rng.integers(2, n + 1)
+        cls = rng.permutation(n) % period
+        W *= (cls[:, None] + 1) % period == cls[None, :]
+    elif kind == "reducible":
+        split = rng.integers(1, n)
+        W[:split, split:] = 0.0
+    for x in np.flatnonzero(W.sum(axis=1) == 0):
+        W[x, rng.integers(n)] = 1.0
+    return (W / W.sum(axis=1, keepdims=True)).tolist()
+
+
+class TestMatrixInputContract:
+    @pytest.mark.parametrize("command", ["oracle", "lemma-check"])
+    def test_periodic_chain_exits_nonconvergent(self, tmp_path, command):
+        argv = [command, "--matrix", write_matrix(tmp_path, PERIOD2_ROWS)]
+        start = time.perf_counter()
+        with time_cap(1.0):
+            code, out, err = run_in_process(argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == "NONCONVERGENT"
+
+    @pytest.mark.parametrize("command", ["oracle", "lemma-check"])
+    def test_near_periodic_chain_ends_in_report_or_typed_error(self, tmp_path, command):
+        argv = [command, "--matrix", write_matrix(tmp_path, NEAR_PERIODIC_ROWS)]
+        start = time.perf_counter()
+        with time_cap(1.0):
+            code, out, err = run_in_process(argv)
+        assert time.perf_counter() - start < 1.0
+        if code == 0:
+            json.loads(out, parse_constant=reject_constant)
+        else:
+            assert (code, out) == (2, "")
+            assert set(json.loads(err)) == {"error", "message"}
+
+    @given(rows=stochastic_rows())
+    @settings(max_examples=40, deadline=None)
+    def test_report_or_typed_error_with_stable_bytes(self, rows):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_matrix(tmp, rows)
+            for command in ("oracle", "lemma-check"):
+                argv = [command, "--matrix", path]
+                with time_cap(5.0):
+                    code, out, err = run_in_process(argv)
+                    assert run_in_process(argv) == (code, out, err)
+                if code == 0:
+                    json.loads(out, parse_constant=reject_constant)
+                    assert err == ""
+                else:
+                    assert (code, out) == (2, "")
+                    assert set(json.loads(err)) == {"error", "message"}
 
 
 class TestLemmaCheckCommand:

@@ -253,3 +253,30 @@ class TestAmplifiedScanLevels:
                 assert level == inner.value
                 if k == report.K_star:
                     assert report.per_k_values == inner.per_k_values
+
+
+class TestTallyReuse:
+    @pytest.fixture
+    def tally_calls(self, monkeypatch):
+        import mixgap.estimators
+
+        calls = []
+
+        def counting_tally(tr, k=1):
+            calls.append(k)
+            return tally(tr, k)
+
+        monkeypatch.setattr(mixgap.estimators, "tally", counting_tally)
+        return calls
+
+    def test_amplified_tallies_each_skip_once(self, tally_calls):
+        # level 1 reads skips 1..16 and level 2 skips 2, 4, ..., 32: 24 distinct
+        tr = simulate(example_chain(), 2_000, seed=0)
+        report = gamma_ps_amplified(tr)
+        assert report.K_star == 2
+        assert sorted(tally_calls) == sorted(set(range(1, 17)) | set(range(2, 33, 2)))
+
+    def test_adaptive_prefix_tallies_skip_one_once(self, tally_calls):
+        tr = simulate(example_chain(), 2_000, seed=0)
+        report = gamma_ps_adaptive_multiplicative(tr, 0.1)
+        assert tally_calls == list(range(1, report.K_used + 1))

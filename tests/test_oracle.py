@@ -2,14 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mixgap.chain import (
     StochasticMatrix,
     build_L,
     generic_dilation,
+    is_aperiodic,
+    is_reversible,
     stationary_distribution,
 )
-from mixgap.eigensolve import dense_symmetric_spectrum
+from mixgap.eigensolve import dense_symmetric_spectrum, second_singular_value
 from mixgap.errors import NonconvergentGapError, ReducibleChainError
 from mixgap.fixtures import get_fixture
 from mixgap.oracle import (
@@ -23,9 +27,63 @@ from mixgap.oracle import (
     verify_lemma_properties,
 )
 
-from conftest import random_ergodic, random_reversible
+from conftest import NEAR_PERIODIC_ROWS, PERIOD2_ROWS, random_ergodic, random_reversible
 
 UNIFORM2 = StochasticMatrix([[0.5, 0.5], [0.5, 0.5]])
+
+
+def lazy_cycle(n: int, lazy: float, right: float) -> StochasticMatrix:
+    """Stay w.p. `lazy`, else step +1 w.p. `right` and -1 otherwise."""
+    P = np.zeros((n, n))
+    i = np.arange(n)
+    P[i, i] = lazy
+    P[i, (i + 1) % n] += (1.0 - lazy) * right
+    P[i, (i - 1) % n] += (1.0 - lazy) * (1.0 - right)
+    return StochasticMatrix(P)
+
+
+def chain_of_family(family: str, n: int, rng: np.random.Generator) -> StochasticMatrix:
+    """Random irreducible chain: dense, sparse, lazy drifted cycle, non-normal
+    near-path (drift to the end, rare resets to 0) or sticky."""
+    if family == "cycle":
+        return lazy_cycle(n, rng.uniform(0.05, 0.9), rng.uniform(0.5, 1.0))
+    if family == "path":
+        reset = rng.uniform(1e-3, 0.1)
+        W = np.zeros((n, n))
+        i = np.arange(n - 1)
+        W[i, i + 1] = rng.uniform(0.5, 0.99) * (1.0 - reset)
+        W[i, 0] += reset
+        W[i, i] += 1.0 - W[i].sum(axis=1)
+        W[n - 1, 0] = rng.uniform(0.1, 1.0)
+        W[n - 1, n - 1] = 1.0 - W[n - 1, 0]
+    elif family == "sparse":
+        W = rng.random((n, n)) * (rng.random((n, n)) < rng.uniform(0.1, 0.5))
+        perm = rng.permutation(n)
+        W[perm, np.roll(perm, 1)] += rng.random(n) + 0.05
+    elif family == "sticky":
+        W = rng.gamma(2.0, 1.0, (n, n)) * rng.uniform(1e-3, 0.05)
+        np.fill_diagonal(W, 1.0)
+    else:
+        W = rng.gamma(2.0, 1.0, (n, n)) + 1e-3
+    return StochasticMatrix(W / W.sum(axis=1, keepdims=True))
+
+
+def full_loop(P: StochasticMatrix):
+    """(gamma_ps, gamma_dps, k_ps, k_dps, gamma_star) with only the 1/k exit."""
+    L = build_L(P)
+    Lk = np.eye(P.n)
+    best_ps = best_dps = 0.0
+    k_ps = k_dps = k = 0
+    while (k + 1) * best_dps < 1.0:
+        k += 1
+        Lk = Lk @ L
+        sigma2 = min(second_singular_value(Lk), 1.0)
+        if (1.0 - sigma2**2) / k > best_ps:
+            best_ps, k_ps = (1.0 - sigma2**2) / k, k
+        if (1.0 - sigma2) / k > best_dps:
+            best_dps, k_dps = (1.0 - sigma2) / k, k
+    gamma_star = absolute_spectral_gap(P) if is_reversible(P) else None
+    return best_ps, best_dps, k_ps, k_dps, gamma_star
 
 
 class TestAbsoluteSpectralGap:
@@ -170,9 +228,37 @@ class TestPseudoSpectralGap:
             assert rep.gamma_ps <= 2 * rep.gamma_dps + 1e-10
 
     def test_periodic_chain_nonconvergent(self):
+        # rejected before the loop; on PERIOD2_ROWS the dilation gap at k = 2
+        # is rounding noise, so the 1/k exit alone would run towards k ~ 1e16
         flip = StochasticMatrix([[0.0, 1.0], [1.0, 0.0]])
-        with pytest.raises(NonconvergentGapError):
-            spectral_gaps(flip, k_cap=40)
+        for P in (flip, StochasticMatrix(PERIOD2_ROWS)):
+            with pytest.raises(NonconvergentGapError, match="periodic"):
+                spectral_gaps(P, k_cap=40)
+
+    def test_loop_is_bounded_by_k_cap(self):
+        # neither exit can fire before k ~ 1e9
+        with pytest.raises(NonconvergentGapError, match="k = 50"):
+            spectral_gaps(StochasticMatrix(NEAR_PERIODIC_ROWS), k_cap=50)
+
+    def test_stop_reasons(self, ex31):
+        assert spectral_gaps(ex31).stop_reason == "1/k"
+        # k_ps = k_dps = 1, but the 1/k exit would wait for k ~ 1/gamma_dps = 166
+        rep = spectral_gaps(lazy_cycle(40, 0.5, 0.6))
+        assert (rep.stop_reason, rep.k_explored, rep.k_ps, rep.k_dps) == ("weyl", 8, 1, 1)
+        assert rep.to_dict()["stop_reason"] == "weyl"
+
+    @given(
+        family=st.sampled_from(["dense", "sparse", "cycle", "path", "sticky"]),
+        n=st.integers(2, 25),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_early_stop_matches_full_loop(self, family, n, seed):
+        P = chain_of_family(family, n, np.random.default_rng(seed))
+        if not is_aperiodic(P):
+            return
+        rep = spectral_gaps(P)
+        assert (rep.gamma_ps, rep.gamma_dps, rep.k_ps, rep.k_dps, rep.gamma_star) == full_loop(P)
 
 
 class TestLemmaLedger:
