@@ -13,6 +13,7 @@ threads.
 from __future__ import annotations
 
 import math
+import os
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
@@ -317,6 +318,120 @@ def mixing_time(
     return hi
 
 
+# `simulate` walks long trajectories as chunks advanced in lockstep. One vector
+# step costs about 10-50 us against 0.1-0.3 us for one sequential step (2-core
+# host), so lockstep pays only with many chunks. After 32 rerun steps, chains
+# whose paths merge under common random numbers (dense or sparse random rows)
+# leave under 10% of the chunks still rerunning; lazy cycles and tori leave
+# over 75%.
+_LOCKSTEP_MIN_M = 4096  # chunks are round(sqrt(m) / 2) >= _CHECK_STEP steps long
+_CHECK_STEP = 32  # rerun step at which merging is judged
+_MAX_UNMET = 0.25  # fraction of chunks still rerunning then that falls back
+_BLOCK = 1 << 14  # draws converted to Python floats at a time
+
+
+def _physical_memory() -> int:
+    """Bytes of physical memory, the cap on any table sized by the input."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _support_tables(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per row, the cumulative sums at its positive columns and those columns.
+
+    Returns ``(cut, col, size)``: row x has ``size[x]`` positive columns
+    ``col[x, :size[x]]``, and ``cut[x, i]`` is the row's cumulative sum at
+    column ``col[x, i]`` for i < size[x] - 1. The rest of each row of ``cut``
+    is +inf, padded to a power-of-two width above every row's cut count, so a
+    draw past the last cut samples the last positive column: the clamp that
+    keeps a row summing to 1 - 1e-12 off a trailing zero column. Counting the
+    cuts <= u picks the same column as bisecting the full row's cumulative
+    sums, because a zero column repeats the previous cut exactly and so is
+    never where bisect_right lands.
+    """
+    n = rows.shape[0]
+    positive = rows > 0
+    size = positive.sum(axis=1)
+    width = 1 << int(size.max() - 1).bit_length()
+    xs, ys = np.nonzero(positive)
+    rank = (np.cumsum(positive, axis=1) - 1)[xs, ys]
+    cut = np.full((n, width), np.inf)
+    col = np.zeros((n, width), dtype=np.int64)
+    cut[xs, rank] = np.cumsum(rows, axis=1)[xs, ys]
+    cut[np.arange(n), size - 1] = np.inf
+    col[xs, rank] = ys
+    return cut, col, size
+
+
+def _walk_sequential(
+    cut: np.ndarray, col: np.ndarray, size: np.ndarray, u: np.ndarray, out: np.ndarray, lo: int
+) -> None:
+    """Fill out[lo:] one bisect per step, continuing from out[lo - 1]."""
+    cuts = [tuple(c[: s - 1].tolist()) for c, s in zip(cut, size)]
+    cols = [tuple(c[:s].tolist()) for c, s in zip(col, size)]
+    x = int(out[lo - 1])
+    for b in range(lo, u.size, _BLOCK):
+        block = []
+        append = block.append
+        for ut in u[b : b + _BLOCK].tolist():
+            x = cols[x][bisect_right(cuts[x], ut)]
+            append(x)
+        out[b : b + len(block)] = block
+
+
+def _walk_coupled(
+    cut: np.ndarray, col: np.ndarray, size: np.ndarray, u: np.ndarray, out: np.ndarray
+) -> None:
+    """Fill out[1:] by chunks run in lockstep, then rerun until consistent.
+
+    Hands over to _walk_sequential at the earliest state not yet known to be
+    right when the reruns merge slowly (see _MAX_UNMET) or have not all met
+    the recorded path within one chunk length.
+    """
+    m = u.size
+    width = cut.shape[1]
+    flat_cut, flat_col = cut.ravel(), col.ravel()
+    halves = [width >> i for i in range(1, width.bit_length())]
+
+    def step(x: np.ndarray, ut: np.ndarray) -> np.ndarray:
+        # branchless binary search: the searched prefix of width - 1 cuts
+        # ends in +inf, so i - x * width ends as the count of cuts <= ut
+        i = x * width
+        for h in halves:
+            i += h * (flat_cut[i + (h - 1)] <= ut)
+        return flat_col[i]
+
+    length = round(math.sqrt(m) / 2)
+    first = np.arange(1, m, length)  # first step of each chunk
+    chunks = first.size
+    tail = m - int(first[-1])  # steps of the last, possibly short, chunk
+    x = np.full(chunks, out[0])
+    for j in range(length):
+        live = chunks if j < tail else chunks - 1
+        t = first[:live] + j
+        x[:live] = step(x[:live], u[t])
+        out[t] = x[:live]
+    # rerun each chunk whose guessed start was not its predecessor's end, in
+    # lockstep; a rerun stops where it meets the recorded path, and one that
+    # leaves its chunk carries on into the next. Reruns stay whole chunks
+    # apart, and one that overwrites a state always moves on to the next, so
+    # once none is left every state follows from its predecessor and u.
+    t = first[1:][out[first[1:] - 1] != out[0]]
+    x = out[t - 1]
+    for j in range(1, length + 1):
+        x = step(x, u[t])
+        met = out[t] == x
+        out[t] = x
+        t += 1
+        keep = ~met & (t < m)
+        x, t = x[keep], t[keep]
+        if t.size == 0:
+            return
+        if j == _CHECK_STEP and t.size > _MAX_UNMET * chunks:
+            break
+    # every state before the earliest rerun still going is final
+    _walk_sequential(cut, col, size, u, out, int(t[0]))
+
+
 def simulate(
     P: StochasticMatrix,
     m: int,
@@ -327,9 +442,34 @@ def simulate(
 
     ``start`` is a state index, a distribution over states, or the string
     "stationary".
+
+    The generator draws the start (when ``start`` is a distribution), then
+    u = rng.random(m); state t is the column that bisect_right of u[t] picks
+    in the cumulative sums of row x_{t-1}, clamped to the row's last positive
+    column. The sums are searched at the positive columns only, which picks
+    the same column as the full row (see _support_tables).
+
+    How the walk is scheduled never changes the output. Long trajectories
+    are cut into chunks of about sqrt(m)/2 steps, each started from a guessed
+    state, and all chunks advance together as vectors. Each chunk whose guess
+    was not its predecessor's end is then rerun from that end until it meets
+    its recorded path, carrying on into the following chunks until it does,
+    so the repair ends when nothing changes. Every state comes from the same
+    rule applied to the same u, so then each state follows from its
+    predecessor exactly as in a one-step-at-a-time walk. Under these common
+    random numbers paths from different starts merge (the grand coupling of
+    Propp and Wilson, 1996), so the reruns are short on chains that mix fast;
+    chains whose paths merge slowly are finished one step at a time.
+
+    Raises:
+        ValueError: for m < 1, a bad start, or an m whose draws and states
+            (16 bytes per step) would not fit in physical memory.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
+    # refuse before allocating, so a huge m is an input error, not a crash
+    if 16 * m > _physical_memory():
+        raise ValueError(f"{m} draws and states exceed physical memory")
     n = P.n
     rng = np.random.default_rng(seed)
     if isinstance(start, str):
@@ -345,19 +485,12 @@ def simulate(
         if p.shape != (n,) or abs(p.sum() - 1.0) > 1e-9 or np.min(p) < 0:
             raise ValueError("start distribution must be a length-n probability vector")
         x = int(rng.choice(n, p=p / p.sum()))
-    # interior cumulative thresholds per row; bisect gives the sampled column.
-    # A row may sum to as little as 1 - 1e-12, so u can pass its last real
-    # threshold: thresholds from the last positive column on are +inf, which
-    # clamps the draw to that column instead of a zero-probability one.
-    thresholds = []
-    for row in P.rows:
-        cuts = np.cumsum(row)[:-1]
-        cuts[np.flatnonzero(row)[-1]:] = np.inf
-        thresholds.append(tuple(cuts))
+    tables = _support_tables(P.rows)
     u = rng.random(m)
-    out = [0] * m
+    out = np.empty(m, dtype=np.int64)
     out[0] = x
-    for t in range(1, m):
-        x = bisect_right(thresholds[x], u[t])
-        out[t] = x
-    return Trajectory(np.array(out, dtype=np.int64), n)
+    if m < _LOCKSTEP_MIN_M:
+        _walk_sequential(*tables, u, out, 1)
+    else:
+        _walk_coupled(*tables, u, out)
+    return Trajectory(out, n)

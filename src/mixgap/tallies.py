@@ -10,13 +10,12 @@ the alpha-smoothed transition/stationary/rescaled estimates.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from .chain import Trajectory
+from .chain import Trajectory, _physical_memory
 from .errors import TrajectoryTooShortError, UnvisitedStateError
 
 
@@ -99,7 +98,7 @@ def tally(tr: Trajectory, k: int = 1) -> SkippedTallies:
         )
     n = tr.n
     # refuse before allocating, so a huge state index is an input error, not a crash
-    if 8 * n * n > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
+    if 8 * n * n > _physical_memory():
         raise ValueError(f"an n x n count table for n = {n} exceeds physical memory")
     skipped = tr.states[::k]
     counts = np.bincount(skipped[:-1] * n + skipped[1:], minlength=n * n).reshape(n, n)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from bisect import bisect_right
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import mixgap.chain as chain_module
 from mixgap.chain import (
     STATIONARY_TOL,
     StochasticMatrix,
@@ -306,6 +308,191 @@ class TestMixingTime:
         assert mixing_time(ex31, threshold=0.01) >= mixing_time(ex31, threshold=0.25)
 
 
+# blake2b-128 of simulate(P, m, start, seed).states for every fixture, seed,
+# start and m below, recorded from the one-bisect-per-step walk that the
+# coupled walk replaced; seeded trajectories must never change
+SIMULATE_DIGESTS = {
+    ("ex31", 0, "stationary", 10): "5391445de3799b57ebc80520014f52bf",
+    ("ex31", 0, "stationary", 5000): "62cb9e08d1453d48198ab310ff288e4f",
+    ("ex31", 0, "stationary", 200000): "1c378cda809260f1a505c77ed4270a3b",
+    ("ex31", 0, "0", 10): "a07edcf14b919f83c88d64fc1ba7ce91",
+    ("ex31", 0, "0", 5000): "568e4733839ad9560071f3d05894a727",
+    ("ex31", 0, "0", 200000): "d8d99b4dc16cac0ef6c45aa0091e14db",
+    ("ex31", 0, "uniform", 10): "3e633031e38427714bcb8c9379099b41",
+    ("ex31", 0, "uniform", 5000): "49436fddde156a1006e4648ca236f6e2",
+    ("ex31", 0, "uniform", 200000): "fc9ec52c2400b3fb08abfe1de0f97efe",
+    ("ex31", 1, "stationary", 10): "5979b85b900bcafb89cb764b61f386d3",
+    ("ex31", 1, "stationary", 5000): "78c78657054076043ea811b944b1e56c",
+    ("ex31", 1, "stationary", 200000): "203fa4e7fb3720bfc6b4ea03e3800890",
+    ("ex31", 1, "0", 10): "3f7ba61c83b16240ff53a4049337529a",
+    ("ex31", 1, "0", 5000): "bcc77dcdcb8b89fbee5f7912effa7d68",
+    ("ex31", 1, "0", 200000): "8dcbbf45ea237a7f612b9a7430bb46ce",
+    ("ex31", 1, "uniform", 10): "38b26fdc95c6af1e2b1f28646c212d2d",
+    ("ex31", 1, "uniform", 5000): "43e75caf63334cd555b37f3301d47ff3",
+    ("ex31", 1, "uniform", 200000): "82d3c974a2bfc2a2c77ad911d59f49b8",
+    ("ex31", 7, "stationary", 10): "3afb419696108e0c08e94f9751562ff2",
+    ("ex31", 7, "stationary", 5000): "f40b968a0589ce1cff00718bac9f1789",
+    ("ex31", 7, "stationary", 200000): "0c1e142b2d9bf85a886c3b93cd33439e",
+    ("ex31", 7, "0", 10): "5c2a6ac3a15f8976a4d3ccb721bf05ba",
+    ("ex31", 7, "0", 5000): "b6a3a6974a03099a37ef6272bcd7d340",
+    ("ex31", 7, "0", 200000): "81461c176afafa614d49c5c7d1ffc1f4",
+    ("ex31", 7, "uniform", 10): "ecaba79cd0cce47ae9ee8281308f7a65",
+    ("ex31", 7, "uniform", 5000): "419d18def6f4022a82124c072c1ffa7f",
+    ("ex31", 7, "uniform", 200000): "b15adb3826d48bd96ce125467671bc02",
+    ("fast3", 0, "stationary", 10): "eea29dc702f9db73bdb562e0dfbde048",
+    ("fast3", 0, "stationary", 5000): "9bcaad0aba6d22a9784d396e6e57a074",
+    ("fast3", 0, "stationary", 200000): "cbe06b533a22deb3b88ff6247f1561a6",
+    ("fast3", 0, "0", 10): "e315e45a924d9c24b8131a1354ea996a",
+    ("fast3", 0, "0", 5000): "8e0b30c0c95d6aeb162e8b2315ed86cd",
+    ("fast3", 0, "0", 200000): "429f40c1695dbbd988fdfd97f2855aa0",
+    ("fast3", 0, "uniform", 10): "eea29dc702f9db73bdb562e0dfbde048",
+    ("fast3", 0, "uniform", 5000): "9bcaad0aba6d22a9784d396e6e57a074",
+    ("fast3", 0, "uniform", 200000): "cbe06b533a22deb3b88ff6247f1561a6",
+    ("fast3", 1, "stationary", 10): "d35a7efd234a500d32aaf2db6644f52f",
+    ("fast3", 1, "stationary", 5000): "868a8970d22199f046026974f8892ab5",
+    ("fast3", 1, "stationary", 200000): "a482967a483b4697c27a7507c4d02eff",
+    ("fast3", 1, "0", 10): "f59b3dc0eb39be2307441eea9dafb15f",
+    ("fast3", 1, "0", 5000): "24e1dcd0f4a05254660b2ec8bc90387e",
+    ("fast3", 1, "0", 200000): "80e551e025512a98731df15c84ef521a",
+    ("fast3", 1, "uniform", 10): "d35a7efd234a500d32aaf2db6644f52f",
+    ("fast3", 1, "uniform", 5000): "868a8970d22199f046026974f8892ab5",
+    ("fast3", 1, "uniform", 200000): "a482967a483b4697c27a7507c4d02eff",
+    ("fast3", 7, "stationary", 10): "26aaeed43a532cc9e6ed6091ee40eb3b",
+    ("fast3", 7, "stationary", 5000): "e4c40f13e61fb7427d809cc64fee164d",
+    ("fast3", 7, "stationary", 200000): "19ee28922f5d7825e2f0293dcaf014b4",
+    ("fast3", 7, "0", 10): "1f7c3f156cd999bbaf5bc717d289b320",
+    ("fast3", 7, "0", 5000): "70b0b07af58b879c868170498d7ff473",
+    ("fast3", 7, "0", 200000): "6758e8fa01ec4613527eb7e84dbaefa8",
+    ("fast3", 7, "uniform", 10): "26aaeed43a532cc9e6ed6091ee40eb3b",
+    ("fast3", 7, "uniform", 5000): "e4c40f13e61fb7427d809cc64fee164d",
+    ("fast3", 7, "uniform", 200000): "19ee28922f5d7825e2f0293dcaf014b4",
+    ("rand5a", 0, "stationary", 10): "05d5662a6278e167642001e9e25dde98",
+    ("rand5a", 0, "stationary", 5000): "9362c62b796c89b0823517aa27347a28",
+    ("rand5a", 0, "stationary", 200000): "66640d7fe006598571cd879bb14a5bc1",
+    ("rand5a", 0, "0", 10): "dbd2ca87649584f91970e7664b9e6434",
+    ("rand5a", 0, "0", 5000): "36e79568abebcdb6391c897484916dc2",
+    ("rand5a", 0, "0", 200000): "3c44951113328aa1aeaff45ed2baa2f5",
+    ("rand5a", 0, "uniform", 10): "05d5662a6278e167642001e9e25dde98",
+    ("rand5a", 0, "uniform", 5000): "9362c62b796c89b0823517aa27347a28",
+    ("rand5a", 0, "uniform", 200000): "66640d7fe006598571cd879bb14a5bc1",
+    ("rand5a", 1, "stationary", 10): "473f65a3cdc1a749eaae044ce82a5a82",
+    ("rand5a", 1, "stationary", 5000): "4324b3d72ae01dc309efc640c7bf5d70",
+    ("rand5a", 1, "stationary", 200000): "47a92a08ab0b8d12e5d426a50c18c686",
+    ("rand5a", 1, "0", 10): "562fd205b385733ef4a1c5526a9b03d9",
+    ("rand5a", 1, "0", 5000): "b19d843eaf22ec17c3e460ee7ee1f7f1",
+    ("rand5a", 1, "0", 200000): "724e91f2fc68c59ea7b29641c563825b",
+    ("rand5a", 1, "uniform", 10): "473f65a3cdc1a749eaae044ce82a5a82",
+    ("rand5a", 1, "uniform", 5000): "4324b3d72ae01dc309efc640c7bf5d70",
+    ("rand5a", 1, "uniform", 200000): "47a92a08ab0b8d12e5d426a50c18c686",
+    ("rand5a", 7, "stationary", 10): "f57cf622db3b2bc7b0d02fa119244a29",
+    ("rand5a", 7, "stationary", 5000): "9658041abf6ff010ee53c680a08a3074",
+    ("rand5a", 7, "stationary", 200000): "240fc3280ec4ac687629790fda2de11c",
+    ("rand5a", 7, "0", 10): "add889a6d9798c81fce2af2ade119fcd",
+    ("rand5a", 7, "0", 5000): "b612ff997cac2a9e7a958c23c91686f3",
+    ("rand5a", 7, "0", 200000): "977f7656af97773ae273d9d5206c8d77",
+    ("rand5a", 7, "uniform", 10): "f57cf622db3b2bc7b0d02fa119244a29",
+    ("rand5a", 7, "uniform", 5000): "9658041abf6ff010ee53c680a08a3074",
+    ("rand5a", 7, "uniform", 200000): "240fc3280ec4ac687629790fda2de11c",
+    ("rand5b", 0, "stationary", 10): "da28e5f207110645b764bf5e4e2ee155",
+    ("rand5b", 0, "stationary", 5000): "9602f80c6a728e09b52d0a42d8d52d07",
+    ("rand5b", 0, "stationary", 200000): "b1fd004d939a1a29667125e67c954232",
+    ("rand5b", 0, "0", 10): "a42283c5a84ef49d777b572f54e1f229",
+    ("rand5b", 0, "0", 5000): "963ed006e2b10b11de5fe4f40324e330",
+    ("rand5b", 0, "0", 200000): "86a816b7cc89cbafb05abd39b124ccfb",
+    ("rand5b", 0, "uniform", 10): "a40246547cbe3f30c94002e856b58051",
+    ("rand5b", 0, "uniform", 5000): "078d16089b6fa1eddc914df786cb48c7",
+    ("rand5b", 0, "uniform", 200000): "b79768cde4d932eb4941c84989e9ca4b",
+    ("rand5b", 1, "stationary", 10): "f635150e7bcdf54e90e37c77f88a8a5f",
+    ("rand5b", 1, "stationary", 5000): "8a5cda2305f898c5c360aa7813aa36e0",
+    ("rand5b", 1, "stationary", 200000): "bb8c1f26e994c0fbe8dff4e8c9b89329",
+    ("rand5b", 1, "0", 10): "6ef740f6a070dd097bd7c394e78e11f8",
+    ("rand5b", 1, "0", 5000): "517663bc001ac194cc59a75dd5a92e8b",
+    ("rand5b", 1, "0", 200000): "ff2f0225c3cf9bc67455c452595ade59",
+    ("rand5b", 1, "uniform", 10): "f635150e7bcdf54e90e37c77f88a8a5f",
+    ("rand5b", 1, "uniform", 5000): "8a5cda2305f898c5c360aa7813aa36e0",
+    ("rand5b", 1, "uniform", 200000): "bb8c1f26e994c0fbe8dff4e8c9b89329",
+    ("rand5b", 7, "stationary", 10): "49cc4b977efdd8f16df821df493e1b69",
+    ("rand5b", 7, "stationary", 5000): "68ee26163de0205ab1128caf4a417a72",
+    ("rand5b", 7, "stationary", 200000): "53e0f0a4aa6541f4b6844b5a7522bfc2",
+    ("rand5b", 7, "0", 10): "1d1fcf4a50db777795bff19695b26d67",
+    ("rand5b", 7, "0", 5000): "65cf25915c52114a2d0550fa158c94e5",
+    ("rand5b", 7, "0", 200000): "5e2144c41972cb2caf10cff200347f0b",
+    ("rand5b", 7, "uniform", 10): "6946f6371c1dd77990027346f4b2b2ff",
+    ("rand5b", 7, "uniform", 5000): "187f5398a058e710cfe3589bca90b196",
+    ("rand5b", 7, "uniform", 200000): "d990919e3f4c9bbf440e396ba7720d39",
+}
+
+
+def lazy_cycle(n, lazy=0.5, right=0.6):
+    P = np.zeros((n, n))
+    i = np.arange(n)
+    P[i, i] = lazy
+    P[i, (i + 1) % n] += (1.0 - lazy) * right
+    P[i, (i - 1) % n] += (1.0 - lazy) * (1.0 - right)
+    return StochasticMatrix(P)
+
+
+def bisect_walk(P, x, u):
+    """Per-step reference: bisect_right over each full row's cumulative sums,
+    +inf from the row's last positive column on."""
+    thresholds = []
+    for row in P.rows:
+        cuts = np.cumsum(row)[:-1]
+        cuts[np.flatnonzero(row)[-1]:] = np.inf
+        thresholds.append(tuple(cuts))
+    out = [x]
+    for t in range(1, u.size):
+        out.append(bisect_right(thresholds[out[-1]], u[t]))
+    return out
+
+
+def reference_simulate(P, m, start, seed):
+    """simulate's contract: the start draw (if any), then one rng.random(m)."""
+    rng = np.random.default_rng(seed)
+    if isinstance(start, str):
+        start = stationary_distribution(P)
+    if np.ndim(start) == 0:
+        x = int(start)
+    else:
+        p = np.asarray(start, dtype=float)
+        x = int(rng.choice(P.n, p=p / p.sum()))
+    return bisect_walk(P, x, rng.random(m))
+
+
+@st.composite
+def simulated_chains(draw):
+    """Irreducible chains from four families; lazy drifted cycles merge slowly
+    under common random numbers and take the sequential fallback."""
+    kind = draw(st.sampled_from(["dense", "sparse", "sticky", "cycle"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "cycle":
+        n = draw(st.integers(20, 60))
+        rows = lazy_cycle(n, rng.uniform(0.3, 0.7), rng.uniform(0.5, 0.9)).rows
+    else:
+        n = draw(st.integers(1, 8))
+        W = rng.gamma(2.0, size=(n, n))
+        if kind == "sparse":
+            # a ring keeps the support strongly connected
+            W = W * (rng.random((n, n)) < 0.3) + np.roll(np.eye(n), 1, axis=1)
+        elif kind == "sticky":
+            W = 1e-3 * W + np.eye(n)
+        rows = W / W.sum(axis=1, keepdims=True)
+    if draw(st.booleans()):
+        # inside the 1e-12 row-sum tolerance: draws past the last cut must
+        # still land on a positive column
+        rows = rows * (1.0 - 5e-13)
+    return StochasticMatrix(rows)
+
+
+# the sequential walk runs below m = 4096; chunks are 32 steps long near
+# m = 4096 and 50 near m = 1e4, and the last chunk is full at 4097 and 10001
+# and one step long at 4098 and 10002
+LENGTHS = st.one_of(
+    st.sampled_from([1, 2, 3, 4095, 4096, 4097, 4098, 10001, 10002]),
+    st.integers(4090, 12000),
+)
+
+
 class TestSimulate:
     def test_absorbing_state_constant(self):
         P = StochasticMatrix([[1.0, 0.0], [0.5, 0.5]])
@@ -351,6 +538,72 @@ class TestSimulate:
         monkeypatch.setattr("mixgap.chain.np.random.default_rng", lambda seed: NearOne())
         tr = simulate(P, 30, start=0, seed=0)
         assert tr.states.tolist() == [0, 1, 2] * 10
+
+    @given(
+        P=simulated_chains(),
+        m=LENGTHS,
+        mode=st.sampled_from(["int", "dist", "stationary"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_bisect_reference_on_random_chains(self, P, m, mode, seed):
+        start = {
+            "int": seed % P.n,
+            "dist": np.random.default_rng(seed).dirichlet(np.ones(P.n)),
+            "stationary": "stationary",
+        }[mode]
+        expected = reference_simulate(P, m, start, seed)
+        assert simulate(P, m, start=start, seed=seed).states.tolist() == expected
+
+    @pytest.mark.parametrize(
+        "P, sequential_calls",
+        [(get_fixture("ex31"), 0), (lazy_cycle(60), 1)],
+        ids=["ex31-coupled", "lazy-cycle-fallback"],
+    )
+    def test_coupled_and_fallback_paths(self, monkeypatch, P, sequential_calls):
+        calls = []
+        walk = chain_module._walk_sequential
+
+        def counted(*args):
+            calls.append(args[-1])
+            return walk(*args)
+
+        monkeypatch.setattr(chain_module, "_walk_sequential", counted)
+        tr = simulate(P, 100_000, start=0, seed=3)
+        assert len(calls) == sequential_calls
+        assert all(lo > 1 for lo in calls)
+        assert tr.states.tolist() == reference_simulate(P, 100_000, 0, 3)
+
+    def test_draw_near_one_on_the_coupled_path(self, monkeypatch):
+        # rows 0 and 2 sum to 1 - 5e-13 and have fewer positive columns than
+        # row 1, so their clamped cut sits inside the searched, padded table
+        P = StochasticMatrix(
+            [[0, 0.3, 0.7 - 5e-13, 0], [0.1, 0.2, 0.3, 0.4], [0, 1 - 5e-13, 0, 0], [0.5, 0, 0.5, 0]]
+        )
+        u = np.random.default_rng(4).random(20_000)
+        u[::7] = np.linspace(1 - 5e-13, np.nextafter(1.0, 0.0), u[::7].size)
+
+        class Stub:
+            def random(self, m):
+                return u[:m].copy()
+
+        monkeypatch.setattr("mixgap.chain.np.random.default_rng", lambda seed: Stub())
+        tr = simulate(P, u.size, start=0, seed=0)
+        assert tr.states.tolist() == bisect_walk(P, 0, u)
+
+    @pytest.mark.parametrize("name", sorted(FIXTURES))
+    def test_golden_digests(self, name):
+        P = get_fixture(name)
+        starts = {"stationary": "stationary", "0": 0, "uniform": np.full(P.n, 1.0 / P.n)}
+        for (fixture, seed, label, m), digest in SIMULATE_DIGESTS.items():
+            if fixture == name:
+                states = simulate(P, m, start=starts[label], seed=seed).states
+                got = hashlib.blake2b(states.tobytes(), digest_size=16).hexdigest()
+                assert got == digest, (seed, label, m)
+
+    def test_refuses_m_beyond_physical_memory(self, ex31):
+        with pytest.raises(ValueError, match="physical memory"):
+            simulate(ex31, 10**12)
 
     def test_trajectory_validates_indices(self):
         with pytest.raises(ValueError):

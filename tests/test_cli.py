@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mixgap.chain import simulate
+from mixgap.chain import StochasticMatrix, is_irreducible, simulate
 from mixgap.cli import RunConfig, main, parse_args, run
 from mixgap.fixtures import example_chain
 from mixgap.io import save_matrix, save_trajectory
@@ -85,6 +85,12 @@ class TestSimulateAndStats:
         cfg = RunConfig(command="simulate", matrix=ex31_json, m=100, seed=2, fmt="binary", out=str(out))
         assert run(cfg) == 0
         assert out.read_bytes()[:8] == b"MXGTRJ01"
+
+    def test_m_beyond_physical_memory_exits_invalid_input(self):
+        # 16 TB of draws and states: refused before anything is allocated
+        code, out, err = run_in_process(["simulate", "--fixture", "ex31", "--m", "1000000000000"])
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == "INVALID_INPUT"
 
     def test_stats_counts(self, traj_file, tmp_path):
         out = tmp_path / "stats.json"
@@ -305,9 +311,15 @@ class TestMatrixInputContract:
             assert (code, out) == (2, "")
             assert set(json.loads(err)) == {"error", "message"}
 
-    @given(rows=stochastic_rows())
+    @given(
+        rows=stochastic_rows(),
+        m=st.sampled_from([1, 300, 5000]),
+        start=st.sampled_from(["stationary", "0", "uniform", "out-of-range"]),
+    )
     @settings(max_examples=40, deadline=None)
-    def test_report_or_typed_error_with_stable_bytes(self, rows):
+    def test_report_or_typed_error_with_stable_bytes(self, rows, m, start):
+        n = len(rows)
+        start = {"uniform": ",".join([repr(1.0 / n)] * n), "out-of-range": str(n)}.get(start, start)
         with tempfile.TemporaryDirectory() as tmp:
             path = write_matrix(tmp, rows)
             for command in ("oracle", "lemma-check"):
@@ -321,6 +333,23 @@ class TestMatrixInputContract:
                 else:
                     assert (code, out) == (2, "")
                     assert set(json.loads(err)) == {"error", "message"}
+            argv = ["simulate", "--matrix", path, "--m", str(m), "--start", start]
+            with time_cap(5.0):
+                code, out, err = run_in_process(argv)
+                assert run_in_process(argv) == (code, out, err)
+            if code == 0:
+                states = [int(tok) for tok in out.split()]
+                assert len(states) == m and 0 <= min(states) and max(states) < n
+                assert err == ""
+            else:
+                assert code in (1, 2) and out == ""
+                error = json.loads(err)
+                assert set(error) == {"error", "message"}
+                assert (error["error"] == "INVALID_INPUT") == (code == 1)
+            if start == "stationary" and not is_irreducible(StochasticMatrix(rows)):
+                assert code == 2
+            if start == str(n):
+                assert code == 1
 
 
 class TestLemmaCheckCommand:
