@@ -6,13 +6,9 @@ fully empirical confidence intervals.
 """
 
 from .chain import (
-    DilatedMatrix,
     StochasticMatrix,
     Trajectory,
-    additive_reversiblization,
     build_L,
-    generic_dilation,
-    is_ergodic,
     is_irreducible,
     is_reversible,
     matrix_power,
@@ -22,9 +18,8 @@ from .chain import (
     stationary_distribution,
     time_reversal,
 )
-from .confidence import ConfidenceReport, confidence_interval, gamma_diagnostic
+from .confidence import ConfidenceReport, confidence_interval
 from .errors import (
-    DegenerateEmpiricalGapError,
     MixgapError,
     NoConvergenceError,
     NonconvergentGapError,
@@ -61,8 +56,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConfidenceReport",
-    "DegenerateEmpiricalGapError",
-    "DilatedMatrix",
     "EstimateReport",
     "MixgapError",
     "NoConvergenceError",
@@ -80,20 +73,16 @@ __all__ = [
     "TrajectoryTooShortError",
     "UnvisitedStateError",
     "absolute_spectral_gap",
-    "additive_reversiblization",
     "build_L",
     "confidence_interval",
     "full_spectral_report",
     "gamma_dagger",
     "gamma_ddagger",
-    "gamma_diagnostic",
     "gamma_dps_hat",
     "gamma_ps_additive",
     "gamma_ps_adaptive_multiplicative",
     "gamma_ps_amplified",
     "gamma_ps_prefix_hat",
-    "generic_dilation",
-    "is_ergodic",
     "is_irreducible",
     "is_reversible",
     "matrix_power",

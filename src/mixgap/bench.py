@@ -13,7 +13,8 @@ import io
 from statistics import median
 
 from .chain import StochasticMatrix, simulate
-from .confidence import confidence_interval
+from .confidence import DEFAULT_C, DEFAULT_DELTA, confidence_interval
+from .estimators import DEFAULT_ALPHA
 from .oracle import spectral_gaps
 
 CSV_HEADER = "m,seed,point,abs_error,half_width,covered"
@@ -27,9 +28,9 @@ def bench_convergence(
     P: StochasticMatrix,
     m_grid: list[int],
     seeds: int,
-    alpha: float = 1e-2,
-    delta: float = 0.05,
-    c: float = 48.0,
+    alpha: float = DEFAULT_ALPHA,
+    delta: float = DEFAULT_DELTA,
+    c: float = DEFAULT_C,
 ) -> str:
     """Run the (m, seed) grid and return the CSV text.
 

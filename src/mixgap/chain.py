@@ -3,8 +3,8 @@
 Provides the transition-matrix and trajectory containers plus the basic chain
 operations everything else builds on: stationary distributions, time
 reversal, matrix powers, the rescaled matrix L = D^{1/2} P D^{-1/2}, the
-reversible/generic dilations, additive reversiblization, brute-force mixing
-time, and seeded simulation.
+reversible dilation, brute-force mixing time, and seeded simulation. Also
+holds the serializer behind the `to_dict` of the report dataclasses.
 
 All containers are immutable after construction and safe to share across
 threads.
@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import os
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -32,6 +32,17 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a, dtype=float)
     a.flags.writeable = False
     return a
+
+
+def _report_dict(obj):
+    """A dataclass report as JSON-ready data: keys become str, tuples lists."""
+    if is_dataclass(obj):
+        return {f.name: _report_dict(getattr(obj, f.name)) for f in fields(obj)}
+    if isinstance(obj, dict):
+        return {str(key): _report_dict(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_report_dict(value) for value in obj]
+    return obj
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,23 +102,6 @@ class Trajectory:
         return self.states.size
 
 
-@dataclass(frozen=True, eq=False)
-class DilatedMatrix:
-    """2n x 2n block matrix [[0, A], [B, 0]] with zero diagonal blocks."""
-
-    entries: np.ndarray
-    base_n: int
-
-    def __post_init__(self):
-        e = np.asarray(self.entries, dtype=float)
-        n = self.base_n
-        if e.shape != (2 * n, 2 * n):
-            raise ValueError("dilation must be (2n)x(2n)")
-        if np.any(e[:n, :n] != 0) or np.any(e[n:, n:] != 0):
-            raise ValueError("diagonal blocks must be exactly zero")
-        object.__setattr__(self, "entries", _freeze(e))
-
-
 def _strongly_connected(support: np.ndarray) -> bool:
     graph = csr_matrix(support.astype(np.int8))
     ncomp, _ = connected_components(graph, directed=True, connection="strong")
@@ -144,11 +138,6 @@ def is_aperiodic(P: StochasticMatrix) -> bool:
             else:
                 g = math.gcd(g, level[u] + 1 - level[v])
     return g == 1
-
-
-def is_ergodic(P: StochasticMatrix) -> bool:
-    """True when P is primitive (irreducible and aperiodic)."""
-    return is_irreducible(P) and is_aperiodic(P)
 
 
 def stationary_distribution(P: StochasticMatrix) -> np.ndarray:
@@ -226,7 +215,7 @@ def stationary_projector(P: StochasticMatrix) -> np.ndarray:
     return np.ones((P.n, 1)) @ pi[None, :]
 
 
-def reversible_dilation(P: StochasticMatrix) -> DilatedMatrix:
+def reversible_dilation(P: StochasticMatrix) -> np.ndarray:
     """Reversible dilation [[0, P], [P*, 0]] over 2n states.
 
     Row-stochastic, 2-periodic, with stationary distribution (pi, pi)/2 and
@@ -237,31 +226,7 @@ def reversible_dilation(P: StochasticMatrix) -> DilatedMatrix:
     e = np.zeros((2 * n, 2 * n))
     e[:n, n:] = P.rows
     e[n:, :n] = rev.rows
-    return DilatedMatrix(e, n)
-
-
-def generic_dilation(A: np.ndarray) -> DilatedMatrix:
-    """Self-adjoint dilation [[0, A], [A^T, 0]] of an arbitrary square matrix.
-
-    The result is symmetric with eigenvalues +/- the singular values of A.
-    """
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("expected a square matrix")
-    n = A.shape[0]
-    e = np.zeros((2 * n, 2 * n))
-    e[:n, n:] = A
-    e[n:, :n] = A.T
-    return DilatedMatrix(e, n)
-
-
-def additive_reversiblization(P: StochasticMatrix) -> StochasticMatrix:
-    """(P + P*)/2, reversible with respect to the same pi."""
-    pi = stationary_distribution(P)
-    rev = time_reversal(P)
-    out = StochasticMatrix(0.5 * (P.rows + rev.rows))
-    out._cache_stationary(pi)
-    return out
+    return e
 
 
 def _worst_tv(Pt: np.ndarray, pi: np.ndarray) -> float:

@@ -14,7 +14,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import bench as bench_mod
@@ -25,48 +24,23 @@ from .fixtures import get_fixture
 from .tallies import tally
 
 
-@dataclass
-class RunConfig:
-    command: str
-    matrix: str | None = None
-    fixture: str | None = None
-    trajectory: str | None = None
-    out: str | None = None
-    csv: str | None = None
-    n: int | None = None
-    m: int = 1000
-    seed: int = 0
-    start: str = "stationary"
-    fmt: str = "text"
-    method: str = "dps"
-    alpha: float = 1e-2
-    delta: float = 0.05
-    epsilon: float = 0.1
-    K: int | None = None
-    k: int = 1
-    k_max: int = 10
-    c_override: float | None = None
-    m_grid: list[int] = field(default_factory=lambda: [1000, 10000])
-    seeds: int = 20
-
-
-def _load_chain(cfg: RunConfig) -> StochasticMatrix:
-    if cfg.fixture:
-        return get_fixture(cfg.fixture)
-    if not cfg.matrix:
+def _load_chain(args: argparse.Namespace) -> StochasticMatrix:
+    if args.fixture:
+        return get_fixture(args.fixture)
+    if not args.matrix:
         raise ValueError("need --matrix FILE or --fixture NAME")
-    return mio.load_matrix(cfg.matrix)
+    return mio.load_matrix(args.matrix)
 
 
-def _load_trajectory(cfg: RunConfig):
-    if not cfg.trajectory:
+def _load_trajectory(args: argparse.Namespace):
+    if not args.trajectory:
         raise ValueError("need --trajectory FILE (or '-' for stdin)")
-    return mio.load_trajectory(cfg.trajectory, n=cfg.n)
+    return mio.load_trajectory(args.trajectory, n=args.n)
 
 
-def _emit(cfg: RunConfig, text: str) -> None:
-    if cfg.out:
-        Path(cfg.out).write_text(text)
+def _emit(args: argparse.Namespace, text: str) -> None:
+    if args.out:
+        Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
         if not text.endswith("\n"):
@@ -83,8 +57,8 @@ def _finite_or_null(obj):
     return obj
 
 
-def _emit_json(cfg: RunConfig, obj: dict) -> None:
-    _emit(cfg, json.dumps(_finite_or_null(obj), sort_keys=True, allow_nan=False))
+def _emit_json(args: argparse.Namespace, obj: dict) -> None:
+    _emit(args, json.dumps(_finite_or_null(obj), sort_keys=True, allow_nan=False))
 
 
 def _parse_start(raw: str):
@@ -95,76 +69,72 @@ def _parse_start(raw: str):
     return int(raw)
 
 
-def _cmd_simulate(cfg: RunConfig) -> None:
-    P = _load_chain(cfg)
-    tr = simulate(P, cfg.m, start=_parse_start(cfg.start), seed=cfg.seed)
-    if cfg.fmt == "binary":
+def _cmd_simulate(args: argparse.Namespace) -> None:
+    P = _load_chain(args)
+    tr = simulate(P, args.m, start=_parse_start(args.start), seed=args.seed)
+    if args.fmt == "binary":
         payload = mio.trajectory_to_bytes(tr)
-        if cfg.out:
-            Path(cfg.out).write_bytes(payload)
+        if args.out:
+            Path(args.out).write_bytes(payload)
         else:
             sys.stdout.buffer.write(payload)
     else:
-        _emit(cfg, mio.trajectory_to_text(tr))
+        _emit(args, mio.trajectory_to_text(tr))
 
 
-def _cmd_stats(cfg: RunConfig) -> None:
-    tr = _load_trajectory(cfg)
-    _emit_json(cfg, tally(tr, cfg.k).to_dict())
+def _cmd_stats(args: argparse.Namespace) -> None:
+    tr = _load_trajectory(args)
+    _emit_json(args, tally(tr, args.k).to_dict())
 
 
-def _cmd_estimate(cfg: RunConfig) -> None:
-    tr = _load_trajectory(cfg)
-    method = cfg.method
-    if method == "pi-star":
-        _emit_json(cfg, {"estimator": "pi-star", "value": estimators.pi_star_hat(tr)})
-        return
-    if method == "ps-prefix":
-        report = estimators.gamma_ps_prefix_hat(tr, 10 if cfg.K is None else cfg.K)
-    elif method == "ps-additive":
-        report = estimators.gamma_ps_additive(tr, cfg.epsilon)
-    elif method == "ps-amplified":
-        report = estimators.gamma_ps_amplified(tr)
-    elif method == "ps-adaptive":
-        report = estimators.gamma_ps_adaptive_multiplicative(tr, cfg.epsilon)
-    elif method == "dps":
-        report = estimators.gamma_dps_hat(tr, alpha=cfg.alpha, K=cfg.K)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    _emit_json(cfg, report.to_dict())
+# --method -> the estimator's report dict, from the trajectory and the options
+_ESTIMATES = {
+    "pi-star": lambda tr, args: {"estimator": "pi-star", "value": estimators.pi_star_hat(tr)},
+    "ps-prefix": lambda tr, args: estimators.gamma_ps_prefix_hat(
+        tr, 10 if args.K is None else args.K
+    ).to_dict(),
+    "ps-additive": lambda tr, args: estimators.gamma_ps_additive(tr, args.epsilon).to_dict(),
+    "ps-amplified": lambda tr, args: estimators.gamma_ps_amplified(tr).to_dict(),
+    "ps-adaptive": lambda tr, args: estimators.gamma_ps_adaptive_multiplicative(
+        tr, args.epsilon
+    ).to_dict(),
+    "dps": lambda tr, args: estimators.gamma_dps_hat(tr, alpha=args.alpha, K=args.K).to_dict(),
+}
 
 
-def _cmd_interval(cfg: RunConfig) -> None:
-    tr = _load_trajectory(cfg)
-    c = cfg.c_override if cfg.c_override is not None else confidence.DEFAULT_C
-    report = confidence.confidence_interval(tr, alpha=cfg.alpha, delta=cfg.delta, c=c)
-    if cfg.csv:
+def _cmd_estimate(args: argparse.Namespace) -> None:
+    _emit_json(args, _ESTIMATES[args.method](_load_trajectory(args), args))
+
+
+def _cmd_interval(args: argparse.Namespace) -> None:
+    tr = _load_trajectory(args)
+    report = confidence.confidence_interval(tr, alpha=args.alpha, delta=args.delta, c=args.c)
+    if args.csv:
         lines = ["k,W,V,T,U"]
         for k, terms in sorted(report.per_k_terms.items()):
             lines.append(
                 f"{k},{terms['W']!r},{terms['V']!r},{terms['T']!r},{terms['U']!r}"
             )
-        Path(cfg.csv).write_text("\n".join(lines) + "\n")
-    _emit_json(cfg, report.to_dict())
+        Path(args.csv).write_text("\n".join(lines) + "\n")
+    _emit_json(args, report.to_dict())
 
 
-def _cmd_oracle(cfg: RunConfig) -> None:
-    P = _load_chain(cfg)
-    _emit_json(cfg, oracle.full_spectral_report(P).to_dict())
+def _cmd_oracle(args: argparse.Namespace) -> None:
+    P = _load_chain(args)
+    _emit_json(args, oracle.full_spectral_report(P).to_dict())
 
 
-def _cmd_lemma_check(cfg: RunConfig) -> None:
-    P = _load_chain(cfg)
-    _emit_json(cfg, oracle.verify_lemma_properties(P, cfg.k_max).to_dict())
+def _cmd_lemma_check(args: argparse.Namespace) -> None:
+    P = _load_chain(args)
+    _emit_json(args, oracle.verify_lemma_properties(P, args.k_max).to_dict())
 
 
-def _cmd_bench(cfg: RunConfig) -> None:
-    P = _load_chain(cfg)
-    c = cfg.c_override if cfg.c_override is not None else confidence.DEFAULT_C
+def _cmd_bench(args: argparse.Namespace) -> None:
+    P = _load_chain(args)
     csv_text = bench_mod.bench_convergence(
-        P, cfg.m_grid, cfg.seeds, alpha=cfg.alpha, delta=cfg.delta, c=c
+        P, args.m_grid, args.seeds, alpha=args.alpha, delta=args.delta, c=args.c
     )
-    _emit(cfg, csv_text)
+    _emit(args, csv_text)
 
 
 _COMMANDS = {
@@ -178,10 +148,10 @@ _COMMANDS = {
 }
 
 
-def run(cfg: RunConfig) -> int:
+def run(args: argparse.Namespace) -> int:
     """Execute one command; returns the process exit code."""
     try:
-        _COMMANDS[cfg.command](cfg)
+        _COMMANDS[args.command](args)
         return 0
     except MixgapError as err:
         sys.stderr.write(json.dumps({"error": err.code, "message": str(err)}) + "\n")
@@ -223,6 +193,14 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--matrix", help="matrix file (.json or .csv)")
         p.add_argument("--fixture", help="canned chain name (ex31, fast3, rand5a, rand5b)")
 
+    def add_alpha(p):
+        p.add_argument("--alpha", type=float, default=estimators.DEFAULT_ALPHA)
+
+    def add_interval(p):
+        add_alpha(p)
+        p.add_argument("--delta", type=float, default=confidence.DEFAULT_DELTA)
+        p.add_argument("--c-override", type=float, dest="c", default=confidence.DEFAULT_C)
+
     def add_trajectory(p):
         p.add_argument("--trajectory", help="trajectory file, or '-' for stdin")
         p.add_argument("--n", type=int, help="state-space size (default: max index + 1)")
@@ -242,21 +220,15 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate", help="run a point estimator on a trajectory")
     add_common(p)
     add_trajectory(p)
-    p.add_argument(
-        "--method",
-        choices=["pi-star", "ps-prefix", "ps-additive", "ps-amplified", "ps-adaptive", "dps"],
-        default="dps",
-    )
+    p.add_argument("--method", choices=list(_ESTIMATES), default="dps")
     p.add_argument("--epsilon", type=float, default=0.1)
-    p.add_argument("--alpha", type=float, default=1e-2)
+    add_alpha(p)
     p.add_argument("--K", type=int)
 
     p = sub.add_parser("interval", help="empirical confidence interval for the dilated gap")
     add_common(p)
     add_trajectory(p)
-    p.add_argument("--alpha", type=float, default=1e-2)
-    p.add_argument("--delta", type=float, default=0.05)
-    p.add_argument("--c-override", type=float, dest="c_override")
+    add_interval(p)
     p.add_argument("--csv", help="also write per-skip terms as CSV here")
 
     p = sub.add_parser("oracle", help="exact spectral report for a known matrix")
@@ -276,16 +248,12 @@ def _parser() -> argparse.ArgumentParser:
         help="comma-separated m values",
     )
     p.add_argument("--seeds", type=int, default=20)
-    p.add_argument("--alpha", type=float, default=1e-2)
-    p.add_argument("--delta", type=float, default=0.05)
-    p.add_argument("--c-override", type=float, dest="c_override")
+    add_interval(p)
     return parser
 
 
-def parse_args(argv: list[str] | None = None) -> RunConfig:
-    ns = vars(_parser().parse_args(argv))
-    fields = {f for f in RunConfig.__dataclass_fields__}
-    return RunConfig(**{k: v for k, v in ns.items() if k in fields and v is not None})
+def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
+    return _parser().parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:

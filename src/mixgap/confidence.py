@@ -15,13 +15,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import StochasticMatrix, Trajectory, stationary_distribution
-from .errors import DegenerateEmpiricalGapError
-from .estimators import _dps_scan
+from .chain import StochasticMatrix, Trajectory, _report_dict
+from .estimators import DEFAULT_ALPHA, _dps_scan
 from .oracle import spectral_gaps
 from .tallies import SkippedTallies, smoothed_estimates
 
 DEFAULT_C = 48.0
+DEFAULT_DELTA = 0.05
 DEGENERATE_GAP_TOL = 1e-12
 
 
@@ -40,19 +40,7 @@ class ConfidenceReport:
     diagnostics: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "point": self.point,
-            "half_width": self.half_width,
-            "interval": list(self.interval),
-            "per_k_terms": {str(k): v for k, v in self.per_k_terms.items()},
-            "delta_hat": self.delta_hat,
-            "K_hat": self.K_hat,
-            "alpha": self.alpha,
-            "delta": self.delta,
-            "m": self.m,
-            "vacuous": self.vacuous,
-            "diagnostics": self.diagnostics,
-        }
+        return _report_dict(self)
 
 
 def term_W(t: SkippedTallies, alpha: float, delta: float) -> float:
@@ -88,14 +76,11 @@ def term_T(
 ) -> float:
     """Mixing-rate term (c / gps(P_hat)) log(2 sqrt(2(pairs + an^2)/(N_min + an))) W.
 
-    Raises:
-        DegenerateEmpiricalGapError: if the empirical pseudo-spectral gap is
-            numerically zero, in which case the interval must go vacuous.
+    +inf when the empirical pseudo-spectral gap is numerically zero, which
+    makes U infinite and the interval vacuous.
     """
     if gamma_ps_of_Phat <= DEGENERATE_GAP_TOL:
-        raise DegenerateEmpiricalGapError(
-            f"pseudo-spectral gap of the smoothed matrix is {gamma_ps_of_Phat:.3e}"
-        )
+        return math.inf
     n = t.n
     inner = 2.0 * math.sqrt(2.0 * (t.num_pairs + alpha * n * n) / (t.n_min + alpha * n))
     return c / gamma_ps_of_Phat * math.log(inner) * W
@@ -128,8 +113,8 @@ def empirical_gamma_ps(t: SkippedTallies, alpha: float) -> float:
 
 def confidence_interval(
     tr: Trajectory,
-    alpha: float = 1e-2,
-    delta: float = 0.05,
+    alpha: float = DEFAULT_ALPHA,
+    delta: float = DEFAULT_DELTA,
     c: float = DEFAULT_C,
 ) -> ConfidenceReport:
     """Empirical confidence interval around the smoothed dilation estimator.
@@ -157,13 +142,11 @@ def confidence_interval(
     for k, t in tallies_by_k.items():
         W = term_W(t, alpha, d_hat)
         V = term_V(t, alpha, W)
-        try:
-            T = term_T(t, alpha, W, empirical_gamma_ps(t, alpha), c=c)
-            U = term_U(t, alpha, T)
-        except DegenerateEmpiricalGapError:
-            T = math.inf
-            U = math.inf
+        gps = empirical_gamma_ps(t, alpha)
+        if gps <= DEGENERATE_GAP_TOL:
             diagnostics["degenerate_empirical_gap_k"] = k
+        T = term_T(t, alpha, W, gps, c=c)
+        U = term_U(t, alpha, T)
         per_k_terms[k] = {"W": W, "V": V, "T": T, "U": U}
         worst = max(worst, (V + U * (2.0 + U)) / k)
         if not math.isfinite(U):
@@ -187,17 +170,3 @@ def confidence_interval(
         vacuous=vacuous,
         diagnostics=diagnostics,
     )
-
-
-def gamma_diagnostic(P: StochasticMatrix) -> float:
-    """Row-sparsity diagnostic max_x ||e_x P||_{1/2} / pi(x).
-
-    ||v||_{1/2} = (sum_i sqrt(|v_i|))^2; always at most n / pi_min.
-    """
-    pi = stationary_distribution(P)
-    half_norms = np.sqrt(P.rows).sum(axis=1) ** 2
-    value = float(np.max(half_norms / pi))
-    bound = P.n / float(np.min(pi))
-    if value > bound * (1.0 + 1e-9):
-        raise AssertionError(f"diagnostic {value} exceeded its bound {bound}")
-    return value

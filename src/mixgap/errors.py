@@ -73,9 +73,3 @@ class NoTriggerError(MixgapError):
     """The amplified estimator exhausted the trajectory before triggering."""
 
     code = "NO_TRIGGER"
-
-
-class DegenerateEmpiricalGapError(MixgapError):
-    """The smoothed empirical matrix has a numerically zero pseudo-spectral gap."""
-
-    code = "DEGENERATE_EMPIRICAL_GAP"

@@ -17,7 +17,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 
 from . import eigensolve
-from .chain import Trajectory
+from .chain import Trajectory, _report_dict
 from .errors import NoTriggerError, NoUsableKError, TrajectoryTooShortError, UnvisitedStateError
 from .tallies import SkippedTallies, smoothed_estimates, tally, unsmoothed_L_hat
 
@@ -38,14 +38,7 @@ class EstimateReport:
     diagnostics: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "estimator": self.estimator,
-            "value": self.value,
-            "K_used": self.K_used,
-            "per_k_values": {str(k): v for k, v in self.per_k_values.items()},
-            "K_star": self.K_star,
-            "diagnostics": self.diagnostics,
-        }
+        return _report_dict(self)
 
 
 def pi_star_hat(tr: Trajectory) -> float:

@@ -18,6 +18,7 @@ import scipy.linalg
 from . import eigensolve
 from .chain import (
     StochasticMatrix,
+    _report_dict,
     build_L,
     is_aperiodic,
     is_reversible,
@@ -52,18 +53,7 @@ class SpectralReport:
     t_mix: int | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "gamma_ps": self.gamma_ps,
-            "gamma_dps": self.gamma_dps,
-            "k_ps": self.k_ps,
-            "k_dps": self.k_dps,
-            "k_explored": self.k_explored,
-            "stop_reason": self.stop_reason,
-            "gamma_dagger_at_k": {str(k): v for k, v in self.gamma_dagger_at_k.items()},
-            "gamma_ddagger_at_k": {str(k): v for k, v in self.gamma_ddagger_at_k.items()},
-            "gamma_star": self.gamma_star,
-            "t_mix": self.t_mix,
-        }
+        return _report_dict(self)
 
 
 def _sigma2(Lk: np.ndarray) -> float:
@@ -202,10 +192,9 @@ def spectral_gaps(P: StochasticMatrix, k_cap: int = DEFAULT_K_CAP) -> SpectralRe
     )
 
 
-def full_spectral_report(P: StochasticMatrix, k_cap: int = DEFAULT_K_CAP) -> SpectralReport:
+def full_spectral_report(P: StochasticMatrix) -> SpectralReport:
     """Spectral report including the brute-force mixing time."""
-    report = spectral_gaps(P, k_cap=k_cap)
-    return replace(report, t_mix=mixing_time(P))
+    return replace(spectral_gaps(P), t_mix=mixing_time(P))
 
 
 def pi_norm(A: np.ndarray, pi: np.ndarray) -> float:
@@ -250,19 +239,7 @@ class LemmaLedger:
         return [c for c in self.checks if not c.passed]
 
     def to_dict(self) -> dict:
-        return {
-            "all_passed": self.all_passed,
-            "checks": [
-                {
-                    "name": c.name,
-                    "params": c.params,
-                    "lhs": c.lhs,
-                    "rhs": c.rhs,
-                    "passed": c.passed,
-                }
-                for c in self.checks
-            ],
-        }
+        return {"all_passed": self.all_passed, **_report_dict(self)}
 
 
 def verify_lemma_properties(
@@ -330,19 +307,6 @@ class MixingSandwich:
     dps_bounds: tuple[float, float]
     reversible_bounds: tuple[float, float] | None
     holds: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "t_mix": self.t_mix,
-            "gamma_ps": self.gamma_ps,
-            "gamma_dps": self.gamma_dps,
-            "ps_bounds": list(self.ps_bounds),
-            "dps_bounds": list(self.dps_bounds),
-            "reversible_bounds": list(self.reversible_bounds)
-            if self.reversible_bounds
-            else None,
-            "holds": self.holds,
-        }
 
 
 def mixing_time_sandwich(P: StochasticMatrix, slack: float = 1e-9) -> MixingSandwich:

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import signal
@@ -14,8 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixgap.chain import StochasticMatrix, is_irreducible, simulate
-from mixgap.cli import RunConfig, main, parse_args, run
-from mixgap.fixtures import example_chain
+from mixgap.cli import main, parse_args
+from mixgap.fixtures import FIXTURES, example_chain
 from mixgap.io import save_matrix, save_trajectory
 from mixgap.oracle import full_spectral_report
 
@@ -45,7 +46,7 @@ def read_json(path):
 class TestOracleCommand:
     def test_report_fields(self, ex31_json, tmp_path):
         out = tmp_path / "report.json"
-        code = run(RunConfig(command="oracle", matrix=ex31_json, out=str(out)))
+        code = main(["oracle", "--matrix", ex31_json, "--out", str(out)])
         assert code == 0
         report = read_json(out)
         assert report["gamma_ps"] == pytest.approx(0.29495147459972404)
@@ -62,13 +63,13 @@ class TestOracleCommand:
         path = tmp_path / "one.json"
         path.write_text('{"n": 1, "rows": [[1.0]]}')
         out = tmp_path / "r.json"
-        assert run(RunConfig(command="oracle", matrix=str(path), out=str(out))) == 0
+        assert main(["oracle", "--matrix", str(path), "--out", str(out)]) == 0
         report = read_json(out)
         assert report["gamma_ps"] == report["gamma_dps"] == 1.0
 
     def test_fixture_source(self, tmp_path):
         out = tmp_path / "r.json"
-        assert run(RunConfig(command="oracle", fixture="ex31", out=str(out))) == 0
+        assert main(["oracle", "--fixture", "ex31", "--out", str(out)]) == 0
         assert read_json(out)["t_mix"] == 5
 
 
@@ -76,14 +77,14 @@ class TestSimulateAndStats:
     def test_simulate_text_deterministic(self, ex31_json, tmp_path):
         out1, out2 = tmp_path / "a.txt", tmp_path / "b.txt"
         for out in (out1, out2):
-            cfg = RunConfig(command="simulate", matrix=ex31_json, m=500, seed=9, out=str(out))
-            assert run(cfg) == 0
+            argv = ["simulate", "--matrix", ex31_json, "--m", "500", "--seed", "9", "--out", str(out)]
+            assert main(argv) == 0
         assert out1.read_text() == out2.read_text()
 
     def test_simulate_binary_roundtrip(self, ex31_json, tmp_path):
         out = tmp_path / "a.bin"
-        cfg = RunConfig(command="simulate", matrix=ex31_json, m=100, seed=2, fmt="binary", out=str(out))
-        assert run(cfg) == 0
+        argv = ["simulate", "--matrix", ex31_json, "--m", "100", "--seed", "2", "--format", "binary"]
+        assert main([*argv, "--out", str(out)]) == 0
         assert out.read_bytes()[:8] == b"MXGTRJ01"
 
     def test_m_beyond_physical_memory_exits_invalid_input(self):
@@ -94,7 +95,7 @@ class TestSimulateAndStats:
 
     def test_stats_counts(self, traj_file, tmp_path):
         out = tmp_path / "stats.json"
-        assert run(RunConfig(command="stats", trajectory=traj_file, k=2, out=str(out))) == 0
+        assert main(["stats", "--trajectory", traj_file, "--k", "2", "--out", str(out)]) == 0
         stats = read_json(out)
         assert stats["k"] == 2
         assert sum(stats["visits"]) == (stats["m"] - 1) // 2
@@ -106,18 +107,16 @@ class TestEstimateCommand:
     )
     def test_methods_produce_reports(self, method, traj_file, tmp_path):
         out = tmp_path / "est.json"
-        cfg = RunConfig(
-            command="estimate", trajectory=traj_file, method=method, n=3,
-            epsilon=0.5, K=3, out=str(out),
-        )
-        assert run(cfg) == 0
+        argv = ["estimate", "--trajectory", traj_file, "--method", method, "--n", "3",
+                "--epsilon", "0.5", "--K", "3", "--out", str(out)]
+        assert main(argv) == 0
         report = read_json(out)
         assert 0.0 <= report["value"] <= 1.0
 
     def test_trajectory_too_short_exit_code(self, tmp_path, capsys):
         path = tmp_path / "tiny.trj"
         path.write_text("0\n")
-        code = run(RunConfig(command="estimate", trajectory=str(path), method="dps"))
+        code = main(["estimate", "--trajectory", str(path), "--method", "dps"])
         assert code == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "TRAJECTORY_TOO_SHORT"
@@ -125,7 +124,7 @@ class TestEstimateCommand:
     def test_reducible_matrix_exit_code(self, tmp_path, capsys):
         path = tmp_path / "identity.json"
         path.write_text('{"n": 2, "rows": [[1.0, 0.0], [0.0, 1.0]]}')
-        code = run(RunConfig(command="oracle", matrix=str(path)))
+        code = main(["oracle", "--matrix", str(path)])
         assert code == 2
         assert json.loads(capsys.readouterr().err)["error"] == "REDUCIBLE"
 
@@ -135,7 +134,7 @@ class TestEstimateCommand:
         assert json.loads(capsys.readouterr().err)["error"] == "INVALID_INPUT"
 
     def test_missing_file_exit_code(self, capsys):
-        code = run(RunConfig(command="estimate", trajectory="/nonexistent/x.trj"))
+        code = main(["estimate", "--trajectory", "/nonexistent/x.trj"])
         assert code == 1
         assert json.loads(capsys.readouterr().err)["error"] == "INVALID_INPUT"
 
@@ -144,11 +143,9 @@ class TestIntervalCommand:
     def test_interval_report_and_csv(self, traj_file, tmp_path):
         out = tmp_path / "ci.json"
         csv = tmp_path / "terms.csv"
-        cfg = RunConfig(
-            command="interval", trajectory=traj_file, n=3, delta=0.1,
-            out=str(out), csv=str(csv),
-        )
-        assert run(cfg) == 0
+        argv = ["interval", "--trajectory", traj_file, "--n", "3", "--delta", "0.1",
+                "--out", str(out), "--csv", str(csv)]
+        assert main(argv) == 0
         report = read_json(out)
         lo, hi = report["interval"]
         assert 0.0 <= lo <= hi <= 1.0
@@ -158,10 +155,8 @@ class TestIntervalCommand:
 
     def test_c_override_flag(self, traj_file, tmp_path):
         out = tmp_path / "ci.json"
-        cfg = RunConfig(
-            command="interval", trajectory=traj_file, n=3, c_override=0.001, out=str(out)
-        )
-        assert run(cfg) == 0
+        argv = ["interval", "--trajectory", traj_file, "--n", "3", "--c-override", "0.001"]
+        assert main([*argv, "--out", str(out)]) == 0
         assert not read_json(out)["vacuous"]
 
     def test_vacuous_report_is_strict_json(self, tmp_path, capsys):
@@ -355,8 +350,7 @@ class TestMatrixInputContract:
 class TestLemmaCheckCommand:
     def test_ledger_passes(self, ex31_json, tmp_path):
         out = tmp_path / "ledger.json"
-        cfg = RunConfig(command="lemma-check", matrix=ex31_json, k_max=6, out=str(out))
-        assert run(cfg) == 0
+        assert main(["lemma-check", "--matrix", ex31_json, "--k-max", "6", "--out", str(out)]) == 0
         ledger = read_json(out)
         assert ledger["all_passed"] is True
         assert len(ledger["checks"]) > 10
@@ -367,15 +361,115 @@ class TestBenchCommand:
         outs = []
         for name in ("b1.csv", "b2.csv"):
             out = tmp_path / name
-            cfg = RunConfig(
-                command="bench", fixture="fast3", m_grid=[500, 1000], seeds=3, out=str(out)
-            )
-            assert run(cfg) == 0
+            argv = ["bench", "--fixture", "fast3", "--m-grid", "500,1000", "--seeds", "3"]
+            assert main([*argv, "--out", str(out)]) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
         lines = outs[0].decode().strip().splitlines()
         assert lines[0] == "m,seed,point,abs_error,half_width,covered"
         assert len(lines) == 1 + 2 * 3 + 2  # header + trials + medians
+
+
+# (argv, extra file the command writes) for every subcommand; TRAJ and TINY
+# stand for trajectory files written by `golden_files`, CSV for a file to write
+GOLDEN_CASES = {
+    **{f"oracle-{f}": (["oracle", "--fixture", f], None) for f in FIXTURES},
+    **{f"lemma-{f}": (["lemma-check", "--fixture", f, "--k-max", "6"], None) for f in FIXTURES},
+    "simulate-text": (["simulate", "--fixture", "ex31", "--m", "5000", "--seed", "4"], None),
+    "simulate-binary": (
+        ["simulate", "--fixture", "rand5a", "--m", "5000", "--seed", "4", "--format", "binary"],
+        None,
+    ),
+    "stats-k2": (["stats", "--trajectory", "TRAJ", "--k", "2"], None),
+    **{f"estimate-{m}": (["estimate", "--trajectory", "TRAJ", "--method", m], None) for m in METHODS},
+    **{
+        f"estimate-{m}-K3": (["estimate", "--trajectory", "TRAJ", "--method", m, "--K", "3"], None)
+        for m in METHODS
+    },
+    "interval-csv": (["interval", "--trajectory", "TRAJ", "--csv", "CSV"], "CSV"),
+    "interval-c1": (["interval", "--trajectory", "TRAJ", "--c-override", "1"], None),
+    "interval-alpha-delta": (
+        ["interval", "--trajectory", "TRAJ", "--alpha", "0.1", "--delta", "0.2", "--n", "4"],
+        None,
+    ),
+    "bench": (["bench", "--fixture", "fast3", "--m-grid", "2000,1000", "--seeds", "3"], None),
+    "exit1-K0": (["estimate", "--trajectory", "TRAJ", "--method", "ps-prefix", "--K", "0"], None),
+    "exit1-bad-method": (["estimate", "--trajectory", "TRAJ", "--method", "bogus"], None),
+    "exit2-too-short": (["estimate", "--trajectory", "TINY"], None),
+}
+
+# blake2b-128 of the exit code, stdout, stderr and extra file of each case
+# above, recorded before the CLI dropped its config dataclass; the bytes of
+# every command must never change
+GOLDEN_DIGESTS = {
+    "bench": "b71c410a4e9c8b86451f1bd11863bbc8",
+    "estimate-dps": "ef42cd350332fb7baada5da5f7c30f6f",
+    "estimate-dps-K3": "824b4ebeeec1cbdd6d802bf8d95038c0",
+    "estimate-pi-star": "312372b2ae0eca5ec3d67540ad8aa276",
+    "estimate-pi-star-K3": "312372b2ae0eca5ec3d67540ad8aa276",
+    "estimate-ps-adaptive": "cdeed7fe1f84b578e302ec9868b76efc",
+    "estimate-ps-adaptive-K3": "cdeed7fe1f84b578e302ec9868b76efc",
+    "estimate-ps-additive": "8e78d14265cc151c74757eb87a022960",
+    "estimate-ps-additive-K3": "8e78d14265cc151c74757eb87a022960",
+    "estimate-ps-amplified": "c68d639c3825fdc170d8255fc5744d6a",
+    "estimate-ps-amplified-K3": "c68d639c3825fdc170d8255fc5744d6a",
+    "estimate-ps-prefix": "18ca2b964185c8a537dedc88b621f4fd",
+    "estimate-ps-prefix-K3": "512822bd10f4d4d68cb4c25c46de9793",
+    "exit1-K0": "5eedf5f273c05e4b8172544d8f2501d7",
+    "exit1-bad-method": "15142d54783c67c057cd3ed04e44ef22",
+    "exit2-too-short": "cf1f24006a726818e9440fbebc616fd5",
+    "interval-alpha-delta": "e35f2c61d4fd1111655fcb74a3854c31",
+    "interval-c1": "988e5b785b6d871b46a6d155fc19f2c6",
+    "interval-csv": "bb055dd843641bb22c7c20b6efb2bad1",
+    "lemma-ex31": "c312fa099fd34a8c7e0431bc87751da6",
+    "lemma-fast3": "e7d57288c37081790e02363e6b399ad5",
+    "lemma-rand5a": "00d6cb15b15ff8266cda40198a92cd9a",
+    "lemma-rand5b": "035389f6730dc735d18083e1a450a039",
+    "oracle-ex31": "5401d81df46b4d62a9273e3e15c4a87a",
+    "oracle-fast3": "1a3178b0b2e5d8f239f0f7dc19129a9e",
+    "oracle-rand5a": "291dbfa96d836591a65cc4b608ed5862",
+    "oracle-rand5b": "767f3d70be44dea690b1d7b961bf65db",
+    "simulate-binary": "b5587f336a97613acbcf2ea71466c5dc",
+    "simulate-text": "f223806a09aefe39d68b6b8a46a3f5ea",
+    "stats-k2": "7315f3753ff41360ec3b17865854d09e",
+}
+
+
+def golden_bytes(argv, extra, files):
+    """(exit code, stdout, stderr, extra file) bytes of main(argv)."""
+    argv = [str(files.get(tok, tok)) for tok in argv]
+    out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out.flush()
+    written = Path(files[extra]).read_bytes() if extra else b""
+    return code, out.buffer.getvalue(), err.getvalue().encode(), written
+
+
+def golden_files(directory):
+    directory = Path(directory)
+    save_trajectory(simulate(example_chain(), 5000, seed=1), directory / "traj.txt")
+    (directory / "tiny.txt").write_text("0\n")
+    return {"TRAJ": directory / "traj.txt", "TINY": directory / "tiny.txt", "CSV": directory / "terms.csv"}
+
+
+def golden_digest(code, out, err, written):
+    h = hashlib.blake2b(digest_size=16)
+    for part in (str(code).encode(), out, err, written):
+        h.update(len(part).to_bytes(8, "little"))
+        h.update(part)
+    return h.hexdigest()
+
+
+class TestGoldenBytes:
+    @pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+    def test_command_bytes_unchanged(self, case, tmp_path):
+        argv, extra = GOLDEN_CASES[case]
+        assert golden_digest(*golden_bytes(argv, extra, golden_files(tmp_path))) == GOLDEN_DIGESTS[case]
 
 
 class TestArgumentParsing:

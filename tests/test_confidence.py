@@ -3,18 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from mixgap.chain import StochasticMatrix, Trajectory, simulate
+from mixgap.chain import Trajectory, simulate
 from mixgap.confidence import (
     confidence_interval,
     delta_hat,
     empirical_gamma_ps,
-    gamma_diagnostic,
     term_T,
     term_U,
     term_V,
     term_W,
 )
-from mixgap.errors import DegenerateEmpiricalGapError
 from mixgap.fixtures import example_chain, get_fixture
 from mixgap.tallies import SkippedTallies, tally
 
@@ -85,10 +83,9 @@ class TestTermT:
         t = tally(ZIGZAG, 1)
         assert term_T(t, 0.1, 1.0, 1.0) < term_T(t, 0.1, 1.0, 0.25)
 
-    def test_degenerate_gap_raises(self):
+    def test_degenerate_gap_is_infinite(self):
         t = tally(ZIGZAG, 1)
-        with pytest.raises(DegenerateEmpiricalGapError):
-            term_T(t, 0.1, 1.0, gamma_ps_of_Phat=0.0)
+        assert term_T(t, 0.1, 1.0, gamma_ps_of_Phat=0.0) == math.inf
 
 
 class TestTermU:
@@ -227,30 +224,15 @@ class TestConfidenceInterval:
         assert report.point == 1.0
         assert report.vacuous and report.interval == (0.0, 1.0)
 
+    def test_degenerate_empirical_gap_makes_interval_vacuous(self, monkeypatch):
+        tr = simulate(get_fixture("fast3"), 20_000, seed=1)
+        monkeypatch.setattr("mixgap.confidence.empirical_gamma_ps", lambda t, alpha: 0.0)
+        report = confidence_interval(tr, c=0.01)
+        assert report.vacuous and report.interval == (0.0, 1.0)
+        for terms in report.per_k_terms.values():
+            assert terms["T"] == terms["U"] == math.inf
+        assert report.diagnostics["degenerate_empirical_gap_k"] == max(report.per_k_terms)
+
     def test_empirical_gamma_ps_strictly_positive(self):
         t = tally(ZIGZAG, 1)
         assert empirical_gamma_ps(t, alpha=0.1) > 0
-
-
-class TestGammaDiagnostic:
-    def test_uniform_two_state(self):
-        P = StochasticMatrix([[0.5, 0.5], [0.5, 0.5]])
-        assert gamma_diagnostic(P) == pytest.approx(4.0, abs=1e-12)
-
-    def test_deterministic_rows(self):
-        P = StochasticMatrix([[0.0, 1.0], [1.0, 0.0]])
-        assert gamma_diagnostic(P) == pytest.approx(2.0, abs=1e-12)  # 1/pi_min
-
-    def test_sparse_beats_dense_at_equal_pi(self):
-        dense = StochasticMatrix([[0.5, 0.5], [0.5, 0.5]])
-        sparse = StochasticMatrix([[0.0, 1.0], [1.0, 0.0]])
-        assert gamma_diagnostic(sparse) < gamma_diagnostic(dense)
-
-    def test_worst_case_bound(self):
-        from conftest import random_ergodic
-        from mixgap.chain import stationary_distribution
-
-        for seed in range(20):
-            P = random_ergodic(seed)
-            pi_min = float(np.min(stationary_distribution(P)))
-            assert gamma_diagnostic(P) <= P.n / pi_min + 1e-9

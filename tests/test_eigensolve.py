@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from mixgap.chain import build_L, generic_dilation, stationary_distribution
+from mixgap.chain import build_L, stationary_distribution
 from mixgap.eigensolve import (
     LanczosConfig,
     dense_symmetric_spectrum,
@@ -12,6 +12,7 @@ from mixgap.eigensolve import (
 from mixgap.errors import NoConvergenceError, NotSymmetricError
 
 from conftest import random_ergodic, random_reversible
+from reference_routes import generic_dilation
 
 
 def random_symmetric(n, seed):
@@ -32,7 +33,7 @@ class TestDenseSpectrum:
             dense_symmetric_spectrum(np.array([[0.0, 1.0], [0.5, 0.0]]))
 
     def test_dilation_spectrum_symmetric_about_zero(self, ex31):
-        spectrum = dense_symmetric_spectrum(generic_dilation(build_L(ex31)).entries)
+        spectrum = dense_symmetric_spectrum(generic_dilation(build_L(ex31)))
         assert_allclose(spectrum, -spectrum[::-1], atol=1e-10)
 
     def test_reconstruction_residual(self):
@@ -44,7 +45,7 @@ class TestDenseSpectrum:
 class TestLanczos:
     def test_rank_one_doubly_stochastic_example(self):
         L = np.full((2, 2), 0.5)
-        S = generic_dilation(L).entries + np.eye(4)
+        S = generic_dilation(L) + np.eye(4)
         # explicit spectrum {2, 1, 1, 0}
         assert_allclose(np.sort(np.linalg.eigvalsh(S)), [0, 1, 1, 2], atol=1e-12)
         lam2 = lanczos_second_eigenvalue(S, LanczosConfig(seed=1))
@@ -91,7 +92,7 @@ class TestLanczos:
 
 def deflated_dilation_radius(L, q):
     """Spectral radius of S(L) - S(q q^T) from the dense spectrum of the explicit dilation."""
-    spectrum = dense_symmetric_spectrum(generic_dilation(L - np.outer(q, q)).entries)
+    spectrum = dense_symmetric_spectrum(generic_dilation(L - np.outer(q, q)))
     return max(spectrum[0], -spectrum[-1])
 
 
@@ -124,7 +125,7 @@ class TestDeflatedRadius:
         for seed in range(25):
             P = random_ergodic(seed)
             L = build_L(P)
-            S = generic_dilation(L).entries + np.eye(2 * P.n)
+            S = generic_dilation(L) + np.eye(2 * P.n)
             by_shift = 2.0 - lanczos_second_eigenvalue(S, LanczosConfig(seed=seed))
             by_kernel = 1.0 - second_singular_value(L)
             assert abs(by_shift - by_kernel) <= 1e-8
