@@ -181,11 +181,11 @@ def time_reversal(P: StochasticMatrix) -> StochasticMatrix:
     return rev
 
 
-def is_reversible(P: StochasticMatrix, tol: float = DETAILED_BALANCE_TOL) -> bool:
+def is_reversible(P: StochasticMatrix) -> bool:
     """Detailed-balance check pi(x) P(x,x') = pi(x') P(x',x)."""
     pi = stationary_distribution(P)
     flow = pi[:, None] * P.rows
-    return bool(np.max(np.abs(flow - flow.T)) <= tol)
+    return bool(np.max(np.abs(flow - flow.T)) <= DETAILED_BALANCE_TOL)
 
 
 def matrix_power(P: StochasticMatrix, k: int) -> StochasticMatrix:
@@ -239,48 +239,31 @@ def mixing_time(
 ) -> int:
     """Smallest t >= 1 with max_x TV(e_x P^t, pi) < threshold.
 
-    Uses the monotonicity of worst-case TV in t: exponential search brackets
-    the crossing, binary search pins it, and P^t is assembled from cached
-    squarings, so the cap costs O(log^2 t_max) matrix products.
+    Worst-case TV is non-increasing in t, so binary lifting finds the last
+    unmixed t: square P until a square P^(2^j) is mixed or the next one would
+    pass t_max, then walk j downwards, keeping P^t P^(2^j) while it is still
+    unmixed and t + 2^j <= t_max. That costs O(log t_max) matrix products.
 
     Raises:
         NotMixedByCapError: if the distance is still >= threshold at t_max.
     """
     pi = stationary_distribution(P)
+
+    def mixed(Pt: np.ndarray) -> bool:
+        return _worst_tv(Pt, pi) < threshold
+
     squares = [P.rows]  # squares[j] = P^(2^j)
-
-    def power(t: int) -> np.ndarray:
-        while (1 << len(squares)) <= t:
-            squares.append(squares[-1] @ squares[-1])
-        out = None
-        j = 0
-        while t:
-            if t & 1:
-                out = squares[j] if out is None else out @ squares[j]
-            t >>= 1
-            j += 1
-        return out
-
-    def mixed(t: int) -> bool:
-        return _worst_tv(power(t), pi) < threshold
-
-    hi = 1
-    while hi <= t_max and not mixed(hi):
-        hi *= 2
-    if hi > t_max:
-        if not mixed(t_max):
-            raise NotMixedByCapError(
-                f"TV distance still >= {threshold} at t = {t_max}"
-            )
-        hi = t_max
-    lo = hi // 2  # mixed(lo) is False (or lo == 0)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if mixed(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    while not mixed(squares[-1]) and 1 << len(squares) <= t_max:
+        squares.append(squares[-1] @ squares[-1])
+    t, Pt = 0, None  # the largest unmixed t found so far, and P^t
+    for j in reversed(range(len(squares))):
+        if t + (1 << j) <= t_max:
+            candidate = squares[j] if Pt is None else Pt @ squares[j]
+            if not mixed(candidate):
+                t, Pt = t + (1 << j), candidate
+    if t == t_max:
+        raise NotMixedByCapError(f"TV distance still >= {threshold} at t = {t_max}")
+    return t + 1
 
 
 # `simulate` walks long trajectories as chunks advanced in lockstep. One vector

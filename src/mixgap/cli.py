@@ -5,7 +5,7 @@ Reports are JSON on stdout (or --out); domain errors exit with code 2 and a
 machine-readable JSON error object on stderr; I/O and argument errors exit
 with code 1 and an INVALID_INPUT error object. Reports are strict JSON: a
 non-finite float (the infinite half-width of a vacuous interval) is written
-as null. All randomness flows from --seed.
+as null. All randomness flows from the --seed of simulate.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import bench as bench_mod
 from . import confidence, estimators, io as mio, oracle
-from .chain import StochasticMatrix, simulate
+from .chain import StochasticMatrix, _report_dict, simulate
 from .errors import MixgapError
 from .fixtures import get_fixture
 from .tallies import tally
@@ -87,23 +87,27 @@ def _cmd_stats(args: argparse.Namespace) -> None:
     _emit_json(args, tally(tr, args.k).to_dict())
 
 
-# --method -> the estimator's report dict, from the trajectory and the options
+# --method -> its estimator and the options it reads, with their defaults
+_EPSILON = 0.1
 _ESTIMATES = {
-    "pi-star": lambda tr, args: {"estimator": "pi-star", "value": estimators.pi_star_hat(tr)},
-    "ps-prefix": lambda tr, args: estimators.gamma_ps_prefix_hat(
-        tr, 10 if args.K is None else args.K
-    ).to_dict(),
-    "ps-additive": lambda tr, args: estimators.gamma_ps_additive(tr, args.epsilon).to_dict(),
-    "ps-amplified": lambda tr, args: estimators.gamma_ps_amplified(tr).to_dict(),
-    "ps-adaptive": lambda tr, args: estimators.gamma_ps_adaptive_multiplicative(
-        tr, args.epsilon
-    ).to_dict(),
-    "dps": lambda tr, args: estimators.gamma_dps_hat(tr, alpha=args.alpha, K=args.K).to_dict(),
+    "pi-star": (lambda tr: {"estimator": "pi-star", "value": estimators.pi_star_hat(tr)}, {}),
+    "ps-prefix": (estimators.gamma_ps_prefix_hat, {"K": 10}),
+    "ps-additive": (estimators.gamma_ps_additive, {"epsilon": _EPSILON}),
+    "ps-amplified": (estimators.gamma_ps_amplified, {}),
+    "ps-adaptive": (estimators.gamma_ps_adaptive_multiplicative, {"epsilon": _EPSILON}),
+    "dps": (estimators.gamma_dps_hat, {"alpha": estimators.DEFAULT_ALPHA, "K": None}),
 }
 
 
 def _cmd_estimate(args: argparse.Namespace) -> None:
-    _emit_json(args, _ESTIMATES[args.method](_load_trajectory(args), args))
+    estimate, options = _ESTIMATES[args.method]
+    given = {name: getattr(args, name) for name in ("K", "epsilon", "alpha")}
+    given = {name: value for name, value in given.items() if value is not None}
+    unread = [f"--{name}" for name in given if name not in options]
+    if unread:
+        raise ValueError(f"--method {args.method} does not read {', '.join(unread)}")
+    report = estimate(_load_trajectory(args), **{**options, **given})
+    _emit_json(args, _report_dict(report))
 
 
 def _cmd_interval(args: argparse.Namespace) -> None:
@@ -166,7 +170,10 @@ def _invalid_input(message: str) -> None:
 
 
 class _ArgumentParser(argparse.ArgumentParser):
-    """Argument errors exit 1 with INVALID_INPUT, like every other bad input."""
+    """Argument errors exit 1 with INVALID_INPUT; options match by full name only."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         _invalid_input(f"{self.prog}: {message}")
@@ -187,17 +194,13 @@ def _parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--out", help="write the report here instead of stdout")
-        p.add_argument("--seed", type=int, default=0)
 
     def add_matrix(p):
         p.add_argument("--matrix", help="matrix file (.json or .csv)")
         p.add_argument("--fixture", help="canned chain name (ex31, fast3, rand5a, rand5b)")
 
-    def add_alpha(p):
-        p.add_argument("--alpha", type=float, default=estimators.DEFAULT_ALPHA)
-
     def add_interval(p):
-        add_alpha(p)
+        p.add_argument("--alpha", type=float, default=estimators.DEFAULT_ALPHA)
         p.add_argument("--delta", type=float, default=confidence.DEFAULT_DELTA)
         p.add_argument("--c-override", type=float, dest="c", default=confidence.DEFAULT_C)
 
@@ -209,6 +212,7 @@ def _parser() -> argparse.ArgumentParser:
     add_common(p)
     add_matrix(p)
     p.add_argument("--m", type=int, required=True)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--start", default="stationary", help="state index, comma probs, or 'stationary'")
     p.add_argument("--format", dest="fmt", choices=["text", "binary"], default="text")
 
@@ -221,9 +225,10 @@ def _parser() -> argparse.ArgumentParser:
     add_common(p)
     add_trajectory(p)
     p.add_argument("--method", choices=list(_ESTIMATES), default="dps")
-    p.add_argument("--epsilon", type=float, default=0.1)
-    add_alpha(p)
-    p.add_argument("--K", type=int)
+    # a method rejects the options it does not read; see _ESTIMATES for defaults
+    p.add_argument("--epsilon", type=float, help="read by ps-additive and ps-adaptive")
+    p.add_argument("--alpha", type=float, help="read by dps")
+    p.add_argument("--K", type=int, help="read by ps-prefix and dps (dps default: adaptive)")
 
     p = sub.add_parser("interval", help="empirical confidence interval for the dilated gap")
     add_common(p)

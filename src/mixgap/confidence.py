@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chain import StochasticMatrix, Trajectory, _report_dict
+from .errors import NonconvergentGapError
 from .estimators import DEFAULT_ALPHA, _dps_scan
 from .oracle import spectral_gaps
 from .tallies import SkippedTallies, smoothed_estimates
@@ -106,9 +107,12 @@ def delta_hat(m: int, K_hat: int, n: int, delta: float) -> float:
 
 
 def empirical_gamma_ps(t: SkippedTallies, alpha: float) -> float:
-    """Exact pseudo-spectral gap of the alpha-smoothed transition matrix."""
+    """Exact pseudo-spectral gap of the alpha-smoothed P_hat, or 0 if no certificate closes."""
     P_hat = StochasticMatrix(smoothed_estimates(t, alpha).P_hat)
-    return spectral_gaps(P_hat).gamma_ps
+    try:
+        return spectral_gaps(P_hat).gamma_ps
+    except NonconvergentGapError:
+        return 0.0
 
 
 def confidence_interval(
@@ -121,11 +125,10 @@ def confidence_interval(
 
     The point estimate is the plug-in gamma over the adaptive prefix K_hat;
     the half-width is 1/K_hat plus the worst per-skip V + U(2 + U) scaled by
-    the skip rate. A blown-up U (or a degenerate empirical gap inside T)
-    yields the vacuous interval [0, 1] with the flag set.
+    the skip rate. A blown-up U (or an empirical gap inside T that is zero or
+    cannot be certified) yields the vacuous interval [0, 1] with the flag set.
+    A trajectory with m < 3 raises the scan's TrajectoryTooShortError.
     """
-    if tr.m < 3:
-        raise ValueError("need m >= 3")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must be in (0, 1)")
     if alpha <= 0:

@@ -1,11 +1,12 @@
 """Point estimators computed from a single observed trajectory.
 
 Every estimator is a function of per-skip count tables (`SkippedTallies`);
-the trajectory-level entry points only choose which skips to tally. The
-pseudo-spectral reduce `_gamma_ps_from_gaps` serves the truncated prefix
-estimator, its additive-error and adaptive-prefix schedules, and each level
-of the amplified scan, which tallies skips 2^p j of the trajectory itself,
-each distinct skip once.
+the trajectory-level entry points only choose which skips to tally. Each
+pseudo-spectral estimator reads its per-skip gaps through one per-call memo
+`_ps_gaps`, which tallies and solves each distinct skip once, and reduces
+them with `_ps_reduce`. That serves the truncated prefix estimator, its
+additive-error and adaptive-prefix schedules, and each level of the
+amplified scan, which reads skips 2^p j of the trajectory itself.
 The smoothed dilation reduce `gamma_dps_from_tallies` serves `_dps_scan`,
 which the confidence interval shares with `gamma_dps_hat`.
 """
@@ -13,7 +14,7 @@ which the confidence interval shares with `gamma_dps_hat`.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 from . import eigensolve
@@ -70,33 +71,32 @@ def _ps_gap(t: SkippedTallies) -> float | None:
     return 1.0 - eigensolve.second_singular_value(L_hat) ** 2
 
 
-def _gamma_ps_from_gaps(
-    gaps: Iterable[tuple[int, float | None]],
-) -> tuple[float, dict[int, float], list[int]]:
-    """Truncated empirical pseudo-spectral gap over (skip, per-skip gap) pairs.
+def _ps_gaps(tr: Trajectory, first: SkippedTallies | None = None) -> Callable[[int], float | None]:
+    """gap(k), the `_ps_gap` of skip k of tr, each skip tallied and solved once.
 
-    A skip whose tallies leave states unvisited (gap None) is listed as
-    skipped instead. The pairs are read one at a time, so a prefix that
-    tallies lazily holds one table. Returns (value, per-skip gaps, skipped ks).
+    Only the gaps are kept, not the tables. `first`, if given, is the skip-1 tally.
     """
-    per_k: dict[int, float] = {}
-    skipped: list[int] = []
-    for k, gap in gaps:
-        if gap is None:
-            skipped.append(k)
-        else:
-            per_k[k] = gap
-    return _best_rate(per_k), per_k, skipped
+    gaps = {} if first is None else {1: _ps_gap(first)}
+
+    def gap(k: int) -> float | None:
+        if k not in gaps:
+            gaps[k] = _ps_gap(tally(tr, k))
+        return gaps[k]
+
+    return gap
 
 
-def _ps_prefix(tr: Trajectory, K: int, first: SkippedTallies | None = None) -> EstimateReport:
-    """The prefix report over skips 1..K; `first`, if given, is the skip-1 tally."""
+def _ps_reduce(gaps: dict[int, float | None]) -> tuple[float, dict[int, float], list[int]]:
+    """(max_k gap_k / k, the usable gaps, the skips whose tallies leave states unvisited)."""
+    per_k = {k: g for k, g in gaps.items() if g is not None}
+    return _best_rate(per_k), per_k, [k for k, g in gaps.items() if g is None]
+
+
+def _ps_prefix(tr: Trajectory, K: int, gap: Callable[[int], float | None]) -> EstimateReport:
+    """The prefix report over skips 1..K, read through the memo `gap`."""
     if K < 1:
         raise ValueError("K must be >= 1")
-    value, per_k, skipped = _gamma_ps_from_gaps(
-        (k, _ps_gap(first if k == 1 and first is not None else tally(tr, k)))
-        for k in range(1, _prefix_cap(tr, K) + 1)
-    )
+    value, per_k, skipped = _ps_reduce({k: gap(k) for k in range(1, _prefix_cap(tr, K) + 1)})
     if not per_k:
         raise NoUsableKError(f"no usable skip rate in 1..{K}")
     return EstimateReport(
@@ -117,7 +117,7 @@ def gamma_ps_prefix_hat(tr: Trajectory, K: int) -> EstimateReport:
     Raises:
         NoUsableKError: if every skip in the prefix is unusable.
     """
-    return _ps_prefix(tr, K)
+    return _ps_prefix(tr, K, _ps_gaps(tr))
 
 
 def gamma_ps_additive(tr: Trajectory, epsilon: float) -> EstimateReport:
@@ -130,11 +130,7 @@ def gamma_ps_additive(tr: Trajectory, epsilon: float) -> EstimateReport:
     return replace(report, estimator="ps-additive", diagnostics=diagnostics)
 
 
-def gamma_ps_amplified(
-    tr: Trajectory,
-    prefix: int = AMPLIFIED_PREFIX,
-    threshold: float = AMPLIFIED_THRESHOLD,
-) -> EstimateReport:
+def gamma_ps_amplified(tr: Trajectory) -> EstimateReport:
     """Amplified estimator: scan skip powers of two until the gap exceeds 3/8.
 
     At each k = 2^p, p = 0, 1, 2, ..., the prefix-16 estimator runs on the
@@ -145,35 +141,28 @@ def gamma_ps_amplified(
     Raises:
         NoTriggerError: if the skipped data runs out before the threshold fires.
     """
-    if prefix < 1:
-        raise ValueError("prefix must be >= 1")
     scan: dict[int, float] = {}
-    # per-skip gaps by skip of tr: level 2k rereads the even skips of level k
-    gaps: dict[int, float | None] = {}
-
-    def gap(skip: int) -> float | None:
-        if skip not in gaps:
-            gaps[skip] = _ps_gap(tally(tr, skip))
-        return gaps[skip]
-
+    gap = _ps_gaps(tr)  # level 2k rereads the even skips of level k
     k = 1
     # the k-skipped trajectory keeps floor((m-1)/k) pairs; it needs two
     while (pairs := (tr.m - 1) // k) >= 2:
-        estimate, per_j, _ = _gamma_ps_from_gaps(
-            (j, gap(k * j)) for j in range(1, min(prefix, pairs) + 1)
+        estimate, per_j, _ = _ps_reduce(
+            {j: gap(k * j) for j in range(1, min(AMPLIFIED_PREFIX, pairs) + 1)}
         )
         scan[k] = estimate
-        if estimate > threshold:
+        if estimate > AMPLIFIED_THRESHOLD:
             return EstimateReport(
                 estimator="ps-amplified",
                 value=float(min(max(estimate / k, 0.0), 1.0)),
-                K_used=prefix,
+                K_used=AMPLIFIED_PREFIX,
                 per_k_values=per_j,
                 K_star=k,
                 diagnostics={"scan": {str(kk): v for kk, v in scan.items()}},
             )
         k *= 2
-    raise NoTriggerError(f"skipped trajectory exhausted at skip {k} before exceeding {threshold}")
+    raise NoTriggerError(
+        f"skipped trajectory exhausted at skip {k} before exceeding {AMPLIFIED_THRESHOLD}"
+    )
 
 
 def adaptive_K_multiplicative(n_min: int, epsilon: float) -> tuple[int, bool]:
@@ -189,7 +178,7 @@ def gamma_ps_adaptive_multiplicative(tr: Trajectory, epsilon: float) -> Estimate
     base = tally(tr, 1)
     n_min = base.n_min
     K, clamped = adaptive_K_multiplicative(n_min, epsilon)
-    report = _ps_prefix(tr, K, base)
+    report = _ps_prefix(tr, K, _ps_gaps(tr, base))
     diagnostics = {**report.diagnostics, "epsilon": epsilon, "N_min": n_min}
     if clamped:
         diagnostics["K_clamped"] = True

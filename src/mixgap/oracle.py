@@ -30,6 +30,8 @@ from .chain import (
 from .errors import NonconvergentGapError
 
 DEFAULT_K_CAP = 1000
+# rounding allowance of every inequality the lemma ledger and sandwiches test
+_SLACK = 1e-9
 # skip at which the loop first pays for the eigensolve behind the Weyl stop:
 # one dense eig costs about as much as 8 SVDs at n = 80 and n = 324
 _WEYL_START = 8
@@ -120,19 +122,17 @@ def spectral_gaps(P: StochasticMatrix, k_cap: int = DEFAULT_K_CAP) -> SpectralRe
     gamma_dagger(P^k) = 1 - sigma_2(L^k)^2 for the multiplicative
     reversiblization (Fill 1991; Paulin 2015) and gamma_ddagger(P^k) =
     1 - sigma_2(L^k) for the reversible dilation. The loop stops at the
-    first k where one of two certificates shows that no skip j > k can beat
-    either running maximum, which makes the result exact rather than truncated:
+    first k where a certificate shows that no skip j > k can beat either
+    running maximum, which makes the result exact rather than truncated.
+    ||L||_2 = 1 and lambda_1 = 1, so Weyl's majorant inequality (Weyl 1949)
+    gives sigma_2(L^j) >= |lambda_2(P)|^j. For any l <= |lambda_2(P)| the
+    per-skip values are then at most (1 - l^(2j))/j and (1 - l^j)/j, both
+    decreasing in j, so the loop ends once they fall to the maxima at
+    j = k + 1. Until k reaches 8, l = 0 and the bound is 1/j; from then on l
+    comes from one eigensolve of L.
 
-      * "1/k": every per-skip value is at most 1/j, so (k + 1) best >= 1
-        for both maxima ends the loop.
-      * "weyl": ||L||_2 = 1 and lambda_1 = 1, so Weyl's majorant inequality
-        (Weyl 1949) gives sigma_2(L^j) >= |lambda_2(P)|^j. For any
-        l <= |lambda_2(P)| the per-skip values are then at most
-        (1 - l^(2j))/j and (1 - l^j)/j, both decreasing in j, so the loop
-        ends once they fall to the maxima at j = k + 1. The bound l comes
-        from one eigensolve of L, paid only once k reaches 8.
-
-    `stop_reason` records which certificate fired.
+    `stop_reason` is "1/k" when the bound 1/j alone closes the loop, and
+    "weyl" when it took the eigenvalue floor.
 
     Raises:
         NonconvergentGapError: if P is periodic (|lambda_2| = 1, so every
@@ -145,7 +145,7 @@ def spectral_gaps(P: StochasticMatrix, k_cap: int = DEFAULT_K_CAP) -> SpectralRe
     gamma_ddagger_at_k: dict[int, float] = {}
     best_ps, k_ps = 0.0, 0
     best_dps, k_dps = 0.0, 0
-    lam2_floor = None
+    lam2_floor = 0.0  # a floor on |lambda_2(P)|; 0 makes the Weyl bound 1/j
     Lk = np.eye(P.n)
     k = 0
     while True:
@@ -160,25 +160,20 @@ def spectral_gaps(P: StochasticMatrix, k_cap: int = DEFAULT_K_CAP) -> SpectralRe
             best_ps, k_ps = gd / k, k
         if gdd / k > best_dps:
             best_dps, k_dps = gdd / k, k
-        # dps certificate dominates: 1/best_dps >= 1/best_ps
-        if (k + 1) * best_dps >= 1.0:
-            stop_reason = "1/k"
+        if k == _WEYL_START:
+            lam2_floor = _second_modulus_floor(L)
+        j = k + 1
+        if (1.0 - lam2_floor**j) / j <= best_dps and (1.0 - lam2_floor ** (2 * j)) / j <= best_ps:
+            stop_reason = "1/k" if j * best_dps >= 1.0 else "weyl"
             break
-        if k >= _WEYL_START:
-            if lam2_floor is None:
-                lam2_floor = _second_modulus_floor(L)
-            j = k + 1
-            ps_bound = (1.0 - lam2_floor ** (2 * j)) / j
-            if (1.0 - lam2_floor**j) / j <= best_dps and ps_bound <= best_ps:
-                stop_reason = "weyl"
-                break
         if k >= k_cap:
             raise NonconvergentGapError(
                 f"no certificate closed the skip loop by k = {k_cap} "
                 f"(best gaps {best_ps:.3e}, {best_dps:.3e}); the chain is too close "
                 "to periodic or reducible to resolve"
             )
-    gamma_star = absolute_spectral_gap(P) if is_reversible(P) else None
+    # for reversible P, L is symmetric and sigma_2(L) is the largest non-Perron modulus
+    gamma_star = gamma_ddagger_at_k[1] if is_reversible(P) else None
     return SpectralReport(
         gamma_ps=best_ps,
         gamma_dps=best_dps,
@@ -242,13 +237,11 @@ class LemmaLedger:
         return {"all_passed": self.all_passed, **_report_dict(self)}
 
 
-def verify_lemma_properties(
-    P: StochasticMatrix, k_max: int = 10, slack: float = 1e-9
-) -> LemmaLedger:
+def verify_lemma_properties(P: StochasticMatrix, k_max: int = 10) -> LemmaLedger:
     """Check the gap inequalities relating skipped chains against P.
 
     Covers the sub-multiplicativity of the reversiblization norms
-    (lhs <= rhs + slack convention throughout):
+    (lhs <= rhs + _SLACK convention throughout):
       * norm(r+s) <= norm(r) * norm(s) for r + s <= k_max,
       * p*gps*(1 - p*k_ps*gps/2) <= gps(P^p) <= p*gps for p <= k_max,
       * gps(P^p) > 1/2 for p >= 2^ceil(log2(1/gps)),
@@ -257,14 +250,15 @@ def verify_lemma_properties(
     if k_max > 20:
         raise ValueError("k_max above 20 is not supported")
     checks: list[LemmaCheck] = []
+
+    def check(name: str, params: dict, lhs: float, rhs: float) -> None:
+        checks.append(LemmaCheck(name, params, lhs, rhs, lhs <= rhs + _SLACK))
+
     pi = stationary_distribution(P)
     norms = {j: reversiblization_norm(P, j) for j in range(1, k_max + 1)}
     for r in range(1, k_max):
         for s in range(r, k_max - r + 1):
-            lhs, rhs = norms[r + s], norms[r] * norms[s]
-            checks.append(
-                LemmaCheck("sub_multiplicativity", {"r": r, "s": s}, lhs, rhs, lhs <= rhs + slack)
-            )
+            check("sub_multiplicativity", {"r": r, "s": s}, norms[r + s], norms[r] * norms[s])
 
     base = spectral_gaps(P)
     gps, k_ps = base.gamma_ps, base.k_ps
@@ -273,28 +267,18 @@ def verify_lemma_properties(
         skipped[p] = spectral_gaps(matrix_power(P, p)).gamma_ps if p > 1 else gps
 
     for p in range(1, k_max + 1):
-        lower = p * gps * (1.0 - p * k_ps * gps / 2.0)
-        checks.append(
-            LemmaCheck("skipped_gap_lower", {"p": p}, lower, skipped[p], lower <= skipped[p] + slack)
-        )
-        checks.append(
-            LemmaCheck("skipped_gap_upper", {"p": p}, skipped[p], p * gps, skipped[p] <= p * gps + slack)
-        )
+        check("skipped_gap_lower", {"p": p}, p * gps * (1.0 - p * k_ps * gps / 2.0), skipped[p])
+        check("skipped_gap_upper", {"p": p}, skipped[p], p * gps)
 
     p_big = 2 ** math.ceil(math.log2(1.0 / gps)) if gps < 1.0 else 1
     for p in range(p_big, k_max + 1):
-        checks.append(
-            LemmaCheck("large_skip_half", {"p": p}, 0.5, skipped[p], 0.5 <= skipped[p] + slack)
-        )
+        check("large_skip_half", {"p": p}, 0.5, skipped[p])
 
     pi_min = float(np.min(pi))
     denom = 2.0 * math.log(4.0 * math.e / pi_min) + 2.0
     for p in range(1, k_max + 1):
         if p < 1.0 / gps:
-            lower = p * gps / denom
-            checks.append(
-                LemmaCheck("small_skip_shim", {"p": p}, lower, skipped[p], lower <= skipped[p] + slack)
-            )
+            check("small_skip_shim", {"p": p}, p * gps / denom, skipped[p])
     return LemmaLedger(checks)
 
 
@@ -309,7 +293,7 @@ class MixingSandwich:
     holds: bool
 
 
-def mixing_time_sandwich(P: StochasticMatrix, slack: float = 1e-9) -> MixingSandwich:
+def mixing_time_sandwich(P: StochasticMatrix) -> MixingSandwich:
     """Spectral lower/upper bounds on the brute-force mixing time.
 
     Pseudo-spectral: 1/(2 gps) <= t_mix <= log(4e/pi_min)/gps.
@@ -322,13 +306,12 @@ def mixing_time_sandwich(P: StochasticMatrix, slack: float = 1e-9) -> MixingSand
     log_term = math.log(4.0 * math.e / pi_min)
     ps = (1.0 / (2.0 * report.gamma_ps), log_term / report.gamma_ps)
     dps = (1.0 / (4.0 * report.gamma_dps), log_term / report.gamma_dps)
-    holds = ps[0] <= t + slack and t <= ps[1] + slack
-    holds = holds and dps[0] <= t + slack and t <= dps[1] + slack
     rev = None
     if report.gamma_star is not None and report.gamma_star > 0:
         g = report.gamma_star
         rev = ((1.0 / g - 1.0) * math.log(2.0), math.log(4.0 / pi_min) / g)
-        holds = holds and rev[0] <= t + slack and t <= rev[1] + slack
+    bounds = (ps, dps) if rev is None else (ps, dps, rev)
+    holds = all(lo <= t + _SLACK and t <= hi + _SLACK for lo, hi in bounds)
     return MixingSandwich(
         t_mix=t,
         gamma_ps=report.gamma_ps,

@@ -104,7 +104,7 @@ def test_criterion_3_sandwiches():
             report = spectral_gaps(P)
             assert report.gamma_dps <= report.gamma_ps + 1e-9
             assert report.gamma_ps <= 2.0 * report.gamma_dps + 1e-9
-            sandwich = mixing_time_sandwich(P, slack=1e-9)
+            sandwich = mixing_time_sandwich(P)
             assert sandwich.holds
             assert isinstance(sandwich.t_mix, int)
 
@@ -112,7 +112,7 @@ def test_criterion_3_sandwiches():
 def test_criterion_4_skipped_gap_lemmas():
     with Criterion(4, "sub-multiplicativity and skipped-gap bounds on 100 chains", 300):
         for seed in range(100):
-            ledger = verify_lemma_properties(random_ergodic(seed), k_max=10, slack=1e-9)
+            ledger = verify_lemma_properties(random_ergodic(seed), k_max=10)
             assert ledger.all_passed, ledger.violations[:3]
 
 

@@ -288,6 +288,41 @@ class TestMixingTime:
     def test_threshold_parameter(self, ex31):
         assert mixing_time(ex31, threshold=0.01) >= mixing_time(ex31, threshold=0.25)
 
+    @given(
+        kind=st.sampled_from(["dense", "sparse", "lazy"]),
+        n=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+        threshold=st.sampled_from([0.25, 0.01]),
+        t_max=st.sampled_from([1, 2, 3, 5, 8, 13, 64, None]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_a_scan_over_t(self, kind, n, seed, threshold, t_max):
+        rng = np.random.default_rng(seed)
+        W = rng.gamma(2.0, size=(n, n))
+        if kind != "dense":
+            # a ring keeps the support strongly connected; without a self-loop
+            # a sparse chain may be periodic and never mix
+            W = W * (rng.random((n, n)) < 0.3) + np.roll(np.eye(n), 1, axis=1)
+        if kind == "lazy":
+            W = W / W.sum(axis=1, keepdims=True) + rng.uniform(0.05, 5.0) * np.eye(n)
+        P = StochasticMatrix(W / W.sum(axis=1, keepdims=True))
+        pi = stationary_distribution(P)
+        cap = 4096 if t_max is None else t_max
+        Pt, expected = np.eye(n), None
+        for t in range(1, cap + 1):
+            Pt = Pt @ P.rows
+            if 0.5 * np.max(np.abs(Pt - pi).sum(axis=1)) < threshold:
+                expected = t
+                break
+        if expected is None and t_max is None:
+            return  # not mixed within the scan: the default cap is out of its reach
+        kwargs = {} if t_max is None else {"t_max": t_max}
+        if expected is None:
+            with pytest.raises(NotMixedByCapError):
+                mixing_time(P, threshold=threshold, **kwargs)
+        else:
+            assert mixing_time(P, threshold=threshold, **kwargs) == expected
+
 
 # blake2b-128 of simulate(P, m, start, seed).states for every fixture, seed,
 # start and m below, recorded from the one-bisect-per-step walk that the

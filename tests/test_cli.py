@@ -101,17 +101,39 @@ class TestSimulateAndStats:
         assert sum(stats["visits"]) == (stats["m"] - 1) // 2
 
 
+# the options each estimate method reads, with a non-default value
+METHOD_OPTIONS = {
+    "pi-star": [],
+    "ps-prefix": ["--K", "3"],
+    "ps-additive": ["--epsilon", "0.5"],
+    "ps-amplified": [],
+    "ps-adaptive": ["--epsilon", "0.5"],
+    "dps": ["--K", "3", "--alpha", "0.05"],
+}
+
+
 class TestEstimateCommand:
-    @pytest.mark.parametrize(
-        "method", ["pi-star", "ps-prefix", "ps-additive", "ps-amplified", "ps-adaptive", "dps"]
-    )
+    @pytest.mark.parametrize("method", sorted(METHOD_OPTIONS))
     def test_methods_produce_reports(self, method, traj_file, tmp_path):
         out = tmp_path / "est.json"
         argv = ["estimate", "--trajectory", traj_file, "--method", method, "--n", "3",
-                "--epsilon", "0.5", "--K", "3", "--out", str(out)]
+                *METHOD_OPTIONS[method], "--out", str(out)]
         assert main(argv) == 0
         report = read_json(out)
         assert 0.0 <= report["value"] <= 1.0
+
+    @pytest.mark.parametrize("method", sorted(METHOD_OPTIONS))
+    @pytest.mark.parametrize("option", [["--K", "3"], ["--epsilon", "0.5"], ["--alpha", "0.05"]])
+    def test_unread_option_exits_invalid_input(self, method, option, traj_file):
+        argv = ["estimate", "--trajectory", traj_file, "--method", method, *option]
+        code, out, err = run_in_process(argv)
+        if option[0] in METHOD_OPTIONS[method]:
+            assert code == 0
+        else:
+            assert (code, out) == (1, "")
+            error = json.loads(err)
+            assert error["error"] == "INVALID_INPUT"
+            assert option[0] in error["message"]
 
     def test_trajectory_too_short_exit_code(self, tmp_path, capsys):
         path = tmp_path / "tiny.trj"
@@ -171,6 +193,27 @@ class TestIntervalCommand:
         assert report["vacuous"]
         assert report["half_width"] is None
         assert report["per_k_terms"]["1"]["U"] is None
+
+    def test_uncertifiable_empirical_gap_gives_vacuous_report(self, tmp_path):
+        # with alpha = 1e-9 the smoothed P_hat of 0, 1, 0, 1, ... is within
+        # about 1e-11 of periodic, and no certificate closes its oracle loop
+        path = tmp_path / "alternating.txt"
+        path.write_text("0\n1\n" * 500)
+        start = time.perf_counter()
+        code, out, err = run_in_process(["interval", "--trajectory", str(path), "--alpha", "1e-9"])
+        assert time.perf_counter() - start < 2.0
+        assert (code, err) == (0, "")
+        report = json.loads(out, parse_constant=reject_constant)
+        assert report["vacuous"] is True
+        assert report["interval"] == [0.0, 1.0]
+        assert report["diagnostics"]["degenerate_empirical_gap_k"] == 1
+
+    def test_two_state_trajectory_is_too_short(self, tmp_path):
+        path = tmp_path / "two.txt"
+        path.write_text("0\n1\n")
+        code, out, err = run_in_process(["interval", "--trajectory", str(path)])
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == "TRAJECTORY_TOO_SHORT"
 
 
 METHODS = ["pi-star", "ps-prefix", "ps-additive", "ps-amplified", "ps-adaptive", "dps"]
@@ -400,19 +443,21 @@ GOLDEN_CASES = {
 
 # blake2b-128 of the exit code, stdout, stderr and extra file of each case
 # above, recorded before the CLI dropped its config dataclass; the bytes of
-# every command must never change
+# every command must never change. The four estimate-*-K3 cases whose method
+# does not read --K were re-recorded when estimate began to reject unread
+# options: they exit 1 with INVALID_INPUT.
 GOLDEN_DIGESTS = {
     "bench": "b71c410a4e9c8b86451f1bd11863bbc8",
     "estimate-dps": "ef42cd350332fb7baada5da5f7c30f6f",
     "estimate-dps-K3": "824b4ebeeec1cbdd6d802bf8d95038c0",
     "estimate-pi-star": "312372b2ae0eca5ec3d67540ad8aa276",
-    "estimate-pi-star-K3": "312372b2ae0eca5ec3d67540ad8aa276",
+    "estimate-pi-star-K3": "13a10035528f573975e6336c96042464",
     "estimate-ps-adaptive": "cdeed7fe1f84b578e302ec9868b76efc",
-    "estimate-ps-adaptive-K3": "cdeed7fe1f84b578e302ec9868b76efc",
+    "estimate-ps-adaptive-K3": "85cd85010b69cdabc854e414b5b686e3",
     "estimate-ps-additive": "8e78d14265cc151c74757eb87a022960",
-    "estimate-ps-additive-K3": "8e78d14265cc151c74757eb87a022960",
+    "estimate-ps-additive-K3": "0ca7db8d48b4e5003ad361d519183f0d",
     "estimate-ps-amplified": "c68d639c3825fdc170d8255fc5744d6a",
-    "estimate-ps-amplified-K3": "c68d639c3825fdc170d8255fc5744d6a",
+    "estimate-ps-amplified-K3": "383baed2b9f2d738704b161804390b17",
     "estimate-ps-prefix": "18ca2b964185c8a537dedc88b621f4fd",
     "estimate-ps-prefix-K3": "512822bd10f4d4d68cb4c25c46de9793",
     "exit1-K0": "5eedf5f273c05e4b8172544d8f2501d7",
@@ -480,10 +525,12 @@ class TestArgumentParsing:
         assert cfg.m_grid == [100, 200]
         assert cfg.command == "bench"
 
-    def test_parse_estimate_defaults(self):
+    def test_parse_estimate_defaults(self, traj_file):
         cfg = parse_args(["estimate", "--trajectory", "x.trj"])
         assert cfg.method == "dps"
-        assert cfg.alpha == pytest.approx(0.01)
+        code, out, _ = run_in_process(["estimate", "--trajectory", traj_file])
+        assert code == 0
+        assert json.loads(out)["diagnostics"]["alpha"] == pytest.approx(0.01)
 
     @pytest.mark.parametrize(
         "extra", [["--bogus"], ["--lanczos-iters", "50"], ["--m", "x"]], ids=["unknown", "removed", "bad-type"]
@@ -494,6 +541,26 @@ class TestArgumentParsing:
             parse_args(["simulate", "--fixture", "ex31", "--m", "10", *extra])
         assert exc.value.code == 1
         assert json.loads(capsys.readouterr().err)["error"] == "INVALID_INPUT"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["stats", "--trajectory", "x.trj"],
+            ["estimate", "--trajectory", "x.trj"],
+            ["interval", "--trajectory", "x.trj"],
+            ["oracle", "--fixture", "ex31"],
+            ["lemma-check", "--fixture", "ex31"],
+            ["bench", "--fixture", "fast3"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_seed_is_read_by_simulate_only(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            parse_args([*argv, "--seed", "3"])
+        assert exc.value.code == 1
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "INVALID_INPUT"
+        assert "--seed" in error["message"]
 
     def test_main_pipe_stdin(self, ex31_json, tmp_path):
         sim = subprocess.run(

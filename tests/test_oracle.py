@@ -110,6 +110,13 @@ class TestAbsoluteSpectralGap:
         with pytest.raises(ReducibleChainError):
             absolute_spectral_gap(StochasticMatrix(np.eye(2)))
 
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12))
+    @settings(max_examples=60, deadline=None)
+    def test_oracle_gamma_star_is_the_absolute_gap(self, seed, n):
+        # spectral_gaps reads gamma_star off its skip-1 solve, not a second one
+        P = random_reversible(seed, n=n)
+        assert spectral_gaps(P).gamma_star == absolute_spectral_gap(P)
+
 
 class TestGammaDagger:
     def test_rank_one(self):
