@@ -24,7 +24,6 @@ from .errors import (
     NoConvergenceError,
     NonconvergentGapError,
     NotMixedByCapError,
-    NotSymmetricError,
     NoTriggerError,
     NoUsableKError,
     ReducibleChainError,
@@ -61,7 +60,6 @@ __all__ = [
     "NoConvergenceError",
     "NonconvergentGapError",
     "NotMixedByCapError",
-    "NotSymmetricError",
     "NoTriggerError",
     "NoUsableKError",
     "ReducibleChainError",

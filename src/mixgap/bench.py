@@ -38,6 +38,8 @@ def bench_convergence(
     ordered by (m, seed) so repeated runs with identical inputs are
     byte-identical.
     """
+    if seeds < 1:
+        raise ValueError(f"seeds must be >= 1, got {seeds}")
     gamma_dps = spectral_gaps(P).gamma_dps
     results = []
     for m in m_grid:

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .errors import NotMixedByCapError, ReducibleChainError
+from .errors import NoConvergenceError, NotMixedByCapError, ReducibleChainError
 
 ROW_SUM_TOL = 1e-12
 STATIONARY_TOL = 1e-10
@@ -47,10 +47,10 @@ def _report_dict(obj):
 
 @dataclass(frozen=True, eq=False)
 class StochasticMatrix:
-    """Row-stochastic square matrix with a lazily cached stationary vector."""
+    """Row-stochastic square matrix; `_stationary` caches pi for `stationary_distribution`."""
 
     rows: np.ndarray
-    _stationary: list = field(default_factory=list, repr=False, compare=False)
+    _stationary: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rows = np.asarray(self.rows, dtype=float)
@@ -68,15 +68,6 @@ class StochasticMatrix:
     @property
     def n(self) -> int:
         return self.rows.shape[0]
-
-    @property
-    def stationary(self) -> np.ndarray | None:
-        """Cached stationary distribution, or None if not yet computed."""
-        return self._stationary[0] if self._stationary else None
-
-    def _cache_stationary(self, pi: np.ndarray) -> None:
-        if not self._stationary:
-            self._stationary.append(_freeze(pi))
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,15 +93,10 @@ class Trajectory:
         return self.states.size
 
 
-def _strongly_connected(support: np.ndarray) -> bool:
-    graph = csr_matrix(support.astype(np.int8))
-    ncomp, _ = connected_components(graph, directed=True, connection="strong")
-    return ncomp == 1
-
-
 def is_irreducible(P: StochasticMatrix) -> bool:
     """True when the positive-support digraph is strongly connected."""
-    return _strongly_connected(P.rows > 0)
+    graph = csr_matrix((P.rows > 0).astype(np.int8))
+    return connected_components(graph, directed=True, connection="strong")[0] == 1
 
 
 def is_aperiodic(P: StochasticMatrix) -> bool:
@@ -144,13 +130,16 @@ def stationary_distribution(P: StochasticMatrix) -> np.ndarray:
     """Stationary distribution pi with pi P = pi, sum(pi) = 1, pi > 0.
 
     Solves the null-space linear system by dense factorization at every size;
-    unlike power iteration this also converges on periodic chains.
+    unlike power iteration this also converges on periodic chains. Gaps are
+    read off L = D_pi^{1/2} P D_pi^{-1/2}, so pi is accepted only when
+    |pi P - pi| < STATIONARY_TOL * pi entrywise, which also rejects NaN and 0.
 
     Raises:
         ReducibleChainError: if the support digraph is not strongly connected.
+        NoConvergenceError: if the solve misses the entrywise relative test.
     """
-    if P.stationary is not None:
-        return P.stationary
+    if P._stationary:
+        return P._stationary[0]
     if not is_irreducible(P):
         raise ReducibleChainError("support graph is not strongly connected")
     n = P.n
@@ -160,24 +149,24 @@ def stationary_distribution(P: StochasticMatrix) -> np.ndarray:
     b = np.zeros(n)
     b[-1] = 1.0
     pi = np.linalg.solve(A, b)
-    pi = np.maximum(pi, 0.0)
     pi /= pi.sum()
-    residual = np.max(np.abs(pi @ P.rows - pi))
-    if residual > STATIONARY_TOL or np.min(pi) <= 0:
-        raise ReducibleChainError(
-            f"stationary solve failed (residual {residual:.3e}, min {np.min(pi):.3e})"
+    residual = np.abs(pi @ P.rows - pi)
+    if not np.all(residual < STATIONARY_TOL * pi):
+        raise NoConvergenceError(
+            f"stationary vector not resolved relative to its entries (residual "
+            f"{np.max(residual):.3e}, smallest entry {np.min(pi):.3e})"
         )
-    P._cache_stationary(pi)
-    return P.stationary
+    P._stationary.append(_freeze(pi))
+    return P._stationary[0]
 
 
 def time_reversal(P: StochasticMatrix) -> StochasticMatrix:
     """Adjoint of P in l2(pi): P*(x, x') = pi(x') P(x', x) / pi(x)."""
     pi = stationary_distribution(P)
     rows = (P.rows.T * pi[None, :]) / pi[:, None]
-    # rows sum to exactly (pi P)/pi = 1 up to rounding; renormalization not needed
-    rev = StochasticMatrix(rows)
-    rev._cache_stationary(pi)
+    # row x sums to (pi P)(x) / pi(x), which is 1 only to within STATIONARY_TOL
+    rev = StochasticMatrix(rows / rows.sum(axis=1, keepdims=True))
+    rev._stationary.append(pi)
     return rev
 
 
@@ -193,8 +182,7 @@ def matrix_power(P: StochasticMatrix, k: int) -> StochasticMatrix:
     if k < 1:
         raise ValueError("k must be >= 1")
     out = StochasticMatrix(np.linalg.matrix_power(P.rows, k))
-    if P.stationary is not None:
-        out._cache_stationary(P.stationary)
+    out._stationary.extend(P._stationary)
     return out
 
 
@@ -229,11 +217,6 @@ def reversible_dilation(P: StochasticMatrix) -> np.ndarray:
     return e
 
 
-def _worst_tv(Pt: np.ndarray, pi: np.ndarray) -> float:
-    # max over point-mass initials; TV is convex in the initial distribution
-    return 0.5 * float(np.max(np.abs(Pt - pi[None, :]).sum(axis=1)))
-
-
 def mixing_time(
     P: StochasticMatrix, threshold: float = 0.25, t_max: int = 1_000_000
 ) -> int:
@@ -250,7 +233,8 @@ def mixing_time(
     pi = stationary_distribution(P)
 
     def mixed(Pt: np.ndarray) -> bool:
-        return _worst_tv(Pt, pi) < threshold
+        # worst TV over point-mass initials; TV is convex in the initial distribution
+        return 0.5 * float(np.max(np.abs(Pt - pi[None, :]).sum(axis=1))) < threshold
 
     squares = [P.rows]  # squares[j] = P^(2^j)
     while not mixed(squares[-1]) and 1 << len(squares) <= t_max:

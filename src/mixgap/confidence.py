@@ -131,8 +131,10 @@ def confidence_interval(
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must be in (0, 1)")
-    if alpha <= 0:
-        raise ValueError("alpha must be > 0")
+    if not 0.0 < alpha < math.inf:
+        raise ValueError(f"alpha must be finite and > 0, got {alpha}")
+    if not 0.0 <= c < math.inf:
+        raise ValueError(f"c must be finite and >= 0, got {c}")
     m, n = tr.m, tr.n
     estimate, tallies_by_k = _dps_scan(tr, alpha, None)
     point, K_hat = estimate.value, estimate.K_used
@@ -140,7 +142,6 @@ def confidence_interval(
 
     per_k_terms: dict[int, dict[str, float]] = {}
     worst = 0.0
-    vacuous = False
     diagnostics: dict = {"c": c}
     for k, t in tallies_by_k.items():
         W = term_W(t, alpha, d_hat)
@@ -152,18 +153,14 @@ def confidence_interval(
         U = term_U(t, alpha, T)
         per_k_terms[k] = {"W": W, "V": V, "T": T, "U": U}
         worst = max(worst, (V + U * (2.0 + U)) / k)
-        if not math.isfinite(U):
-            vacuous = True
     half_width = 1.0 / K_hat + worst
-    if vacuous or not math.isfinite(half_width):
-        vacuous = True
-        interval = (0.0, 1.0)
-    else:
-        interval = (max(point - half_width, 0.0), min(point + half_width, 1.0))
+    # V is always finite, so the half-width is infinite exactly when some U is
+    vacuous = not math.isfinite(half_width)
+    lo, hi = (0.0, 1.0) if vacuous else (point - half_width, point + half_width)
     return ConfidenceReport(
         point=point,
         half_width=half_width,
-        interval=interval,
+        interval=(max(lo, 0.0), min(hi, 1.0)),
         per_k_terms=per_k_terms,
         delta_hat=d_hat,
         K_hat=K_hat,

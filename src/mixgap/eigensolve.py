@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import NoConvergenceError, NotSymmetricError
+from .errors import NoConvergenceError
 
 SYMMETRY_TOL = 1e-10
 # no solver reads it; kept because the benchmark records it with each workload
@@ -40,11 +40,11 @@ def dense_symmetric_spectrum(A: np.ndarray) -> np.ndarray:
     """Full spectrum of a symmetric matrix, sorted descending.
 
     Raises:
-        NotSymmetricError: if max|A - A^T| exceeds the symmetry tolerance.
+        ValueError: if max|A - A^T| exceeds the symmetry tolerance.
     """
     A = np.asarray(A, dtype=float)
     if np.max(np.abs(A - A.T)) > SYMMETRY_TOL:
-        raise NotSymmetricError("matrix is not symmetric within tolerance")
+        raise ValueError("matrix is not symmetric within tolerance")
     return np.linalg.eigvalsh(0.5 * (A + A.T))[::-1]
 
 

@@ -35,14 +35,8 @@ class NonconvergentGapError(MixgapError):
     code = "NONCONVERGENT"
 
 
-class NotSymmetricError(MixgapError):
-    """A symmetric eigensolver was handed a non-symmetric matrix."""
-
-    code = "NOT_SYMMETRIC"
-
-
 class NoConvergenceError(MixgapError):
-    """Iterative eigensolver failed to reach the requested residual tolerance."""
+    """A numerical solve failed to reach its residual tolerance."""
 
     code = "NO_CONVERGENCE"
 

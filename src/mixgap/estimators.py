@@ -165,10 +165,9 @@ def gamma_ps_amplified(tr: Trajectory) -> EstimateReport:
     )
 
 
-def adaptive_K_multiplicative(n_min: int, epsilon: float) -> tuple[int, bool]:
-    """Data-driven prefix ceil((N_min/epsilon)^{1/3}); returns (K, clamped)."""
-    K = math.ceil((n_min / epsilon) ** (1.0 / 3.0))
-    return (K, False) if K >= 1 else (1, True)
+def adaptive_K_multiplicative(n_min: int, epsilon: float) -> int:
+    """Data-driven prefix ceil((N_min/epsilon)^{1/3}), clamped to >= 1."""
+    return max(math.ceil((n_min / epsilon) ** (1.0 / 3.0)), 1)
 
 
 def gamma_ps_adaptive_multiplicative(tr: Trajectory, epsilon: float) -> EstimateReport:
@@ -177,10 +176,9 @@ def gamma_ps_adaptive_multiplicative(tr: Trajectory, epsilon: float) -> Estimate
         raise ValueError("epsilon must be in (0, 5)")
     base = tally(tr, 1)
     n_min = base.n_min
-    K, clamped = adaptive_K_multiplicative(n_min, epsilon)
-    report = _ps_prefix(tr, K, _ps_gaps(tr, base))
+    report = _ps_prefix(tr, adaptive_K_multiplicative(n_min, epsilon), _ps_gaps(tr, base))
     diagnostics = {**report.diagnostics, "epsilon": epsilon, "N_min": n_min}
-    if clamped:
+    if n_min == 0:  # the only N_min whose K is clamped up to 1
         diagnostics["K_clamped"] = True
     return replace(report, estimator="ps-adaptive", diagnostics=diagnostics)
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .chain import StochasticMatrix
+from .chain import StochasticMatrix, _freeze
 
 
 def example_chain() -> StochasticMatrix:
@@ -14,7 +14,7 @@ def example_chain() -> StochasticMatrix:
     so the pseudo-spectral maxima sit at skip rates 2 and 3.
     """
     P = StochasticMatrix([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.5, 0.0, 0.5]])
-    P._cache_stationary(np.array([0.25, 0.25, 0.5]))
+    P._stationary.append(_freeze(np.array([0.25, 0.25, 0.5])))
     return P
 
 

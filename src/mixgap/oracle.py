@@ -129,7 +129,7 @@ def spectral_gaps(P: StochasticMatrix, k_cap: int = DEFAULT_K_CAP) -> SpectralRe
     per-skip values are then at most (1 - l^(2j))/j and (1 - l^j)/j, both
     decreasing in j, so the loop ends once they fall to the maxima at
     j = k + 1. Until k reaches 8, l = 0 and the bound is 1/j; from then on l
-    comes from one eigensolve of L.
+    comes from one eigensolve of L, unless 1/j has closed the loop at k = 8.
 
     `stop_reason` is "1/k" when the bound 1/j alone closes the loop, and
     "weyl" when it took the eigenvalue floor.
@@ -160,9 +160,10 @@ def spectral_gaps(P: StochasticMatrix, k_cap: int = DEFAULT_K_CAP) -> SpectralRe
             best_ps, k_ps = gd / k, k
         if gdd / k > best_dps:
             best_dps, k_dps = gdd / k, k
-        if k == _WEYL_START:
-            lam2_floor = _second_modulus_floor(L)
         j = k + 1
+        # best_ps >= best_dps, so once 1/j <= best_dps the floor cannot matter
+        if k == _WEYL_START and 1.0 / j > best_dps:
+            lam2_floor = _second_modulus_floor(L)
         if (1.0 - lam2_floor**j) / j <= best_dps and (1.0 - lam2_floor ** (2 * j)) / j <= best_ps:
             stop_reason = "1/k" if j * best_dps >= 1.0 else "weyl"
             break
@@ -247,8 +248,8 @@ def verify_lemma_properties(P: StochasticMatrix, k_max: int = 10) -> LemmaLedger
       * gps(P^p) > 1/2 for p >= 2^ceil(log2(1/gps)),
       * gps(P^p) > p*gps/(2*log(4e/pi_min) + 2) for p < 1/gps.
     """
-    if k_max > 20:
-        raise ValueError("k_max above 20 is not supported")
+    if not 1 <= k_max <= 20:
+        raise ValueError(f"k_max must be in 1..20, got {k_max}")
     checks: list[LemmaCheck] = []
 
     def check(name: str, params: dict, lhs: float, rhs: float) -> None:
@@ -300,8 +301,8 @@ def mixing_time_sandwich(P: StochasticMatrix) -> MixingSandwich:
     Dilated:         1/(4 gdps) <= t_mix <= log(4e/pi_min)/gdps.
     Reversible only: (1/gstar - 1) log 2 <= t_mix <= log(4/pi_min)/gstar.
     """
-    report = spectral_gaps(P)
-    t = mixing_time(P)
+    report = full_spectral_report(P)
+    t = report.t_mix
     pi_min = float(np.min(stationary_distribution(P)))
     log_term = math.log(4.0 * math.e / pi_min)
     ps = (1.0 / (2.0 * report.gamma_ps), log_term / report.gamma_ps)

@@ -125,8 +125,8 @@ def smoothed_estimates(t: SkippedTallies, alpha: float) -> SmoothedEstimates:
     pi_hat(x) = (N_x + n a) / (floor((m-1)/k) + n^2 a)
     L_hat = diag(pi_hat)^{1/2} P_hat diag(pi_hat)^{-1/2}
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be > 0")
+    if not 0.0 < alpha < np.inf:
+        raise ValueError(f"alpha must be finite and > 0, got {alpha}")
     n = t.n
     visits = t.visits.astype(float)
     P_hat = (t.counts + alpha) / (visits + n * alpha)[:, None]

@@ -29,6 +29,15 @@ def random_reversible(seed: int, n: int | None = None) -> StochasticMatrix:
     return random_reversible_chain(n, seed=int(rng.integers(0, 2**31)))
 
 
+def birth_death(n: int, right: float) -> np.ndarray:
+    """Rows of the walk that steps +1 w.p. `right`, else -1, holding at the two ends."""
+    rows = np.zeros((n, n))
+    i = np.arange(n)
+    np.add.at(rows, (i, np.minimum(i + 1, n - 1)), right)
+    np.add.at(rows, (i, np.maximum(i - 1, 0)), 1.0 - right)
+    return rows
+
+
 # period 2: classes {0, 2, 4} and {1, 3, 5}
 PERIOD2_ROWS = [
     [0, 1, 0, 0, 0, 0],

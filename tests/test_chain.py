@@ -16,6 +16,7 @@ from mixgap.chain import (
     build_L,
     is_aperiodic,
     is_irreducible,
+    is_reversible,
     matrix_power,
     mixing_time,
     reversible_dilation,
@@ -24,14 +25,22 @@ from mixgap.chain import (
     stationary_projector,
     time_reversal,
 )
-from mixgap.errors import NotMixedByCapError, ReducibleChainError
+from mixgap.errors import NoConvergenceError, NotMixedByCapError, ReducibleChainError
 from mixgap.fixtures import FIXTURES, get_fixture
+from mixgap.oracle import spectral_gaps
 
-from conftest import random_ergodic, random_reversible
+from conftest import birth_death, random_ergodic, random_reversible
 from reference_routes import generic_dilation
 
 UNIFORM2 = [[0.5, 0.5], [0.5, 0.5]]
 FLIP = [[0.0, 1.0], [1.0, 0.0]]
+
+
+def detailed_balance_pi(rows: np.ndarray) -> np.ndarray:
+    """pi(i) proportional to prod_{j < i} P(j, j+1) / P(j+1, j): exact entry by entry."""
+    i = np.arange(rows.shape[0] - 1)
+    weights = np.cumprod(np.r_[1.0, rows[i, i + 1] / rows[i + 1, i]])
+    return weights / weights.sum()
 
 
 class TestStochasticMatrix:
@@ -52,6 +61,11 @@ class TestStochasticMatrix:
         P = StochasticMatrix(UNIFORM2)
         with pytest.raises(ValueError):
             P.rows[0, 0] = 1.0
+
+    def test_constructor_takes_no_stationary_vector(self):
+        # an unchecked pi must not reach the cache that every gap reads
+        with pytest.raises(TypeError):
+            StochasticMatrix(UNIFORM2, [np.array([0.5, 0.5])])
 
 
 class TestStationaryDistribution:
@@ -91,6 +105,22 @@ class TestStationaryDistribution:
         assert_allclose(pi[:a], 0.5 / a, rtol=1e-9)
         assert_allclose(pi[a:], 0.5 / b, rtol=1e-9)
 
+    @given(n=st.integers(2, 40), right=st.floats(0.55, 0.95))
+    @settings(max_examples=150, deadline=None)
+    def test_gaps_are_exact_or_refused_on_birth_death_chains(self, n, right):
+        # pi_star is about ((1 - r) / r)^(n - 1), down to 1e-50 here: far below
+        # what the LU solve resolves relative to the entry
+        rows = birth_death(n, right)
+        try:
+            rep = spectral_gaps(StochasticMatrix(rows))
+        except NoConvergenceError:
+            return
+        exact = StochasticMatrix(rows)
+        exact._stationary.append(detailed_balance_pi(rows))
+        ref = spectral_gaps(exact)
+        assert abs(rep.gamma_ps - ref.gamma_ps) <= 1e-11
+        assert abs(rep.gamma_dps - ref.gamma_dps) <= 1e-11
+
 
 class TestTimeReversal:
     def test_example_chain_entry_by_entry(self, ex31):
@@ -104,6 +134,13 @@ class TestTimeReversal:
     def test_doubly_stochastic_gives_transpose(self):
         P = StochasticMatrix([[0.2, 0.8], [0.8, 0.2]])
         assert_allclose(time_reversal(P).rows, P.rows.T, atol=1e-12)
+
+    def test_rows_renormalized_on_a_skewed_chain(self):
+        # pi_star = 2.9e-6: (pi P)(x) / pi(x) misses 1 by 1.3e-12 before the division
+        P = StochasticMatrix(birth_death(10, 0.8))
+        assert is_reversible(P)
+        assert_allclose(time_reversal(P).rows, P.rows, atol=1e-12)
+        StochasticMatrix(reversible_dilation(P))  # rows sum to 1 within ROW_SUM_TOL
 
     @given(st.integers(0, 500))
     @settings(max_examples=40, deadline=None)

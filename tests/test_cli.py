@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,7 @@ from mixgap.fixtures import FIXTURES, example_chain
 from mixgap.io import save_matrix, save_trajectory
 from mixgap.oracle import full_spectral_report
 
-from conftest import NEAR_PERIODIC_ROWS, PERIOD2_ROWS
+from conftest import NEAR_PERIODIC_ROWS, PERIOD2_ROWS, birth_death
 
 
 @pytest.fixture
@@ -326,6 +327,14 @@ def stochastic_rows(draw):
 
 
 class TestMatrixInputContract:
+    def test_unresolved_stationary_vector_exits_no_convergence(self, tmp_path):
+        # pi_star = 2.5e-24; an absolute residual test lets through a pi whose
+        # smallest entries are off by a factor of 1.2e6, and gaps off by 0.31
+        rows = birth_death(40, 0.8).tolist()
+        code, out, err = run_in_process(["oracle", "--matrix", write_matrix(tmp_path, rows)])
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == "NO_CONVERGENCE"
+
     @pytest.mark.parametrize("command", ["oracle", "lemma-check"])
     def test_periodic_chain_exits_nonconvergent(self, tmp_path, command):
         argv = [command, "--matrix", write_matrix(tmp_path, PERIOD2_ROWS)]
@@ -388,6 +397,37 @@ class TestMatrixInputContract:
                 assert code == 2
             if start == str(n):
                 assert code == 1
+
+
+class TestValueRanges:
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["interval", "--trajectory", "TRAJ", "--c-override", "nan"], "c"),
+            (["interval", "--trajectory", "TRAJ", "--c-override", "-1"], "c"),
+            (["interval", "--trajectory", "TRAJ", "--c-override", "inf"], "c"),
+            (["bench", "--fixture", "fast3", "--m-grid", "500", "--c-override", "nan"], "c"),
+            (["estimate", "--trajectory", "TRAJ", "--method", "dps", "--alpha", "nan"], "alpha"),
+            (["estimate", "--trajectory", "TRAJ", "--method", "dps", "--alpha", "inf"], "alpha"),
+            (["interval", "--trajectory", "TRAJ", "--alpha", "nan"], "alpha"),
+            (["interval", "--trajectory", "TRAJ", "--alpha", "inf"], "alpha"),
+            (["bench", "--fixture", "fast3", "--m-grid", "500", "--alpha", "inf"], "alpha"),
+            (["lemma-check", "--fixture", "ex31", "--k-max", "0"], "k_max"),
+            (["lemma-check", "--fixture", "ex31", "--k-max", "-3"], "k_max"),
+            (["lemma-check", "--fixture", "ex31", "--k-max", "21"], "k_max"),
+            (["bench", "--fixture", "fast3", "--seeds", "0"], "seeds"),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, list) else v,
+    )
+    def test_out_of_range_value_exits_invalid_input(self, argv, name, traj_file):
+        argv = [traj_file if tok == "TRAJ" else tok for tok in argv]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning on the way to the refusal
+            code, out, err = run_in_process(argv)
+        assert (code, out) == (1, "")
+        error = json.loads(err)
+        assert error["error"] == "INVALID_INPUT"
+        assert error["message"].startswith(f"{name} must")
 
 
 class TestLemmaCheckCommand:

@@ -233,6 +233,30 @@ class TestConfidenceInterval:
             assert terms["T"] == terms["U"] == math.inf
         assert report.diagnostics["degenerate_empirical_gap_k"] == max(report.per_k_terms)
 
+    def test_vacuous_exactly_when_some_U_is_infinite(self):
+        outcomes = set()
+        for name in ("ex31", "fast3", "rand5a", "rand5b"):
+            for m in (300, 20_000):
+                tr = simulate(get_fixture(name), m, seed=2)
+                for c in (0.0, 0.01, 1.0, 48.0):
+                    report = confidence_interval(tr, c=c)
+                    some_U_infinite = any(math.isinf(t["U"]) for t in report.per_k_terms.values())
+                    assert report.vacuous == some_U_infinite
+                    outcomes.add(report.vacuous)
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("skip", [1, 2])
+    def test_one_infinite_U_makes_interval_vacuous(self, skip, monkeypatch):
+        tr = simulate(example_chain(), 100_000, seed=2)  # K_hat = 2, finite U at c = 0.01
+        exact = empirical_gamma_ps
+        monkeypatch.setattr(
+            "mixgap.confidence.empirical_gamma_ps",
+            lambda t, alpha: 0.0 if t.k == skip else exact(t, alpha),
+        )
+        report = confidence_interval(tr, c=0.01)
+        assert [math.isinf(t["U"]) for t in report.per_k_terms.values()] == [k == skip for k in (1, 2)]
+        assert report.vacuous and report.interval == (0.0, 1.0)
+
     def test_empirical_gamma_ps_strictly_positive(self):
         t = tally(ZIGZAG, 1)
         assert empirical_gamma_ps(t, alpha=0.1) > 0

@@ -160,8 +160,8 @@ class TestAdaptivePrefix:
         assert report.K_used == math.ceil((n_min / 0.1) ** (1 / 3))
 
     def test_clamp_arithmetic(self):
-        assert adaptive_K_multiplicative(100, 0.1) == (10, False)
-        assert adaptive_K_multiplicative(0, 1.0) == (1, True)
+        assert adaptive_K_multiplicative(100, 0.1) == 10
+        assert adaptive_K_multiplicative(0, 1.0) == 1  # clamped
 
     def test_unvisited_state_propagates_no_usable_k(self):
         tr = Trajectory(np.array([0, 1, 0, 1, 1]), n=3)  # state 2 never seen

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mixgap.oracle as oracle_module
 from mixgap.chain import (
     StochasticMatrix,
     build_L,
@@ -253,6 +254,18 @@ class TestPseudoSpectralGap:
         rep = spectral_gaps(lazy_cycle(40, 0.5, 0.6))
         assert (rep.stop_reason, rep.k_explored, rep.k_ps, rep.k_dps) == ("weyl", 8, 1, 1)
         assert rep.to_dict()["stop_reason"] == "weyl"
+
+    def test_no_eigensolve_when_1_over_k_closes_at_the_weyl_start(self, monkeypatch):
+        calls = []
+        floor = oracle_module._second_modulus_floor
+        monkeypatch.setattr(oracle_module, "_second_modulus_floor", lambda L: calls.append(1) or floor(L))
+        # gamma_dps = 0.117 lies in [1/9, 1/8): the 1/k bound closes the loop at k = 8
+        rep = spectral_gaps(lazy_cycle(8, 0.6, 0.5))
+        assert (rep.stop_reason, rep.k_explored) == ("1/k", 8)
+        assert calls == []
+        # a loop that needs the floor still pays for exactly one eigensolve
+        assert spectral_gaps(lazy_cycle(40, 0.5, 0.6)).stop_reason == "weyl"
+        assert calls == [1]
 
     @given(
         family=st.sampled_from(["dense", "sparse", "cycle", "path", "sticky"]),
