@@ -40,6 +40,8 @@ def bench_convergence(
     """
     if seeds < 1:
         raise ValueError(f"seeds must be >= 1, got {seeds}")
+    if len(set(m_grid)) != len(m_grid):
+        raise ValueError(f"m_grid must not repeat an m, got {m_grid}")
     gamma_dps = spectral_gaps(P).gamma_dps
     results = []
     for m in m_grid:

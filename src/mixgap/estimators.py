@@ -96,15 +96,19 @@ def _ps_prefix(tr: Trajectory, K: int, gap: Callable[[int], float | None]) -> Es
     """The prefix report over skips 1..K, read through the memo `gap`."""
     if K < 1:
         raise ValueError("K must be >= 1")
-    value, per_k, skipped = _ps_reduce({k: gap(k) for k in range(1, _prefix_cap(tr, K) + 1)})
+    cap = _prefix_cap(tr, K)
+    value, per_k, skipped = _ps_reduce({k: gap(k) for k in range(1, cap + 1)})
     if not per_k:
         raise NoUsableKError(f"no usable skip rate in 1..{K}")
+    diagnostics = {"skipped_k": skipped} if skipped else {}
+    if cap != K:
+        diagnostics["K_requested"] = K
     return EstimateReport(
         estimator="ps-prefix",
         value=value,
-        K_used=K,
+        K_used=cap,
         per_k_values=per_k,
-        diagnostics={"skipped_k": skipped} if skipped else {},
+        diagnostics=diagnostics,
     )
 
 
@@ -226,13 +230,16 @@ def _dps_scan(
         diagnostics = {"N_min": base.n_min, "K_adaptive": True}
         if base.n_min == 0:
             diagnostics["K_clamped"] = True
+    cap = _prefix_cap(tr, K)
+    if cap != K:
+        diagnostics["K_requested"] = K
     tallies_by_k = {1: base}
-    tallies_by_k.update((k, tally(tr, k)) for k in range(2, _prefix_cap(tr, K) + 1))
+    tallies_by_k.update((k, tally(tr, k)) for k in range(2, cap + 1))
     value, per_k = gamma_dps_from_tallies(tallies_by_k, alpha)
     report = EstimateReport(
         estimator="dps",
         value=value,
-        K_used=K,
+        K_used=cap,
         per_k_values=per_k,
         diagnostics={**diagnostics, "alpha": alpha},
     )

@@ -1,8 +1,16 @@
 """File formats for matrices and trajectories.
 
 Matrices: dense CSV (one row per line) or JSON ``{"n": ..., "rows": [[...]]}``.
-Trajectories: one decimal state index per line (text), or binary with the
-8-byte magic header ``MXGTRJ01`` followed by little-endian uint32 indices.
+Trajectories: text, or binary with the 8-byte magic header ``MXGTRJ01``
+followed by little-endian uint32 indices.
+
+Text is written as one decimal state index per line. It is read as tokens
+separated by ASCII whitespace (the six bytes ``bytes.split()`` splits on),
+each read as Python ``int()`` reads it. Input made only of whitespace and
+plain ASCII digit tokens of at most 18 digits is parsed by numpy byte
+kernels, a bounded chunk at a time. Any other byte, or a longer token, sends
+the whole input through ``int()`` token by token, which then decides what is
+accepted and how a bad token is reported.
 """
 
 from __future__ import annotations
@@ -16,6 +24,16 @@ import numpy as np
 from .chain import StochasticMatrix, Trajectory
 
 TRAJECTORY_MAGIC = b"MXGTRJ01"
+
+# byte kinds of the text reader: 0 whitespace, 1 ASCII digit, 2 anything else
+_BYTE_KIND = np.array(
+    [0 if not bytes([b]).split() else 1 if bytes([b]).isdigit() else 2 for b in range(256)],
+    dtype=np.uint8,
+)
+_MAX_DIGITS = 18  # 10**18 - 1 < 2**63, so no such token overflows int64
+_POW10 = 10 ** np.arange(_MAX_DIGITS, dtype=np.int64)
+# bytes the reader parses at a time, which bounds its temporaries
+_CHUNK_BYTES = 1 << 18
 
 
 def load_matrix(path: str | Path) -> StochasticMatrix:
@@ -53,11 +71,27 @@ def matrix_to_json(P: StochasticMatrix) -> str:
     return json.dumps({"n": P.n, "rows": P.rows.tolist()}, sort_keys=True)
 
 
+def _text_bytes(states: np.ndarray) -> np.ndarray:
+    """ASCII bytes of one decimal index per line, for non-negative states."""
+    top = int(states.max())
+    width = len(str(top))
+    rest = states.astype(np.min_scalar_type(top))
+    grid = np.empty((states.size, width + 1), dtype=np.uint8)
+    grid[:, width] = ord("\n")
+    for col in range(width - 1, -1, -1):
+        # rest - 10 * (rest // 10) is rest % 10, and much faster for integers
+        quotient = rest // 10
+        grid[:, col] = rest - 10 * quotient + ord("0")
+        rest = quotient
+    del rest, quotient
+    # drop leading zeros; the last digit always stays, so 0 is written as "0"
+    keep = np.ones(grid.shape, dtype=bool)
+    np.logical_or.accumulate(grid[:, : width - 1] != ord("0"), axis=1, out=keep[:, : width - 1])
+    return grid[keep]
+
+
 def trajectory_to_text(tr: Trajectory) -> str:
-    # states repeat, so format each distinct state once and look the rest up
-    states = tr.states.tolist()
-    labels = {s: str(s) for s in set(states)}
-    return "\n".join(map(labels.__getitem__, states)) + "\n"
+    return str(_text_bytes(tr.states), "ascii")
 
 
 def trajectory_to_bytes(tr: Trajectory) -> bytes:
@@ -67,16 +101,73 @@ def trajectory_to_bytes(tr: Trajectory) -> bytes:
 def save_trajectory(tr: Trajectory, path: str | Path, fmt: str = "text") -> None:
     path = Path(path)
     if fmt == "text":
-        path.write_text(trajectory_to_text(tr))
+        path.write_bytes(_text_bytes(tr.states))
     elif fmt == "binary":
         path.write_bytes(trajectory_to_bytes(tr))
     else:
         raise ValueError(f"unknown trajectory format {fmt!r}")
 
 
-def _states_from_bytes(raw: bytes) -> np.ndarray:
-    if raw.startswith(TRAJECTORY_MAGIC):
-        return np.frombuffer(raw[len(TRAJECTORY_MAGIC):], dtype="<u4").astype(np.int64)
+def _chunk_cuts(buf: np.ndarray) -> list[int] | None:
+    """Offsets that cut buf into chunks of about _CHUNK_BYTES, each cut before
+    a whitespace byte; None when 19 bytes at a cut hold no whitespace, since
+    that is a token the vectorized reader does not take."""
+    cuts = [0]
+    while cuts[-1] < buf.size:
+        cut = cuts[-1] + _CHUNK_BYTES
+        ahead = np.flatnonzero(_BYTE_KIND[buf[cut : cut + _MAX_DIGITS + 1]] == 0)
+        if ahead.size:
+            cuts.append(cut + int(ahead[0]))
+        elif cut + _MAX_DIGITS + 1 >= buf.size:
+            cuts.append(buf.size)
+        else:
+            return None
+    return cuts
+
+
+def _padded_kinds(chunk: np.ndarray) -> np.ndarray:
+    """Byte kinds of chunk between one whitespace kind at either end."""
+    kind = np.zeros(chunk.size + 2, dtype=np.uint8)
+    np.take(_BYTE_KIND, chunk, out=kind[1:-1], mode="clip")
+    return kind
+
+
+def _digit_tokens(raw: bytes) -> np.ndarray | None:
+    """The values of whitespace-separated ASCII digit tokens of at most 18
+    digits; None when raw holds any other byte or a longer token."""
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    cuts = _chunk_cuts(buf)
+    if cuts is None:
+        return None
+    chunks = [buf[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+    count = 0
+    for chunk in chunks:
+        kind = _padded_kinds(chunk)
+        if kind.max() > 1:
+            return None
+        count += np.count_nonzero(kind[1:] != kind[:-1]) // 2
+    states = np.empty(count, dtype=np.int64)
+    filled = 0
+    for chunk in chunks:
+        # a chunk after the first starts with whitespace, so no token straddles a cut
+        kind = _padded_kinds(chunk)
+        edges = np.flatnonzero(kind[1:] != kind[:-1])
+        starts, ends = edges[0::2], edges[1::2]
+        lengths = ends - starts
+        longest = int(lengths.max(initial=0))
+        if longest > _MAX_DIGITS:
+            return None
+        values = states[filled : filled + starts.size]
+        values[:] = chunk[ends - 1] - ord("0")
+        for j in range(1, longest):
+            digit = chunk[np.maximum(ends - 1 - j, starts)] - ord("0")
+            digit[lengths <= j] = 0
+            values += digit * _POW10[j]
+        filled += starts.size
+    return states
+
+
+def _int_tokens(raw: bytes) -> np.ndarray:
     tokens = raw.split()
     # parse each distinct token once; int() decides which tokens are valid
     values = {tok: int(tok) for tok in set(tokens)}
@@ -86,12 +177,19 @@ def _states_from_bytes(raw: bytes) -> np.ndarray:
         raise ValueError("state index outside the 64-bit integer range") from err
 
 
+def _states_from_bytes(raw: bytes) -> np.ndarray:
+    if raw.startswith(TRAJECTORY_MAGIC):
+        return np.frombuffer(raw[len(TRAJECTORY_MAGIC):], dtype="<u4").astype(np.int64)
+    states = _digit_tokens(raw)
+    return _int_tokens(raw) if states is None else states
+
+
 def load_trajectory(path: str | Path, n: int | None = None) -> Trajectory:
     """Load a trajectory from a file or '-' for stdin.
 
     The binary format is recognized by its magic header; anything else is
-    parsed as whitespace-separated decimal indices. When n is omitted it is
-    inferred as max(state) + 1.
+    read as ASCII-whitespace-separated tokens, each as ``int()`` reads it.
+    When n is omitted it is inferred as max(state) + 1.
     """
     if str(path) == "-":
         raw = sys.stdin.buffer.read()

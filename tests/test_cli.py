@@ -156,6 +156,19 @@ class TestEstimateCommand:
         assert code == 1
         assert json.loads(capsys.readouterr().err)["error"] == "INVALID_INPUT"
 
+    @pytest.mark.parametrize("method", ["dps", "ps-prefix"])
+    def test_K_used_reports_the_skips_read(self, method, tmp_path):
+        path = tmp_path / "traj.txt"
+        save_trajectory(simulate(example_chain(), 3000, seed=1), path)
+        argv = ["estimate", "--trajectory", str(path), "--method", method, "--K", "100000"]
+        code, out, err = run_in_process(argv)
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        # ps-prefix lists the skips whose tallies leave states unvisited apart
+        read = {*map(int, report["per_k_values"]), *report["diagnostics"].get("skipped_k", [])}
+        assert report["K_used"] == 2999 == max(read)
+        assert report["diagnostics"]["K_requested"] == 100000
+
     def test_missing_file_exit_code(self, capsys):
         code = main(["estimate", "--trajectory", "/nonexistent/x.trj"])
         assert code == 1
@@ -451,6 +464,12 @@ class TestBenchCommand:
         lines = outs[0].decode().strip().splitlines()
         assert lines[0] == "m,seed,point,abs_error,half_width,covered"
         assert len(lines) == 1 + 2 * 3 + 2  # header + trials + medians
+
+    def test_repeated_m_exits_invalid_input(self):
+        argv = ["bench", "--fixture", "ex31", "--m-grid", "3,3", "--seeds", "1"]
+        code, out, err = run_in_process(argv)
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == "INVALID_INPUT"
 
 
 # (argv, extra file the command writes) for every subcommand; TRAJ and TINY

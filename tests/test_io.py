@@ -1,10 +1,14 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from mixgap.chain import Trajectory
+from mixgap import io as mio
+from mixgap.chain import Trajectory, simulate
 from mixgap.cli import main
 from mixgap.fixtures import example_chain
 from mixgap.io import (
@@ -101,3 +105,67 @@ def test_stats_on_non_integer_token_is_invalid_input(tmp_path, capsys, token):
     path.write_text(f"0\n{token}\n1\n", encoding="utf-8")
     assert main(["stats", "--trajectory", str(path)]) == 1
     assert json.loads(capsys.readouterr().err)["error"] == "INVALID_INPUT"
+
+
+WHITESPACE = " \t\n\r\x0b\x0c"  # the bytes `bytes.split()` splits on
+# a sign, a separator, a decimal point, a BOM, a byte `str.split()` would
+# split on but `bytes.split()` does not, and a non-ASCII digit
+FOREIGN = ["+", "_", ".", "\ufeff", "\x1c", "\u0663"]
+
+
+@st.composite
+def token_texts(draw):
+    digits = st.text("0123456789", min_size=1, max_size=20)
+    tokens = draw(st.lists(digits, max_size=12))
+    if tokens and draw(st.booleans()):
+        at = draw(st.integers(0, len(tokens) - 1))
+        cut = draw(st.integers(0, len(tokens[at])))
+        tokens[at] = tokens[at][:cut] + draw(st.sampled_from(FOREIGN)) + tokens[at][cut:]
+    gap = st.text(WHITESPACE, min_size=1, max_size=4)
+    text = draw(st.text(WHITESPACE, max_size=3))
+    for token in tokens:
+        text += token + draw(gap)
+    if draw(st.booleans()):
+        text = text.rstrip(WHITESPACE)
+    return text.encode()
+
+
+def decode_outcome(decode, raw):
+    try:
+        return decode(raw).tolist()
+    except ValueError as err:
+        return type(err), str(err)
+
+
+@given(raw=token_texts(), chunk=st.integers(1, 8))
+@settings(max_examples=300, deadline=None)
+def test_vectorized_and_per_token_decoders_agree(raw, chunk):
+    # small chunks make tokens straddle chunk cuts
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mio, "_CHUNK_BYTES", chunk)
+        fast = mio._digit_tokens(raw)
+        outcome = decode_outcome(mio._states_from_bytes, raw)
+    assert outcome == decode_outcome(mio._int_tokens, raw)
+    plain = all(tok.isdigit() and len(tok) <= 18 for tok in raw.split())
+    assert (fast is not None) == plain
+    if plain:
+        assert fast.dtype == np.int64 and fast.tolist() == outcome
+
+
+def traced_peak(func, arg):
+    tracemalloc.start()
+    try:
+        return func(arg), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_codec_memory_budget():
+    # about 2.5 bytes per state to write and 20 to read on ex31 at m = 1e6;
+    # index arrays over the whole input instead of a chunk would exceed them
+    tr = simulate(example_chain(), 10**6, seed=0)
+    text, encode_peak = traced_peak(trajectory_to_text, tr)
+    states, decode_peak = traced_peak(mio._states_from_bytes, text.encode())
+    assert np.array_equal(states, tr.states)
+    assert encode_peak <= 8 * 2**20
+    assert decode_peak <= 20 * 2**20
