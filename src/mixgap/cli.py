@@ -72,14 +72,11 @@ def _parse_start(raw: str):
 def _cmd_simulate(args: argparse.Namespace) -> None:
     P = _load_chain(args)
     tr = simulate(P, args.m, start=_parse_start(args.start), seed=args.seed)
-    if args.fmt == "binary":
-        payload = mio.trajectory_to_bytes(tr)
-        if args.out:
-            Path(args.out).write_bytes(payload)
-        else:
-            sys.stdout.buffer.write(payload)
+    payload = mio.encode_trajectory(tr, args.fmt)
+    if args.out:
+        Path(args.out).write_bytes(payload)
     else:
-        _emit(args, mio.trajectory_to_text(tr))
+        sys.stdout.buffer.write(payload)
 
 
 def _cmd_stats(args: argparse.Namespace) -> None:

@@ -1,14 +1,17 @@
 """Point estimators computed from a single observed trajectory.
 
-Every estimator is a function of per-skip count tables (`SkippedTallies`);
-the trajectory-level entry points only choose which skips to tally. Each
-pseudo-spectral estimator reads its per-skip gaps through one per-call memo
-`_ps_gaps`, which tallies and solves each distinct skip once, and reduces
-them with `_ps_reduce`. That serves the truncated prefix estimator, its
-additive-error and adaptive-prefix schedules, and each level of the
-amplified scan, which reads skips 2^p j of the trajectory itself.
-The smoothed dilation reduce `gamma_dps_from_tallies` serves `_dps_scan`,
-which the confidence interval shares with `gamma_dps_hat`.
+Every estimator here is one reduce, `_scan`: max_j gap(step j) / j over a
+prefix of skips, where gap(k) is a per-skip gap of the count tables of skip k
+(`SkippedTallies`) and the prefix stops at the last skip with a pair. The
+estimators differ only in the gap, the prefix length and the step:
+
+- ps-prefix and its additive and adaptive schedules: step 1 and the
+  unsmoothed gap 1 - sigma_2(L_hat)^2, read through the per-call memo
+  `_ps_gaps`, which tallies and solves each distinct skip once;
+- each level of the amplified scan: step 2^p through the same memo, since
+  skip j of the 2^p-skipped trajectory counts the pairs of skip 2^p j;
+- dps: step 1 and the smoothed gap 1 - sigma_2(L_hat), whose tables
+  `_dps_scan` keeps for the confidence interval.
 """
 
 from __future__ import annotations
@@ -51,15 +54,28 @@ def pi_star_hat(tr: Trajectory) -> float:
     return t.n_min / (tr.m - 1)
 
 
-def _prefix_cap(tr: Trajectory, K: int) -> int:
-    # skips with no complete pair cannot be tallied at all
-    return min(K, tr.m - 1)
+def _scan(
+    tr: Trajectory, K: int, gap: Callable[[int], float | None], step: int = 1
+) -> tuple[float, dict[int, float], int, dict]:
+    """The prefix reduce every estimator shares: max_j gap(step j) / j.
 
-
-def _best_rate(per_k: dict[int, float]) -> float:
-    """max_k gap_k / k clipped to [0, 1]; 0 when no skip is usable."""
-    value = max((g / k for k, g in per_k.items()), default=0.0)
-    return float(min(max(value, 0.0), 1.0))
+    j runs over 1..J, J = min(K, floor((m-1)/step)), since a skip with no
+    complete pair cannot be tallied. Returns the maximum clipped to [0, 1]
+    (0 when no gap is usable), the usable gaps by j, J, and the diagnostics
+    `skipped_k` (the js whose gap is None) and `K_requested` (when J < K).
+    """
+    if K < 1:
+        raise ValueError("K must be >= 1")
+    J = min(K, (tr.m - 1) // step)
+    gaps = {j: gap(step * j) for j in range(1, J + 1)}
+    per_j = {j: g for j, g in gaps.items() if g is not None}
+    value = max((g / j for j, g in per_j.items()), default=0.0)
+    diagnostics: dict = {}
+    if len(per_j) < J:
+        diagnostics["skipped_k"] = [j for j, g in gaps.items() if g is None]
+    if J < K:
+        diagnostics["K_requested"] = K
+    return float(min(max(value, 0.0), 1.0)), per_j, J, diagnostics
 
 
 def _ps_gap(t: SkippedTallies) -> float | None:
@@ -86,30 +102,23 @@ def _ps_gaps(tr: Trajectory, first: SkippedTallies | None = None) -> Callable[[i
     return gap
 
 
-def _ps_reduce(gaps: dict[int, float | None]) -> tuple[float, dict[int, float], list[int]]:
-    """(max_k gap_k / k, the usable gaps, the skips whose tallies leave states unvisited)."""
-    per_k = {k: g for k, g in gaps.items() if g is not None}
-    return _best_rate(per_k), per_k, [k for k, g in gaps.items() if g is None]
-
-
 def _ps_prefix(tr: Trajectory, K: int, gap: Callable[[int], float | None]) -> EstimateReport:
     """The prefix report over skips 1..K, read through the memo `gap`."""
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    cap = _prefix_cap(tr, K)
-    value, per_k, skipped = _ps_reduce({k: gap(k) for k in range(1, cap + 1)})
+    value, per_k, K_used, diagnostics = _scan(tr, K, gap)
     if not per_k:
         raise NoUsableKError(f"no usable skip rate in 1..{K}")
-    diagnostics = {"skipped_k": skipped} if skipped else {}
-    if cap != K:
-        diagnostics["K_requested"] = K
     return EstimateReport(
         estimator="ps-prefix",
         value=value,
-        K_used=cap,
+        K_used=K_used,
         per_k_values=per_k,
         diagnostics=diagnostics,
     )
+
+
+def _adaptive_diagnostics(n_min: int) -> dict:
+    """Diagnostics of a prefix set from N_min; only N_min = 0 clamps K up to 1."""
+    return {"N_min": n_min, "K_clamped": True} if n_min == 0 else {"N_min": n_min}
 
 
 def gamma_ps_prefix_hat(tr: Trajectory, K: int) -> EstimateReport:
@@ -149,19 +158,17 @@ def gamma_ps_amplified(tr: Trajectory) -> EstimateReport:
     gap = _ps_gaps(tr)  # level 2k rereads the even skips of level k
     k = 1
     # the k-skipped trajectory keeps floor((m-1)/k) pairs; it needs two
-    while (pairs := (tr.m - 1) // k) >= 2:
-        estimate, per_j, _ = _ps_reduce(
-            {j: gap(k * j) for j in range(1, min(AMPLIFIED_PREFIX, pairs) + 1)}
-        )
+    while (tr.m - 1) // k >= 2:
+        estimate, per_j, J, diagnostics = _scan(tr, AMPLIFIED_PREFIX, gap, step=k)
         scan[k] = estimate
         if estimate > AMPLIFIED_THRESHOLD:
             return EstimateReport(
                 estimator="ps-amplified",
-                value=float(min(max(estimate / k, 0.0), 1.0)),
-                K_used=AMPLIFIED_PREFIX,
+                value=estimate / k,
+                K_used=J,
                 per_k_values=per_j,
                 K_star=k,
-                diagnostics={"scan": {str(kk): v for kk, v in scan.items()}},
+                diagnostics={**diagnostics, "scan": {str(kk): v for kk, v in scan.items()}},
             )
         k *= 2
     raise NoTriggerError(
@@ -179,11 +186,8 @@ def gamma_ps_adaptive_multiplicative(tr: Trajectory, epsilon: float) -> Estimate
     if not 0.0 < epsilon < 5.0:
         raise ValueError("epsilon must be in (0, 5)")
     base = tally(tr, 1)
-    n_min = base.n_min
-    report = _ps_prefix(tr, adaptive_K_multiplicative(n_min, epsilon), _ps_gaps(tr, base))
-    diagnostics = {**report.diagnostics, "epsilon": epsilon, "N_min": n_min}
-    if n_min == 0:  # the only N_min whose K is clamped up to 1
-        diagnostics["K_clamped"] = True
+    report = _ps_prefix(tr, adaptive_K_multiplicative(base.n_min, epsilon), _ps_gaps(tr, base))
+    diagnostics = {**report.diagnostics, "epsilon": epsilon, **_adaptive_diagnostics(base.n_min)}
     return replace(report, estimator="ps-adaptive", diagnostics=diagnostics)
 
 
@@ -195,20 +199,13 @@ def adaptive_K_dps(n_min: int, m: int) -> int:
     return max(K, 1)
 
 
-def gamma_dps_from_tallies(
-    tallies_by_k: dict[int, SkippedTallies], alpha: float
-) -> tuple[float, dict[int, float]]:
-    """Smoothed dilation plug-in over explicit per-skip tallies.
+def _dps_gap(t: SkippedTallies, alpha: float) -> float:
+    """1 - sigma_2(L_hat) of the alpha-smoothed tallies t.
 
-    Per skip k the gap is 1 - sigma_2(L_hat) of the alpha-smoothed tallies.
     That equals 2 - lambda_2(S(L_hat) + I), since the dilation S(L_hat) has
     eigenvalues +/- the singular values of L_hat.
     """
-    per_k = {
-        k: 1.0 - eigensolve.second_singular_value(smoothed_estimates(t, alpha).L_hat)
-        for k, t in sorted(tallies_by_k.items())
-    }
-    return _best_rate(per_k), per_k
+    return 1.0 - eigensolve.second_singular_value(smoothed_estimates(t, alpha).L_hat)
 
 
 def _dps_scan(
@@ -221,27 +218,25 @@ def _dps_scan(
     """
     if tr.m < 3:
         raise TrajectoryTooShortError("need m >= 3 for the smoothed estimator")
-    if K is not None and K < 1:
-        raise ValueError("K must be >= 1")
-    base = tally(tr, 1)
+    tallies_by_k: dict[int, SkippedTallies] = {}
+
+    def gap(k: int) -> float:
+        if k not in tallies_by_k:
+            tallies_by_k[k] = tally(tr, k)
+        return _dps_gap(tallies_by_k[k], alpha)
+
     diagnostics: dict = {}
     if K is None:
+        base = tallies_by_k[1] = tally(tr, 1)
         K = adaptive_K_dps(base.n_min, tr.m)
-        diagnostics = {"N_min": base.n_min, "K_adaptive": True}
-        if base.n_min == 0:
-            diagnostics["K_clamped"] = True
-    cap = _prefix_cap(tr, K)
-    if cap != K:
-        diagnostics["K_requested"] = K
-    tallies_by_k = {1: base}
-    tallies_by_k.update((k, tally(tr, k)) for k in range(2, cap + 1))
-    value, per_k = gamma_dps_from_tallies(tallies_by_k, alpha)
+        diagnostics = {**_adaptive_diagnostics(base.n_min), "K_adaptive": True}
+    value, per_k, K_used, scanned = _scan(tr, K, gap)
     report = EstimateReport(
         estimator="dps",
         value=value,
-        K_used=cap,
+        K_used=K_used,
         per_k_values=per_k,
-        diagnostics={**diagnostics, "alpha": alpha},
+        diagnostics={**diagnostics, **scanned, "alpha": alpha},
     )
     return report, tallies_by_k
 

@@ -90,22 +90,17 @@ def _text_bytes(states: np.ndarray) -> np.ndarray:
     return grid[keep]
 
 
-def trajectory_to_text(tr: Trajectory) -> str:
-    return str(_text_bytes(tr.states), "ascii")
-
-
-def trajectory_to_bytes(tr: Trajectory) -> bytes:
-    return TRAJECTORY_MAGIC + tr.states.astype("<u4").tobytes()
+def encode_trajectory(tr: Trajectory, fmt: str = "text") -> bytes:
+    """The bytes of tr in the trajectory format fmt, "text" or "binary"."""
+    if fmt == "text":
+        return _text_bytes(tr.states).tobytes()
+    if fmt == "binary":
+        return TRAJECTORY_MAGIC + tr.states.astype("<u4").tobytes()
+    raise ValueError(f"unknown trajectory format {fmt!r}")
 
 
 def save_trajectory(tr: Trajectory, path: str | Path, fmt: str = "text") -> None:
-    path = Path(path)
-    if fmt == "text":
-        path.write_bytes(_text_bytes(tr.states))
-    elif fmt == "binary":
-        path.write_bytes(trajectory_to_bytes(tr))
-    else:
-        raise ValueError(f"unknown trajectory format {fmt!r}")
+    Path(path).write_bytes(encode_trajectory(tr, fmt))
 
 
 def _chunk_cuts(buf: np.ndarray) -> list[int] | None:

@@ -128,6 +128,9 @@ def smoothed_estimates(t: SkippedTallies, alpha: float) -> SmoothedEstimates:
     if not 0.0 < alpha < np.inf:
         raise ValueError(f"alpha must be finite and > 0, got {alpha}")
     n = t.n
+    # with pairs + n^2 alpha infinite, pi_hat would be 0 and L_hat NaN
+    if not t.num_pairs + n * n * alpha < np.inf:
+        raise ValueError(f"alpha must keep n^2 alpha finite, got {alpha} with n = {n}")
     visits = t.visits.astype(float)
     P_hat = (t.counts + alpha) / (visits + n * alpha)[:, None]
     pi_hat = (visits + n * alpha) / (t.num_pairs + n * n * alpha)

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import signal
 import subprocess
 import sys
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mixgap
 from mixgap.chain import StochasticMatrix, is_irreducible, simulate
 from mixgap.cli import main, parse_args
 from mixgap.fixtures import FIXTURES, example_chain
@@ -242,10 +244,12 @@ def reject_constant(token):
 
 
 def run_in_process(argv):
-    out, err = io.StringIO(), io.StringIO()
+    # a byte-backed stdout like the real one, since simulate writes its bytes to the buffer
+    out, err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8"), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    return code, out.getvalue(), err.getvalue()
+        out.flush()
+    return code, out.buffer.getvalue().decode(), err.getvalue()
 
 
 @st.composite
@@ -425,6 +429,10 @@ class TestValueRanges:
             (["interval", "--trajectory", "TRAJ", "--alpha", "nan"], "alpha"),
             (["interval", "--trajectory", "TRAJ", "--alpha", "inf"], "alpha"),
             (["bench", "--fixture", "fast3", "--m-grid", "500", "--alpha", "inf"], "alpha"),
+            # n^2 alpha overflows, which would leave pi_hat 0 and L_hat NaN
+            (["estimate", "--trajectory", "TRAJ", "--method", "dps", "--alpha", "5e307"], "alpha"),
+            (["interval", "--trajectory", "TRAJ", "--alpha", "1e308"], "alpha"),
+            (["bench", "--fixture", "fast3", "--m-grid", "500", "--alpha", "1e308"], "alpha"),
             (["lemma-check", "--fixture", "ex31", "--k-max", "0"], "k_max"),
             (["lemma-check", "--fixture", "ex31", "--k-max", "-3"], "k_max"),
             (["lemma-check", "--fixture", "ex31", "--k-max", "21"], "k_max"),
@@ -441,6 +449,13 @@ class TestValueRanges:
         error = json.loads(err)
         assert error["error"] == "INVALID_INPUT"
         assert error["message"].startswith(f"{name} must")
+
+    @pytest.mark.parametrize("command", [["estimate", "--method", "dps"], ["interval"]])
+    def test_huge_alpha_with_finite_n2_alpha_reports(self, command, traj_file):
+        # ex31 has n = 3, and 9e307 plus the pair count is still finite
+        code, out, err = run_in_process([*command, "--trajectory", traj_file, "--alpha", "1e307"])
+        assert (code, err) == (0, "")
+        assert '"alpha": 1e+307' in out
 
 
 class TestLemmaCheckCommand:
@@ -622,15 +637,18 @@ class TestArgumentParsing:
         assert "--seed" in error["message"]
 
     def test_main_pipe_stdin(self, ex31_json, tmp_path):
+        # the child processes import the mixgap this test imported
+        paths = [str(Path(mixgap.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
         sim = subprocess.run(
             [sys.executable, "-m", "mixgap.cli", "simulate", "--matrix", ex31_json,
              "--m", "2000", "--seed", "3"],
-            capture_output=True, check=True,
+            capture_output=True, check=True, env=env,
         )
         est = subprocess.run(
             [sys.executable, "-m", "mixgap.cli", "estimate", "--method", "dps",
              "--trajectory", "-", "--n", "3"],
-            input=sim.stdout, capture_output=True, check=True,
+            input=sim.stdout, capture_output=True, check=True, env=env,
         )
         report = json.loads(est.stdout)
         assert report["estimator"] == "dps"

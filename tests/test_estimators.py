@@ -6,9 +6,9 @@ import pytest
 from mixgap.chain import StochasticMatrix, Trajectory, simulate
 from mixgap.errors import NoTriggerError, NoUsableKError
 from mixgap.estimators import (
+    _dps_gap,
     adaptive_K_dps,
     adaptive_K_multiplicative,
-    gamma_dps_from_tallies,
     gamma_dps_hat,
     gamma_ps_additive,
     gamma_ps_adaptive_multiplicative,
@@ -194,7 +194,8 @@ class TestDpsEstimator:
         P = example_chain()
         k1 = make_tallies([[0, 2, 0], [0, 0, 2], [2, 0, 2]], k=1, m=9)
         k2 = make_tallies([[0, 0, 4], [2, 0, 2], [2, 4, 2]], k=2, m=33)
-        value, per_k = gamma_dps_from_tallies({1: k1, 2: k2}, alpha=1e-12)
+        per_k = {k: _dps_gap(t, alpha=1e-12) for k, t in ((1, k1), (2, k2))}
+        value = max(per_k[k] / k for k in (1, 2))
         assert per_k[1] == pytest.approx(gamma_ddagger(P, 1), abs=1e-8)
         assert per_k[2] == pytest.approx(gamma_ddagger(P, 2), abs=1e-8)
         truncated_oracle = max(gamma_ddagger(P, k) / k for k in (1, 2))
@@ -237,8 +238,10 @@ class TestAmplifiedScanLevels:
     def test_each_level_is_the_prefix_estimator_on_the_skipped_trajectory(self):
         # the scan tallies skips k j of the trajectory itself; each level must
         # equal the prefix-16 estimator run on an explicit k-skipped copy
+        # ex31 at m = 50 triggers at k = 2, whose prefix has unusable skips
         lazy_cycle = StochasticMatrix([[0.98, 0.02, 0], [0, 0.98, 0.02], [0.02, 0, 0.98]])
-        for P, m, seed in ((example_chain(), 3_000, 3), (lazy_cycle, 5_000, 0)):
+        cases = ((example_chain(), 3_000, 3), (lazy_cycle, 5_000, 0), (example_chain(), 50, 0))
+        for P, m, seed in cases:
             tr = simulate(P, m, seed=seed)
             report = gamma_ps_amplified(tr)
             assert len(report.diagnostics["scan"]) > 1
@@ -253,6 +256,16 @@ class TestAmplifiedScanLevels:
                 assert level == inner.value
                 if k == report.K_star:
                     assert report.per_k_values == inner.per_k_values
+                    assert report.K_used == inner.K_used
+                    assert report.diagnostics.get("skipped_k") == inner.diagnostics.get("skipped_k")
+
+    def test_K_used_is_the_skips_read_at_the_triggering_level(self):
+        # skip 1 has 9 pairs, so level 1 reads skips 1..9; skips 2..9 leave a state unvisited
+        report = gamma_ps_amplified(simulate(get_fixture("fast3"), 10, seed=1))
+        assert report.K_star == 1
+        assert report.K_used == 9
+        assert report.diagnostics["K_requested"] == 16
+        assert report.diagnostics["skipped_k"] == list(range(2, 10))
 
 
 class TestTallyReuse:

@@ -13,11 +13,11 @@ from mixgap.cli import main
 from mixgap.fixtures import example_chain
 from mixgap.io import (
     TRAJECTORY_MAGIC,
+    encode_trajectory,
     load_matrix,
     load_trajectory,
     save_matrix,
     save_trajectory,
-    trajectory_to_text,
 )
 
 
@@ -57,8 +57,11 @@ def test_trajectory_binary_roundtrip(tmp_path):
     path = tmp_path / "traj.bin"
     save_trajectory(tr, path, fmt="binary")
     raw = path.read_bytes()
+    assert raw == encode_trajectory(tr, "binary")
     assert raw[:8] == TRAJECTORY_MAGIC
     assert np.array_equal(load_trajectory(path).states, tr.states)
+    with pytest.raises(ValueError, match="unknown trajectory format"):
+        encode_trajectory(tr, "csv")
 
 
 def test_trajectory_n_inferred(tmp_path):
@@ -78,7 +81,7 @@ def test_text_encoding_matches_per_state_formatting(tmp_path):
     # multi-digit indices, so a lookup-table encoder must not mix up labels
     tr = Trajectory(np.random.default_rng(7).integers(0, 300, size=10**5), n=300)
     expected = "\n".join(str(int(s)) for s in tr.states) + "\n"
-    assert trajectory_to_text(tr) == expected
+    assert encode_trajectory(tr) == expected.encode()
     path = tmp_path / "traj.txt"
     save_trajectory(tr, path, fmt="text")
     assert path.read_bytes() == expected.encode()
@@ -164,8 +167,8 @@ def test_codec_memory_budget():
     # about 2.5 bytes per state to write and 20 to read on ex31 at m = 1e6;
     # index arrays over the whole input instead of a chunk would exceed them
     tr = simulate(example_chain(), 10**6, seed=0)
-    text, encode_peak = traced_peak(trajectory_to_text, tr)
-    states, decode_peak = traced_peak(mio._states_from_bytes, text.encode())
+    raw, encode_peak = traced_peak(encode_trajectory, tr)
+    states, decode_peak = traced_peak(mio._states_from_bytes, raw)
     assert np.array_equal(states, tr.states)
     assert encode_peak <= 8 * 2**20
     assert decode_peak <= 20 * 2**20
