@@ -45,7 +45,6 @@ from .oracle import (
     full_spectral_report,
     gamma_dagger,
     gamma_ddagger,
-    mixing_time_sandwich,
     spectral_gaps,
     verify_lemma_properties,
 )
@@ -85,7 +84,6 @@ __all__ = [
     "is_reversible",
     "matrix_power",
     "mixing_time",
-    "mixing_time_sandwich",
     "pi_star_hat",
     "reversible_dilation",
     "simulate",

@@ -4,7 +4,7 @@ Computes the absolute spectral gap, the per-skip gaps of the multiplicative
 reversiblization and of the reversible dilation, and the (dilated)
 pseudo-spectral gap via a self-terminating loop over skip rates. Also houses
 verifier routines for the gap inequalities used as ground truth by the test
-suite, and the spectral mixing-time sandwiches.
+suite.
 """
 
 from __future__ import annotations
@@ -30,11 +30,12 @@ from .chain import (
 from .errors import NonconvergentGapError
 
 DEFAULT_K_CAP = 1000
-# rounding allowance of every inequality the lemma ledger and sandwiches test
+# rounding allowance of every inequality the lemma ledger tests
 _SLACK = 1e-9
-# skip at which the loop first pays for the eigensolve behind the Weyl stop:
-# one dense eig costs about as much as 8 SVDs at n = 80 and n = 324
-_WEYL_START = 8
+# cost of the eigensolve behind the Weyl stop, in sigma_2 solves of L^k: one
+# dense eig measured 13-18 on an 80-state lazy cycle and 6-7.5 on a dense
+# 324-state chain (one OpenBLAS thread)
+_EIG_COST = 8
 # eigenvalue i of the computed L is trusted to within _EIG_MARGIN * n * eps / s_i
 _EIG_MARGIN = 4.0
 
@@ -128,11 +129,10 @@ def spectral_gaps(P: StochasticMatrix, k_cap: int = DEFAULT_K_CAP) -> SpectralRe
     gives sigma_2(L^j) >= |lambda_2(P)|^j. For any l <= |lambda_2(P)| the
     per-skip values are then at most (1 - l^(2j))/j and (1 - l^j)/j, both
     decreasing in j, so the loop ends once they fall to the maxima at
-    j = k + 1. Until k reaches 8, l = 0 and the bound is 1/j; from then on l
-    comes from one eigensolve of L, unless 1/j has closed the loop at k = 8.
+    j = k + 1. l = 0 (the bound 1/j) until one eigensolve of L buys it: at the
+    first k where the 1/j exit is open and over R = 8 skips away, or at k = R.
 
-    `stop_reason` is "1/k" when the bound 1/j alone closes the loop, and
-    "weyl" when it took the eigenvalue floor.
+    `stop_reason` is "1/k" if 1/j alone closed the loop, "weyl" if it took l.
 
     Raises:
         NonconvergentGapError: if P is periodic (|lambda_2| = 1, so every
@@ -145,7 +145,7 @@ def spectral_gaps(P: StochasticMatrix, k_cap: int = DEFAULT_K_CAP) -> SpectralRe
     gamma_ddagger_at_k: dict[int, float] = {}
     best_ps, k_ps = 0.0, 0
     best_dps, k_dps = 0.0, 0
-    lam2_floor = 0.0  # a floor on |lambda_2(P)|; 0 makes the Weyl bound 1/j
+    lam2_floor = None  # a floor on |lambda_2(P)| once bought; until then skip j is bounded by 1/j
     Lk = np.eye(P.n)
     k = 0
     while True:
@@ -161,10 +161,11 @@ def spectral_gaps(P: StochasticMatrix, k_cap: int = DEFAULT_K_CAP) -> SpectralRe
         if gdd / k > best_dps:
             best_dps, k_dps = gdd / k, k
         j = k + 1
-        # best_ps >= best_dps, so once 1/j <= best_dps the floor cannot matter
-        if k == _WEYL_START and 1.0 / j > best_dps:
+        # best_ps >= best_dps, so once j best_dps >= 1 the floor cannot matter
+        if lam2_floor is None and j * best_dps < 1.0 and (best_dps * (j + _EIG_COST) < 1.0 or k == _EIG_COST):
             lam2_floor = _second_modulus_floor(L)
-        if (1.0 - lam2_floor**j) / j <= best_dps and (1.0 - lam2_floor ** (2 * j)) / j <= best_ps:
+        floor = lam2_floor or 0.0
+        if (1.0 - floor**j) / j <= best_dps and (1.0 - floor ** (2 * j)) / j <= best_ps:
             stop_reason = "1/k" if j * best_dps >= 1.0 else "weyl"
             break
         if k >= k_cap:
@@ -281,44 +282,3 @@ def verify_lemma_properties(P: StochasticMatrix, k_max: int = 10) -> LemmaLedger
         if p < 1.0 / gps:
             check("small_skip_shim", {"p": p}, p * gps / denom, skipped[p])
     return LemmaLedger(checks)
-
-
-@dataclass(frozen=True)
-class MixingSandwich:
-    t_mix: int
-    gamma_ps: float
-    gamma_dps: float
-    ps_bounds: tuple[float, float]
-    dps_bounds: tuple[float, float]
-    reversible_bounds: tuple[float, float] | None
-    holds: bool
-
-
-def mixing_time_sandwich(P: StochasticMatrix) -> MixingSandwich:
-    """Spectral lower/upper bounds on the brute-force mixing time.
-
-    Pseudo-spectral: 1/(2 gps) <= t_mix <= log(4e/pi_min)/gps.
-    Dilated:         1/(4 gdps) <= t_mix <= log(4e/pi_min)/gdps.
-    Reversible only: (1/gstar - 1) log 2 <= t_mix <= log(4/pi_min)/gstar.
-    """
-    report = full_spectral_report(P)
-    t = report.t_mix
-    pi_min = float(np.min(stationary_distribution(P)))
-    log_term = math.log(4.0 * math.e / pi_min)
-    ps = (1.0 / (2.0 * report.gamma_ps), log_term / report.gamma_ps)
-    dps = (1.0 / (4.0 * report.gamma_dps), log_term / report.gamma_dps)
-    rev = None
-    if report.gamma_star is not None and report.gamma_star > 0:
-        g = report.gamma_star
-        rev = ((1.0 / g - 1.0) * math.log(2.0), math.log(4.0 / pi_min) / g)
-    bounds = (ps, dps) if rev is None else (ps, dps, rev)
-    holds = all(lo <= t + _SLACK and t <= hi + _SLACK for lo, hi in bounds)
-    return MixingSandwich(
-        t_mix=t,
-        gamma_ps=report.gamma_ps,
-        gamma_dps=report.gamma_dps,
-        ps_bounds=ps,
-        dps_bounds=dps,
-        reversible_bounds=rev,
-        holds=holds,
-    )

@@ -1,8 +1,17 @@
-"""Reference routes the tests compare the package against; nothing in the package calls them."""
+"""Reference routes and verifiers the tests check the package against; nothing in the package calls them."""
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
+
 import numpy as np
+
+from mixgap.chain import StochasticMatrix, stationary_distribution
+from mixgap.oracle import full_spectral_report
+
+# rounding allowance of every inequality a sandwich tests
+_SLACK = 1e-9
 
 
 def generic_dilation(A: np.ndarray) -> np.ndarray:
@@ -18,3 +27,44 @@ def generic_dilation(A: np.ndarray) -> np.ndarray:
     e[:n, n:] = A
     e[n:, :n] = A.T
     return e
+
+
+@dataclass(frozen=True)
+class MixingSandwich:
+    t_mix: int
+    gamma_ps: float
+    gamma_dps: float
+    ps_bounds: tuple[float, float]
+    dps_bounds: tuple[float, float]
+    reversible_bounds: tuple[float, float] | None
+    holds: bool
+
+
+def mixing_time_sandwich(P: StochasticMatrix) -> MixingSandwich:
+    """Spectral lower/upper bounds on the brute-force mixing time.
+
+    Pseudo-spectral: 1/(2 gps) <= t_mix <= log(4e/pi_min)/gps.
+    Dilated:         1/(4 gdps) <= t_mix <= log(4e/pi_min)/gdps.
+    Reversible only: (1/gstar - 1) log 2 <= t_mix <= log(4/pi_min)/gstar.
+    """
+    report = full_spectral_report(P)
+    t = report.t_mix
+    pi_min = float(np.min(stationary_distribution(P)))
+    log_term = math.log(4.0 * math.e / pi_min)
+    ps = (1.0 / (2.0 * report.gamma_ps), log_term / report.gamma_ps)
+    dps = (1.0 / (4.0 * report.gamma_dps), log_term / report.gamma_dps)
+    rev = None
+    if report.gamma_star is not None and report.gamma_star > 0:
+        g = report.gamma_star
+        rev = ((1.0 / g - 1.0) * math.log(2.0), math.log(4.0 / pi_min) / g)
+    bounds = (ps, dps) if rev is None else (ps, dps, rev)
+    holds = all(lo <= t + _SLACK and t <= hi + _SLACK for lo, hi in bounds)
+    return MixingSandwich(
+        t_mix=t,
+        gamma_ps=report.gamma_ps,
+        gamma_dps=report.gamma_dps,
+        ps_bounds=ps,
+        dps_bounds=dps,
+        reversible_bounds=rev,
+        holds=holds,
+    )

@@ -29,13 +29,12 @@ from mixgap.fixtures import example_chain, get_fixture, random_dense_chain
 from mixgap.oracle import (
     absolute_spectral_gap,
     gamma_dagger,
-    mixing_time_sandwich,
     spectral_gaps,
     verify_lemma_properties,
 )
 
 from conftest import random_ergodic, random_reversible
-from reference_routes import generic_dilation
+from reference_routes import generic_dilation, mixing_time_sandwich
 
 ESTIMATION_FIXTURES = ("ex31", "rand5a", "rand5b")
 

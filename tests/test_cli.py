@@ -544,7 +544,7 @@ GOLDEN_DIGESTS = {
     "lemma-fast3": "e7d57288c37081790e02363e6b399ad5",
     "lemma-rand5a": "00d6cb15b15ff8266cda40198a92cd9a",
     "lemma-rand5b": "035389f6730dc735d18083e1a450a039",
-    "oracle-ex31": "5401d81df46b4d62a9273e3e15c4a87a",
+    "oracle-ex31": "db4830f6f9552bbb864bb912cc42327b",
     "oracle-fast3": "1a3178b0b2e5d8f239f0f7dc19129a9e",
     "oracle-rand5a": "291dbfa96d836591a65cc4b608ed5862",
     "oracle-rand5b": "767f3d70be44dea690b1d7b961bf65db",

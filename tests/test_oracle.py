@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from mixgap.oracle import (
     absolute_spectral_gap,
     gamma_dagger,
     gamma_ddagger,
-    mixing_time_sandwich,
     pi_norm,
     reversiblization_norm,
     spectral_gaps,
@@ -28,7 +28,7 @@ from mixgap.oracle import (
 )
 
 from conftest import NEAR_PERIODIC_ROWS, PERIOD2_ROWS, random_ergodic, random_reversible
-from reference_routes import generic_dilation
+from reference_routes import generic_dilation, mixing_time_sandwich
 
 UNIFORM2 = StochasticMatrix([[0.5, 0.5], [0.5, 0.5]])
 
@@ -85,6 +85,19 @@ def full_loop(P: StochasticMatrix):
             best_dps, k_dps = (1.0 - sigma2) / k, k
     gamma_star = absolute_spectral_gap(P) if is_reversible(P) else None
     return best_ps, best_dps, k_ps, k_dps, gamma_star
+
+
+def fixed_start_stop(rep, lam2_floor: float) -> float:
+    """The skip where the loop would stop had it bought `lam2_floor` at k = 8,
+    replayed from the report's per-skip gaps; inf past its last recorded skip."""
+    best_ps = best_dps = 0.0
+    for k in range(1, rep.k_explored + 1):
+        best_ps = max(best_ps, rep.gamma_dagger_at_k[k] / k)
+        best_dps = max(best_dps, rep.gamma_ddagger_at_k[k] / k)
+        floor, j = (lam2_floor if k >= 8 else 0.0), k + 1
+        if (1.0 - floor**j) / j <= best_dps and (1.0 - floor ** (2 * j)) / j <= best_ps:
+            return k
+    return math.inf
 
 
 class TestAbsoluteSpectralGap:
@@ -249,23 +262,32 @@ class TestPseudoSpectralGap:
             spectral_gaps(StochasticMatrix(NEAR_PERIODIC_ROWS), k_cap=50)
 
     def test_stop_reasons(self, ex31):
-        assert spectral_gaps(ex31).stop_reason == "1/k"
+        rep = spectral_gaps(ex31)
+        assert (rep.stop_reason, rep.k_explored) == ("weyl", 3)
         # k_ps = k_dps = 1, but the 1/k exit would wait for k ~ 1/gamma_dps = 166
         rep = spectral_gaps(lazy_cycle(40, 0.5, 0.6))
-        assert (rep.stop_reason, rep.k_explored, rep.k_ps, rep.k_dps) == ("weyl", 8, 1, 1)
+        assert (rep.stop_reason, rep.k_explored, rep.k_ps, rep.k_dps) == ("weyl", 1, 1, 1)
         assert rep.to_dict()["stop_reason"] == "weyl"
 
-    def test_no_eigensolve_when_1_over_k_closes_at_the_weyl_start(self, monkeypatch):
+    @pytest.fixture
+    def floor_calls(self, monkeypatch):
         calls = []
         floor = oracle_module._second_modulus_floor
         monkeypatch.setattr(oracle_module, "_second_modulus_floor", lambda L: calls.append(1) or floor(L))
-        # gamma_dps = 0.117 lies in [1/9, 1/8): the 1/k bound closes the loop at k = 8
+        return calls
+
+    def test_no_eigensolve_when_1_over_k_closes_by_the_latest_start(self, floor_calls):
+        # gamma_dps = 0.117 lies in [1/9, 1/8): too close to 1/k for the floor
+        # to pay at k = 1, and the 1/k bound closes the loop at k = 8
         rep = spectral_gaps(lazy_cycle(8, 0.6, 0.5))
         assert (rep.stop_reason, rep.k_explored) == ("1/k", 8)
-        assert calls == []
-        # a loop that needs the floor still pays for exactly one eigensolve
-        assert spectral_gaps(lazy_cycle(40, 0.5, 0.6)).stop_reason == "weyl"
-        assert calls == [1]
+        assert floor_calls == []
+
+    @pytest.mark.parametrize("n", [40, 60, 80])
+    def test_slow_cycle_buys_the_floor_at_k_1(self, n, floor_calls):
+        rep = spectral_gaps(lazy_cycle(n, 0.5, 0.6))
+        assert (rep.stop_reason, rep.k_explored) == ("weyl", 1)
+        assert floor_calls == [1]
 
     @given(
         family=st.sampled_from(["dense", "sparse", "cycle", "path", "sticky"]),
@@ -277,8 +299,14 @@ class TestPseudoSpectralGap:
         P = chain_of_family(family, n, np.random.default_rng(seed))
         if not is_aperiodic(P):
             return
-        rep = spectral_gaps(P)
+        floor = oracle_module._second_modulus_floor
+        floors = []
+        with mock.patch.object(oracle_module, "_second_modulus_floor", lambda L: floors.append(floor(L)) or floors[-1]):
+            rep = spectral_gaps(P)
         assert (rep.gamma_ps, rep.gamma_dps, rep.k_ps, rep.k_dps, rep.gamma_star) == full_loop(P)
+        # one eigensolve at most, and no more skips than buying its floor at k = 8 would take
+        assert len(floors) <= 1
+        assert rep.k_explored <= fixed_start_stop(rep, floors[0] if floors else floor(build_L(P)))
 
 
 class TestLemmaLedger:
