@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import get_lapack_funcs
 
 from . import eigensolve
 from .chain import (
@@ -32,9 +32,11 @@ from .errors import NonconvergentGapError
 DEFAULT_K_CAP = 1000
 # rounding allowance of every inequality the lemma ledger tests
 _SLACK = 1e-9
-# cost of the eigensolve behind the Weyl stop, in sigma_2 solves of L^k: one
-# dense eig measured 13-18 on an 80-state lazy cycle and 6-7.5 on a dense
-# 324-state chain (one OpenBLAS thread)
+# cost of the eigenvalue floor behind the Weyl stop, in sigma_2 solves of L^k
+# (one OpenBLAS thread): 4.4-5.1 on 40- and 60-state lazy cycles, 10.6-13.2 on
+# an 80-state one (LAPACK's values-only QR turns multishift above n = 75) and
+# 4.4-5.5 on a dense 324-state chain. 8, the cost of the two-sided eig it
+# replaced, is kept so that no loop's k_explored or stop_reason moves
 _EIG_COST = 8
 # eigenvalue i of the computed L is trusted to within _EIG_MARGIN * n * eps / s_i
 _EIG_MARGIN = 4.0
@@ -102,18 +104,38 @@ def _second_modulus_floor(L: np.ndarray) -> float:
     """A lower bound on |lambda_2(P)|, the largest non-Perron eigenvalue modulus.
 
     L is diagonally similar to P, so it has the same spectrum. Each computed
-    eigenvalue is discounted by a few n eps / s_i, where s_i = |y_i^H x_i|
+    eigenvalue w_i is discounted by a few n eps / s_i, where s_i = |y_i^H x_i|
     (unit left and right eigenvectors) is its condition number, so an
-    ill-conditioned spectrum only lowers the bound. The Perron eigenvalue 1
-    has s = 1 (both its eigenvectors are sqrt(pi)) and is the one nearest 1.
+    ill-conditioned spectrum only lowers the bound. The eigenvalues come from
+    one values-only solve, and the Perron root is the one nearest 1. They are
+    walked in decreasing modulus, a conjugate sharing its partner's s, until
+    one is no larger than the bound so far. Each s_i takes one LU of L - w_i I
+    (real when w_i is) and two inverse-iteration solves for x_i and for y_i.
+    A pivot below 4 n eps ||L||_1 is raised to it (LAPACK's xLAEIN guard), so
+    an exactly computed eigenvalue still gives finite vectors.
     """
     n = L.shape[0]
-    w, vl, vr = scipy.linalg.eig(L, left=True, right=True)
-    s = np.abs(np.sum(vl.conj() * vr, axis=0))
-    with np.errstate(divide="ignore"):
-        lower = np.abs(w) - _EIG_MARGIN * n * np.finfo(float).eps / s
-    lower = np.delete(lower, np.argmin(np.abs(w - 1.0)))
-    return float(np.clip(lower.max(), 0.0, 1.0))
+    w = np.linalg.eigvals(L)
+    w[np.argmin(np.abs(w - 1.0))] = 0.0  # the Perron root; a modulus of 0 ends the walk
+    tol = _EIG_MARGIN * n * np.finfo(float).eps
+    guard = tol * np.linalg.norm(L, 1)
+    floor = 0.0
+    for mu in sorted(w[w.imag >= 0], key=abs, reverse=True):
+        if abs(mu) <= floor:
+            break
+        A = L - (mu if mu.imag else mu.real) * np.eye(n)
+        getrf, getrs = get_lapack_funcs(("getrf", "getrs"), (A,))
+        lu, piv, _ = getrf(A, overwrite_a=True)
+        tiny = np.flatnonzero(np.abs(lu.diagonal()) < guard)
+        lu[tiny, tiny] = guard
+        x = y = np.ones(n)
+        for _ in range(2):
+            x = getrs(lu, piv, x)[0]
+            x /= np.linalg.norm(x)
+            y = getrs(lu, piv, y, trans=2)[0]
+            y /= np.linalg.norm(y)
+        floor = max(floor, abs(mu) - tol / abs(np.vdot(y, x)))
+    return float(min(floor, 1.0))
 
 
 def spectral_gaps(P: StochasticMatrix, k_cap: int = DEFAULT_K_CAP) -> SpectralReport:
@@ -131,6 +153,8 @@ def spectral_gaps(P: StochasticMatrix, k_cap: int = DEFAULT_K_CAP) -> SpectralRe
     decreasing in j, so the loop ends once they fall to the maxima at
     j = k + 1. l = 0 (the bound 1/j) until one eigensolve of L buys it: at the
     first k where the 1/j exit is open and over R = 8 skips away, or at k = R.
+    The eigensolve is values-only, plus one guarded LU of L - w I per
+    eigenvalue w it needs a condition number for (_second_modulus_floor).
 
     `stop_reason` is "1/k" if 1/j alone closed the loop, "weyl" if it took l.
 

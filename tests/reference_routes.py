@@ -6,9 +6,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from mixgap.chain import StochasticMatrix, stationary_distribution
-from mixgap.oracle import full_spectral_report
+from mixgap.oracle import _EIG_MARGIN, full_spectral_report
 
 # rounding allowance of every inequality a sandwich tests
 _SLACK = 1e-9
@@ -27,6 +28,23 @@ def generic_dilation(A: np.ndarray) -> np.ndarray:
     e[:n, n:] = A
     e[n:, :n] = A.T
     return e
+
+
+def second_modulus_floor_two_sided(L: np.ndarray) -> float:
+    """The oracle's floor on |lambda_2(P)| from one two-sided dense eig.
+
+    Every eigenvalue's condition number s_i = |y_i^H x_i| is read off the
+    full left and right eigenvector matrices, and the largest discounted
+    non-Perron modulus |w_i| - _EIG_MARGIN n eps / s_i, clipped to [0, 1],
+    is the floor.
+    """
+    n = L.shape[0]
+    w, vl, vr = scipy.linalg.eig(L, left=True, right=True)
+    s = np.abs(np.sum(vl.conj() * vr, axis=0))
+    with np.errstate(divide="ignore"):
+        lower = np.abs(w) - _EIG_MARGIN * n * np.finfo(float).eps / s
+    lower = np.delete(lower, np.argmin(np.abs(w - 1.0)))
+    return float(np.clip(lower.max(), 0.0, 1.0))
 
 
 @dataclass(frozen=True)

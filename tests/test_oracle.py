@@ -1,4 +1,5 @@
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -28,7 +29,7 @@ from mixgap.oracle import (
 )
 
 from conftest import NEAR_PERIODIC_ROWS, PERIOD2_ROWS, random_ergodic, random_reversible
-from reference_routes import generic_dilation, mixing_time_sandwich
+from reference_routes import generic_dilation, mixing_time_sandwich, second_modulus_floor_two_sided
 
 UNIFORM2 = StochasticMatrix([[0.5, 0.5], [0.5, 0.5]])
 
@@ -307,6 +308,65 @@ class TestPseudoSpectralGap:
         # one eigensolve at most, and no more skips than buying its floor at k = 8 would take
         assert len(floors) <= 1
         assert rep.k_explored <= fixed_start_stop(rep, floors[0] if floors else floor(build_L(P)))
+
+
+class TestSecondModulusFloor:
+    """The values-only floor against the two-sided eig it replaced."""
+
+    @staticmethod
+    def assert_floor_matches(P: StochasticMatrix) -> None:
+        L = build_L(P)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            floor = oracle_module._second_modulus_floor(L)
+        assert abs(floor - second_modulus_floor_two_sided(L)) <= 8 * np.finfo(float).eps
+
+    @staticmethod
+    def assert_reports_match(P: StochasticMatrix) -> None:
+        fields = ("gamma_ps", "gamma_dps", "k_ps", "k_dps", "k_explored", "stop_reason")
+        rep = spectral_gaps(P)
+        with mock.patch.object(oracle_module, "_second_modulus_floor", second_modulus_floor_two_sided):
+            ref = spectral_gaps(P)
+        assert [getattr(rep, f) for f in fields] == [getattr(ref, f) for f in fields]
+
+    @given(
+        family=st.sampled_from(["dense", "sparse", "cycle", "path", "sticky"]),
+        n=st.integers(2, 25),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_two_sided_reference(self, family, n, seed):
+        P = chain_of_family(family, n, np.random.default_rng(seed))
+        self.assert_floor_matches(P)
+        if is_aperiodic(P):
+            self.assert_reports_match(P)
+
+    @pytest.mark.parametrize(
+        "P",
+        [StochasticMatrix([[1 - a, a], [b, 1 - b]]) for a, b in [(0.3, 0.4), (0.9, 0.8), (0.05, 0.6), (0.25, 0.5)]]
+        + [chain_of_family("path", 4, np.random.default_rng(1604))],
+    )
+    def test_exact_eigenvalues_need_the_pivot_guard(self, P):
+        # lambda_2 = 1 - a - b of a 2-state chain is often computed exactly, so
+        # L - lambda_2 I factors with a zero pivot; so does this near-path chain's top shift
+        self.assert_floor_matches(P)
+
+    @pytest.mark.parametrize("n", [40, 60, 80])
+    def test_slow_cycles_report_the_same(self, n):
+        self.assert_reports_match(lazy_cycle(n, 0.5, 0.6))
+
+    def test_slow_cycle_factors_one_shift(self, monkeypatch):
+        # the top pair's conjugate shares its s, and the next modulus lies below the floor
+        factored = []
+        lapack = oracle_module.get_lapack_funcs
+
+        def counting(names, arrays):
+            getrf, getrs = lapack(names, arrays)
+            return (lambda A, **kw: factored.append(A.shape) or getrf(A, **kw)), getrs
+
+        monkeypatch.setattr(oracle_module, "get_lapack_funcs", counting)
+        oracle_module._second_modulus_floor(build_L(lazy_cycle(80, 0.5, 0.6)))
+        assert factored == [(80, 80)]
 
 
 class TestLemmaLedger:
