@@ -62,6 +62,14 @@ class TestOracleCommand:
         report = full_spectral_report(example_chain()).to_dict()
         assert capsys.readouterr().out == json.dumps(report, sort_keys=True) + "\n"
 
+    def test_text_report_goes_to_a_text_stdout(self):
+        # a text-only stdout has no .buffer, so a report written as bytes fails here
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["oracle", "--fixture", "ex31"]) == 0
+        report = full_spectral_report(example_chain()).to_dict()
+        assert out.getvalue() == json.dumps(report, sort_keys=True) + "\n"
+
     def test_one_state_matrix(self, tmp_path):
         path = tmp_path / "one.json"
         path.write_text('{"n": 1, "rows": [[1.0]]}')
@@ -488,7 +496,7 @@ class TestBenchCommand:
 
 
 # (argv, extra file the command writes) for every subcommand; TRAJ and TINY
-# stand for trajectory files written by `golden_files`, CSV for a file to write
+# stand for trajectory files written by `golden_files`, CSV and OUT for files to write
 GOLDEN_CASES = {
     **{f"oracle-{f}": (["oracle", "--fixture", f], None) for f in FIXTURES},
     **{f"lemma-{f}": (["lemma-check", "--fixture", f, "--k-max", "6"], None) for f in FIXTURES},
@@ -513,15 +521,28 @@ GOLDEN_CASES = {
     "exit1-K0": (["estimate", "--trajectory", "TRAJ", "--method", "ps-prefix", "--K", "0"], None),
     "exit1-bad-method": (["estimate", "--trajectory", "TRAJ", "--method", "bogus"], None),
     "exit2-too-short": (["estimate", "--trajectory", "TINY"], None),
+    "oracle-out": (["oracle", "--fixture", "ex31", "--out", "OUT"], "OUT"),
+    "bench-out": (
+        ["bench", "--fixture", "fast3", "--m-grid", "2000,1000", "--seeds", "3", "--out", "OUT"],
+        "OUT",
+    ),
+    "simulate-binary-out": (
+        ["simulate", "--fixture", "rand5a", "--m", "5000", "--seed", "4", "--format", "binary",
+         "--out", "OUT"],
+        "OUT",
+    ),
 }
 
 # blake2b-128 of the exit code, stdout, stderr and extra file of each case
 # above, recorded before the CLI dropped its config dataclass; the bytes of
 # every command must never change. The four estimate-*-K3 cases whose method
 # does not read --K were re-recorded when estimate began to reject unread
-# options: they exit 1 with INVALID_INPUT.
+# options: they exit 1 with INVALID_INPUT. The three *-out cases, which
+# pin the bytes of an --out file, were recorded before the CLI wrote every
+# output through one emitter.
 GOLDEN_DIGESTS = {
     "bench": "b71c410a4e9c8b86451f1bd11863bbc8",
+    "bench-out": "836aeca45f72d4be18aa380365b382b0",
     "estimate-dps": "ef42cd350332fb7baada5da5f7c30f6f",
     "estimate-dps-K3": "824b4ebeeec1cbdd6d802bf8d95038c0",
     "estimate-pi-star": "312372b2ae0eca5ec3d67540ad8aa276",
@@ -546,9 +567,11 @@ GOLDEN_DIGESTS = {
     "lemma-rand5b": "035389f6730dc735d18083e1a450a039",
     "oracle-ex31": "db4830f6f9552bbb864bb912cc42327b",
     "oracle-fast3": "1a3178b0b2e5d8f239f0f7dc19129a9e",
+    "oracle-out": "ba04e15527e99c09c20ae73d0c872499",
     "oracle-rand5a": "291dbfa96d836591a65cc4b608ed5862",
     "oracle-rand5b": "767f3d70be44dea690b1d7b961bf65db",
     "simulate-binary": "b5587f336a97613acbcf2ea71466c5dc",
+    "simulate-binary-out": "6f4bbca601240f2a212a6b96ac44fab5",
     "simulate-text": "f223806a09aefe39d68b6b8a46a3f5ea",
     "stats-k2": "7315f3753ff41360ec3b17865854d09e",
 }
@@ -573,7 +596,12 @@ def golden_files(directory):
     directory = Path(directory)
     save_trajectory(simulate(example_chain(), 5000, seed=1), directory / "traj.txt")
     (directory / "tiny.txt").write_text("0\n")
-    return {"TRAJ": directory / "traj.txt", "TINY": directory / "tiny.txt", "CSV": directory / "terms.csv"}
+    return {
+        "TRAJ": directory / "traj.txt",
+        "TINY": directory / "tiny.txt",
+        "CSV": directory / "terms.csv",
+        "OUT": directory / "out",
+    }
 
 
 def golden_digest(code, out, err, written):
