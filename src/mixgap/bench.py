@@ -9,7 +9,6 @@ on the inputs.
 
 from __future__ import annotations
 
-import io
 from statistics import median
 
 from .chain import StochasticMatrix, simulate
@@ -34,41 +33,30 @@ def bench_convergence(
 ) -> str:
     """Run the (m, seed) grid and return the CSV text.
 
-    Emits one row per trial plus one aggregate (median) row per m; rows are
-    ordered by (m, seed) so repeated runs with identical inputs are
-    byte-identical.
+    Emits one row per trial, ordered by (m, seed), then one aggregate
+    (median) row per m in m_grid order, so repeated runs with identical
+    inputs are byte-identical.
     """
     if seeds < 1:
         raise ValueError(f"seeds must be >= 1, got {seeds}")
     if len(set(m_grid)) != len(m_grid):
         raise ValueError(f"m_grid must not repeat an m, got {m_grid}")
     gamma_dps = spectral_gaps(P).gamma_dps
-    results = []
-    for m in m_grid:
+    lines = [CSV_HEADER]
+    cells = {}  # m -> (point, abs_error, half_width, covered) of each seed
+    for m in sorted(m_grid):
+        cell = cells[m] = []
         for seed in range(seeds):
             report = confidence_interval(
                 simulate(P, m, start="stationary", seed=seed), alpha=alpha, delta=delta, c=c
             )
             lo, hi = report.interval
+            point, err, hw = report.point, abs(report.point - gamma_dps), report.half_width
             covered = int(lo <= gamma_dps <= hi)
-            results.append(
-                (m, seed, report.point, abs(report.point - gamma_dps), report.half_width, covered)
-            )
-    results.sort(key=lambda r: (r[0], r[1]))
-
-    out = io.StringIO()
-    out.write(CSV_HEADER + "\n")
-    for m, seed, point, err, hw, covered in results:
-        out.write(f"{m},{seed},{_fmt(point)},{_fmt(err)},{_fmt(hw)},{covered}\n")
+            cell.append((point, err, hw, covered))
+            lines.append(f"{m},{seed},{_fmt(point)},{_fmt(err)},{_fmt(hw)},{covered}")
     for m in m_grid:
-        cell = [r for r in results if r[0] == m]
-        out.write(
-            "{m},median,{p},{e},{h},{c}\n".format(
-                m=m,
-                p=_fmt(median(r[2] for r in cell)),
-                e=_fmt(median(r[3] for r in cell)),
-                h=_fmt(median(r[4] for r in cell)),
-                c=_fmt(sum(r[5] for r in cell) / len(cell)),
-            )
-        )
-    return out.getvalue()
+        point, err, hw, covered = zip(*cells[m])
+        p, e, h = _fmt(median(point)), _fmt(median(err)), _fmt(median(hw))
+        lines.append(f"{m},median,{p},{e},{h},{_fmt(sum(covered) / len(covered))}")
+    return "\n".join(lines) + "\n"

@@ -42,9 +42,12 @@ def load_matrix(path: str | Path) -> StochasticMatrix:
     stripped = text.lstrip()
     if stripped.startswith("{"):
         obj = json.loads(text)
-        rows = np.asarray(obj["rows"], dtype=float)
-        if "n" in obj and int(obj["n"]) != rows.shape[0]:
-            raise ValueError("declared n does not match row count")
+        try:
+            rows = np.asarray(obj["rows"], dtype=float)
+            if "n" in obj and (int(obj["n"]),) != rows.shape[:1]:
+                raise ValueError("declared n does not match row count")
+        except (TypeError, OverflowError) as err:
+            raise ValueError(f"malformed matrix JSON: {err}") from None
     else:
         rows = np.array(
             [

@@ -352,6 +352,26 @@ def stochastic_rows(draw):
 
 
 class TestMatrixInputContract:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"rows": [[1.0]], "n": null}',
+            '{"rows": [[0.5, 0.5], [0.5, 0.5]], "n": [2]}',
+            '{"rows": {"a": 1}}',
+            '{"rows": [[{}]]}',
+            '{"rows": 5, "n": 1}',
+            '{"rows": [[1.0]], "n": 1e400}',
+            '{"rows": [[1' + "0" * 400 + ']]}',
+        ],
+        ids=["n-null", "n-list", "rows-object", "entry-object", "rows-scalar", "n-inf", "entry-huge-int"],
+    )
+    def test_malformed_matrix_json_exits_invalid_input(self, tmp_path, text):
+        path = tmp_path / "P.json"
+        path.write_text(text)
+        code, out, err = run_in_process(["oracle", "--matrix", str(path)])
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == "INVALID_INPUT"
+
     def test_unresolved_stationary_vector_exits_no_convergence(self, tmp_path):
         # pi_star = 2.5e-24; an absolute residual test lets through a pi whose
         # smallest entries are off by a factor of 1.2e6, and gaps off by 0.31
