@@ -7,7 +7,8 @@ reversible dilation, brute-force mixing time, and seeded simulation. Also
 holds the serializer behind the `to_dict` of the report dataclasses.
 
 All containers are immutable after construction and safe to share across
-threads.
+threads. Their private memos (`_stationary`, `_tallies`) cache derived values
+only, so a race at worst computes one of them twice.
 """
 
 from __future__ import annotations
@@ -72,10 +73,11 @@ class StochasticMatrix:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Observed sequence of state indices from a chain over n states."""
+    """Observed state indices of a chain over n states; `_tallies` memoizes `tallies.tally`."""
 
     states: np.ndarray
     n: int
+    _tallies: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         states = np.asarray(self.states, dtype=np.int64)

@@ -1,11 +1,11 @@
 """Fully empirical confidence intervals for the dilated pseudo-spectral gap.
 
-The point estimate, adaptive prefix K_hat and per-skip tallies come from the
-scan behind `gamma_dps_hat`. This module adds the per-skip terms W, V, T, U
-and the confidence split delta_hat, and assembles the final interval
-point +/- (1/K_hat + max_k (V + U(2+U))/k), clipped to [0, 1]. Whenever the
-U term blows up (a smoothed visit frequency falls at or below T) the interval
-degrades to the vacuous [0, 1] with a flag instead of failing.
+The point estimate and adaptive prefix K_hat come from the scan behind
+`gamma_dps_hat`, the tallies from the trajectory's memo. This module adds
+the per-skip terms W, V, T, U and the confidence split delta_hat, and
+assembles the interval point +/- (1/K_hat + max_k (V + U(2+U))/k), clipped
+to [0, 1]. A blown-up U term (a smoothed visit frequency at or below T)
+degrades the interval to the vacuous [0, 1] with a flag instead of failing.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .chain import StochasticMatrix, Trajectory, _report_dict
 from .errors import NonconvergentGapError
 from .estimators import DEFAULT_ALPHA, _dps_scan
 from .oracle import spectral_gaps
-from .tallies import SkippedTallies, smoothed_estimates
+from .tallies import SkippedTallies, smoothed_estimates, tally
 
 DEFAULT_C = 48.0
 DEFAULT_DELTA = 0.05
@@ -136,14 +136,15 @@ def confidence_interval(
     if not 0.0 <= c < math.inf:
         raise ValueError(f"c must be finite and >= 0, got {c}")
     m, n = tr.m, tr.n
-    estimate, tallies_by_k = _dps_scan(tr, alpha, None)
+    estimate = _dps_scan(tr, alpha, None)
     point, K_hat = estimate.value, estimate.K_used
     d_hat = delta_hat(m, K_hat, n, delta)
 
     per_k_terms: dict[int, dict[str, float]] = {}
     worst = 0.0
     diagnostics: dict = {"c": c}
-    for k, t in tallies_by_k.items():
+    for k in range(1, K_hat + 1):
+        t = tally(tr, k)
         W = term_W(t, alpha, d_hat)
         V = term_V(t, alpha, W)
         gps = empirical_gamma_ps(t, alpha)

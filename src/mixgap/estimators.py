@@ -7,11 +7,11 @@ estimators differ only in the gap, the prefix length and the step:
 
 - ps-prefix and its additive and adaptive schedules: step 1 and the
   unsmoothed gap 1 - sigma_2(L_hat)^2, read through the per-call memo
-  `_ps_gaps`, which tallies and solves each distinct skip once;
+  `_ps_gaps`, which solves each distinct skip once;
 - each level of the amplified scan: step 2^p through the same memo, since
   skip j of the 2^p-skipped trajectory counts the pairs of skip 2^p j;
-- dps: step 1 and the smoothed gap 1 - sigma_2(L_hat), whose tables
-  `_dps_scan` keeps for the confidence interval.
+- dps: step 1 and the smoothed gap 1 - sigma_2(L_hat), in `_dps_scan`.
+The trajectory memoizes the tables, so calls on one trajectory share them.
 """
 
 from __future__ import annotations
@@ -87,12 +87,12 @@ def _ps_gap(t: SkippedTallies) -> float | None:
     return 1.0 - eigensolve.second_singular_value(L_hat) ** 2
 
 
-def _ps_gaps(tr: Trajectory, first: SkippedTallies | None = None) -> Callable[[int], float | None]:
-    """gap(k), the `_ps_gap` of skip k of tr, each skip tallied and solved once.
+def _ps_gaps(tr: Trajectory) -> Callable[[int], float | None]:
+    """gap(k), the `_ps_gap` of skip k of tr, each skip solved once per call.
 
-    Only the gaps are kept, not the tables. `first`, if given, is the skip-1 tally.
+    The gaps are kept here; the tables are the trajectory's tally memo.
     """
-    gaps = {} if first is None else {1: _ps_gap(first)}
+    gaps: dict[int, float | None] = {}
 
     def gap(k: int) -> float | None:
         if k not in gaps:
@@ -185,9 +185,9 @@ def gamma_ps_adaptive_multiplicative(tr: Trajectory, epsilon: float) -> Estimate
     """Prefix estimator with the data-driven K = ceil((N_min/epsilon)^{1/3})."""
     if not 0.0 < epsilon < 5.0:
         raise ValueError("epsilon must be in (0, 5)")
-    base = tally(tr, 1)
-    report = _ps_prefix(tr, adaptive_K_multiplicative(base.n_min, epsilon), _ps_gaps(tr, base))
-    diagnostics = {**report.diagnostics, "epsilon": epsilon, **_adaptive_diagnostics(base.n_min)}
+    n_min = tally(tr, 1).n_min
+    report = _ps_prefix(tr, adaptive_K_multiplicative(n_min, epsilon), _ps_gaps(tr))
+    diagnostics = {**report.diagnostics, "epsilon": epsilon, **_adaptive_diagnostics(n_min)}
     return replace(report, estimator="ps-adaptive", diagnostics=diagnostics)
 
 
@@ -208,37 +208,27 @@ def _dps_gap(t: SkippedTallies, alpha: float) -> float:
     return 1.0 - eigensolve.second_singular_value(smoothed_estimates(t, alpha).L_hat)
 
 
-def _dps_scan(
-    tr: Trajectory, alpha: float, K: int | None
-) -> tuple[EstimateReport, dict[int, SkippedTallies]]:
-    """The dps estimate over skips 1..K, together with the tallies it read.
+def _dps_scan(tr: Trajectory, alpha: float, K: int | None) -> EstimateReport:
+    """The dps estimate over skips 1..K.
 
-    Skip 1 opens every prefix, and with K omitted its N_min also sets the
-    adaptive K, so one skip-1 tally serves both.
+    With K omitted, the N_min of skip 1 sets the adaptive K. The tally memo
+    hands each table on to the scan and then to `confidence_interval`.
     """
     if tr.m < 3:
         raise TrajectoryTooShortError("need m >= 3 for the smoothed estimator")
-    tallies_by_k: dict[int, SkippedTallies] = {}
-
-    def gap(k: int) -> float:
-        if k not in tallies_by_k:
-            tallies_by_k[k] = tally(tr, k)
-        return _dps_gap(tallies_by_k[k], alpha)
-
     diagnostics: dict = {}
     if K is None:
-        base = tallies_by_k[1] = tally(tr, 1)
-        K = adaptive_K_dps(base.n_min, tr.m)
-        diagnostics = {**_adaptive_diagnostics(base.n_min), "K_adaptive": True}
-    value, per_k, K_used, scanned = _scan(tr, K, gap)
-    report = EstimateReport(
+        n_min = tally(tr, 1).n_min
+        K = adaptive_K_dps(n_min, tr.m)
+        diagnostics = {**_adaptive_diagnostics(n_min), "K_adaptive": True}
+    value, per_k, K_used, scanned = _scan(tr, K, lambda k: _dps_gap(tally(tr, k), alpha))
+    return EstimateReport(
         estimator="dps",
         value=value,
         K_used=K_used,
         per_k_values=per_k,
         diagnostics={**diagnostics, **scanned, "alpha": alpha},
     )
-    return report, tallies_by_k
 
 
 def gamma_dps_hat(
@@ -250,4 +240,4 @@ def gamma_dps_hat(
     Smoothing keeps every skip usable, so there is no unvisited-state failure
     mode here.
     """
-    return _dps_scan(tr, alpha, K)[0]
+    return _dps_scan(tr, alpha, K)

@@ -44,8 +44,8 @@ def load_matrix(path: str | Path) -> StochasticMatrix:
         obj = json.loads(text)
         try:
             rows = np.asarray(obj["rows"], dtype=float)
-            if "n" in obj and (int(obj["n"]),) != rows.shape[:1]:
-                raise ValueError("declared n does not match row count")
+            if "n" in obj and (type(obj["n"]) is not int or (obj["n"],) != rows.shape[:1]):
+                raise ValueError("declared n is not an integer matching the row count")
         except (TypeError, OverflowError) as err:
             raise ValueError(f"malformed matrix JSON: {err}") from None
     else:

@@ -1,15 +1,18 @@
 """Skipped-chain tallying and empirical transition estimates.
 
-For a skip rate k, one `np.bincount` pass over the pairs
-(X_{1+k(t-1)}, X_{1+kt}), t = 1..floor((m-1)/k), gives the transition counts
-N_{xx'} of the k-skipped chain as a dense n x n int64 table, the only thing
-a `SkippedTallies` stores; the visit counts N_x are its row sums. On top of
-the counts sit the unsmoothed rescaled matrix N_{xx'}/sqrt(N_x N_{x'}) and
-the alpha-smoothed transition/stationary/rescaled estimates.
+For a skip rate k, `tally` counts the pairs (X_{1+k(t-1)}, X_{1+kt}),
+t = 1..floor((m-1)/k), into the dense n x n int64 table N_{xx'}, the only
+thing a `SkippedTallies` stores; the visit counts N_x are its row sums. It
+bincounts pair codes x n + x' in chunks of max(2^18, n^2) pairs, states in the
+smallest unsigned dtype that holds n - 1 and codes in the smallest that holds
+n^2 - 1. A trajectory memoizes its compact states and each skip's table within
+the bytes of its int64 states; a table past that limit is returned uncached.
+On the counts sit N_{xx'}/sqrt(N_x N_{x'}) and the alpha-smoothed estimates.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +20,8 @@ from scipy.sparse import csr_matrix
 
 from .chain import Trajectory, _physical_memory
 from .errors import TrajectoryTooShortError, UnvisitedStateError
+
+_MEMO_LOCK = threading.Lock()  # makes the memo's byte check and insert one step
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,13 +101,29 @@ def tally(tr: Trajectory, k: int = 1) -> SkippedTallies:
         raise TrajectoryTooShortError(
             f"need at least {k + 1} observations for skip {k}, got {tr.m}"
         )
+    memo = tr._tallies
+    if k in memo:
+        return memo[k]
     n = tr.n
     # refuse before allocating, so a huge state index is an input error, not a crash
     if 8 * n * n > _physical_memory():
         raise ValueError(f"an n x n count table for n = {n} exceeds physical memory")
-    skipped = tr.states[::k]
-    counts = np.bincount(skipped[:-1] * n + skipped[1:], minlength=n * n).reshape(n, n)
-    return SkippedTallies(k=k, n=n, m=tr.m, counts=counts)
+    codes = memo.get("codes")
+    if codes is None:
+        codes = tr.states.astype(np.min_scalar_type(n - 1))
+    src, dst = codes[::k][:-1], codes[::k][1:]
+    pair_dtype, chunk = np.min_scalar_type(n * n - 1), max(1 << 18, n * n)
+    counts = np.zeros(n * n, dtype=np.int64)
+    for lo in range(0, src.size, chunk):
+        pairs = src[lo : lo + chunk].astype(pair_dtype) * n + dst[lo : lo + chunk]
+        counts += np.bincount(pairs, minlength=n * n)
+    t = SkippedTallies(k=k, n=n, m=tr.m, counts=counts.reshape(n, n))
+    with _MEMO_LOCK:
+        memo.setdefault("codes", codes)
+        held = sum(getattr(v, "counts", v).nbytes for v in memo.values())
+        if held + counts.nbytes <= tr.states.nbytes:
+            memo[k] = t
+    return t
 
 
 def unsmoothed_L_hat(t: SkippedTallies) -> np.ndarray:

@@ -47,6 +47,12 @@ def second_modulus_floor_two_sided(L: np.ndarray) -> float:
     return float(np.clip(lower.max(), 0.0, 1.0))
 
 
+def tally_counts(states, n: int, k: int = 1) -> np.ndarray:
+    """Transition counts of skip k from one int64 bincount of the pair codes x n + x'."""
+    s = np.asarray(states, dtype=np.int64)[::k]
+    return np.bincount(s[:-1] * n + s[1:], minlength=n * n).reshape(n, n)
+
+
 @dataclass(frozen=True)
 class MixingSandwich:
     t_mix: int

@@ -658,6 +658,13 @@ class TestSimulate:
         with pytest.raises(ValueError, match="physical memory"):
             simulate(ex31, 10**12)
 
+    def test_states_stay_int64(self, ex31):
+        # perfbench's trajectory digest and SIMULATE_DIGESTS hash the raw bytes
+        # of `states`, so compact states must wait until those digests stop
+        # depending on the dtype; `tally` keeps its own compact codes
+        assert simulate(ex31, 100, seed=0).states.dtype == np.int64
+        assert Trajectory(np.array([0, 1], dtype=np.uint8), n=2).states.dtype == np.int64
+
     def test_trajectory_validates_indices(self):
         with pytest.raises(ValueError):
             Trajectory(np.array([0, 3]), n=2)

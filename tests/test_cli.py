@@ -362,8 +362,14 @@ class TestMatrixInputContract:
             '{"rows": 5, "n": 1}',
             '{"rows": [[1.0]], "n": 1e400}',
             '{"rows": [[1' + "0" * 400 + ']]}',
+            '{"rows": [[1.0]], "n": 1.5}',
+            '{"rows": [[1.0]], "n": true}',
+            '{"rows": [[1.0]], "n": "1"}',
         ],
-        ids=["n-null", "n-list", "rows-object", "entry-object", "rows-scalar", "n-inf", "entry-huge-int"],
+        ids=[
+            "n-null", "n-list", "rows-object", "entry-object", "rows-scalar", "n-inf", "entry-huge-int",
+            "n-fraction", "n-bool", "n-string",
+        ],
     )
     def test_malformed_matrix_json_exits_invalid_input(self, tmp_path, text):
         path = tmp_path / "P.json"

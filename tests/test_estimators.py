@@ -270,26 +270,28 @@ class TestAmplifiedScanLevels:
 
 class TestTallyReuse:
     @pytest.fixture
-    def tally_calls(self, monkeypatch):
-        import mixgap.estimators
+    def tally_builds(self, monkeypatch):
+        """The skips whose count table `tally` builds, in order; a memo hit builds none."""
+        import mixgap.tallies
 
-        calls = []
+        builds = []
+        built = mixgap.tallies.SkippedTallies
 
-        def counting_tally(tr, k=1):
-            calls.append(k)
-            return tally(tr, k)
+        def counting_tallies(*, k, **fields):
+            builds.append(k)
+            return built(k=k, **fields)
 
-        monkeypatch.setattr(mixgap.estimators, "tally", counting_tally)
-        return calls
+        monkeypatch.setattr(mixgap.tallies, "SkippedTallies", counting_tallies)
+        return builds
 
-    def test_amplified_tallies_each_skip_once(self, tally_calls):
+    def test_amplified_tallies_each_skip_once(self, tally_builds):
         # level 1 reads skips 1..16 and level 2 skips 2, 4, ..., 32: 24 distinct
         tr = simulate(example_chain(), 2_000, seed=0)
         report = gamma_ps_amplified(tr)
         assert report.K_star == 2
-        assert sorted(tally_calls) == sorted(set(range(1, 17)) | set(range(2, 33, 2)))
+        assert sorted(tally_builds) == sorted(set(range(1, 17)) | set(range(2, 33, 2)))
 
-    def test_adaptive_prefix_tallies_skip_one_once(self, tally_calls):
+    def test_adaptive_prefix_tallies_skip_one_once(self, tally_builds):
         tr = simulate(example_chain(), 2_000, seed=0)
         report = gamma_ps_adaptive_multiplicative(tr, 0.1)
-        assert tally_calls == list(range(1, report.K_used + 1))
+        assert tally_builds == list(range(1, report.K_used + 1))

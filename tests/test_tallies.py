@@ -1,3 +1,6 @@
+import json
+import sys
+import threading
 from collections import Counter
 
 import numpy as np
@@ -7,11 +10,21 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from mixgap.chain import Trajectory, build_L, simulate
-from mixgap.errors import TrajectoryTooShortError, UnvisitedStateError
+from mixgap.confidence import confidence_interval
+from mixgap.errors import NoTriggerError, TrajectoryTooShortError, UnvisitedStateError
+from mixgap.estimators import gamma_dps_hat, gamma_ps_amplified
 from mixgap.fixtures import example_chain
 from mixgap.tallies import smoothed_estimates, tally, unsmoothed_L_hat
+from reference_routes import tally_counts
 
 ZIGZAG = Trajectory(np.array([0, 1, 0, 1, 1]), n=2)
+# the state codes widen past n = 256 and the pair codes past n = 16 and n = 256
+EDGE_N = (1, 2, 16, 17, 256, 257)
+
+
+def memo_bytes(tr: Trajectory) -> int:
+    """Bytes the tally memo of tr holds: its compact states plus every cached table."""
+    return sum(getattr(v, "counts", v).nbytes for v in tr._tallies.values())
 
 
 class TestTally:
@@ -77,6 +90,94 @@ class TestTally:
         b = tally(ZIGZAG, 2)
         assert np.array_equal(a.visits, b.visits)
         assert (a.transitions != b.transitions).nnz == 0
+
+
+class TestCompactKernel:
+    @given(st.data(), st.sampled_from(EDGE_N), st.integers(1, 9))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_int64_reference_at_dtype_edges(self, data, n, k):
+        m = data.draw(st.integers(k + 1, 300))
+        # lean on the top state, whose pairs make the largest codes
+        states = data.draw(st.lists(st.integers(0, n - 1) | st.just(n - 1), min_size=m, max_size=m))
+        tr = Trajectory(np.array(states), n=n)
+        assert np.array_equal(tally(tr, k).counts, tally_counts(states, n, k))
+        assert tr._tallies["codes"].dtype == np.min_scalar_type(n - 1)
+
+    @pytest.mark.parametrize("pairs", [1 << 18, (1 << 18) + 1])
+    @pytest.mark.parametrize("n, k", [(16, 1), (257, 1), (17, 3)])
+    def test_chunk_edge(self, n, k, pairs):
+        # 2^18 pairs fill one chunk exactly; one more starts a second chunk
+        rng = np.random.default_rng(pairs + n)
+        tr = Trajectory(rng.integers(0, n, size=k * pairs + 1), n=n)
+        t = tally(tr, k)
+        assert t.num_pairs == pairs
+        assert np.array_equal(t.counts, tally_counts(tr.states, n, k))
+
+
+class TestMemo:
+    def test_second_call_returns_the_same_table(self):
+        tr = simulate(example_chain(), 1_000, seed=0)
+        for k in (1, 2, 5):
+            assert tally(tr, k) is tally(tr, k)
+
+    def test_reports_do_not_depend_on_sharing_or_order(self):
+        # ex31 at m = 1e5: K_hat = 2 and a two-level amplified scan
+        states = simulate(example_chain(), 100_000, seed=1).states
+        calls = {"dps": gamma_dps_hat, "interval": confidence_interval, "amplified": gamma_ps_amplified}
+
+        def reports(order, shared):
+            tr = Trajectory(states, 3)
+            out = {}
+            for name in order:
+                out[name] = json.dumps(calls[name](tr if shared else Trajectory(states, 3)).to_dict())
+            return out
+
+        fresh = reports(list(calls), shared=False)
+        assert json.loads(fresh["interval"])["K_hat"] == 2
+        assert reports(list(calls), shared=True) == fresh
+        assert reports(list(reversed(calls)), shared=True) == fresh
+
+    def test_memo_stays_within_the_states_bytes(self):
+        # an n x n table is 720 kB here against 160 kB of states, so none is cached
+        rng = np.random.default_rng(0)
+        tr = Trajectory(rng.integers(0, 300, size=20_000), n=300)
+        try:
+            gamma_ps_amplified(tr)
+        except NoTriggerError:
+            pass
+        assert 0 < memo_bytes(tr) <= tr.states.nbytes
+        assert list(tr._tallies) == ["codes"]
+
+    def test_threads_sharing_trajectories_keep_the_limit(self):
+        # 4 kB of codes and 12.8 kB tables against 32 kB of states: two fit
+        rng = np.random.default_rng(2)
+        trs = [Trajectory(rng.integers(0, 40, size=4_000), n=40) for _ in range(40)]
+        skips = list(range(1, 13))
+        errors = []
+
+        def worker(order):
+            try:
+                for tr in trs:
+                    for k in order:
+                        tally(tr, k)
+            except Exception as err:  # surfaced by the assertion below
+                errors.append(err)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(skips[i:] + skips[:i],)) for i in range(0, 12, 3)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not errors and not any(thread.is_alive() for thread in threads)
+        for tr in trs:
+            assert memo_bytes(tr) <= tr.states.nbytes
+            for k in skips:
+                assert np.array_equal(tally(tr, k).counts, tally_counts(tr.states, 40, k))
 
 
 class TestUnsmoothedLHat:
