@@ -7,8 +7,8 @@ reversible dilation, brute-force mixing time, and seeded simulation. Also
 holds the serializer behind the `to_dict` of the report dataclasses.
 
 All containers are immutable after construction and safe to share across
-threads. Their private memos (`_stationary`, `_tallies`) cache derived values
-only, so a race at worst computes one of them twice.
+threads. Their private memos (`_stationary`, `_tallies`, `_gaps`) cache derived
+values only, so a race at worst computes one of them twice.
 """
 
 from __future__ import annotations
@@ -73,11 +73,13 @@ class StochasticMatrix:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Observed state indices of a chain over n states; `_tallies` memoizes `tallies.tally`."""
+    """Observed state indices of a chain over n states; `_tallies` memoizes
+    `tallies.tally` and `_gaps` the estimators' per-skip gaps (`estimators._gap`)."""
 
     states: np.ndarray
     n: int
     _tallies: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _gaps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         states = np.asarray(self.states, dtype=np.int64)
@@ -97,6 +99,8 @@ class Trajectory:
 
 def is_irreducible(P: StochasticMatrix) -> bool:
     """True when the positive-support digraph is strongly connected."""
+    if P.rows.all():  # a complete digraph, as every smoothed P_hat is
+        return True
     graph = csr_matrix((P.rows > 0).astype(np.int8))
     return connected_components(graph, directed=True, connection="strong")[0] == 1
 

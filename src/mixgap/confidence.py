@@ -1,11 +1,14 @@
 """Fully empirical confidence intervals for the dilated pseudo-spectral gap.
 
 The point estimate and adaptive prefix K_hat come from the scan behind
-`gamma_dps_hat`, the tallies from the trajectory's memo. This module adds
-the per-skip terms W, V, T, U and the confidence split delta_hat, and
-assembles the interval point +/- (1/K_hat + max_k (V + U(2+U))/k), clipped
-to [0, 1]. A blown-up U term (a smoothed visit frequency at or below T)
-degrades the interval to the vacuous [0, 1] with a flag instead of failing.
+`gamma_dps_hat`, the tallies and smoothed gaps from the trajectory's memos,
+so after `gamma_dps_hat` the scan solves nothing again. T reads the exact
+gamma_ps of each smoothed P_hat, from the oracle loop that certifies gamma_ps
+alone. This module adds the per-skip terms W, V, T, U and the confidence
+split delta_hat, and assembles the interval point +/- (1/K_hat +
+max_k (V + U(2+U))/k), clipped to [0, 1]. A blown-up U term (a smoothed
+visit frequency at or below T) degrades the interval to the vacuous [0, 1]
+with a flag instead of failing.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import numpy as np
 from .chain import StochasticMatrix, Trajectory, _report_dict
 from .errors import NonconvergentGapError
 from .estimators import DEFAULT_ALPHA, _dps_scan
-from .oracle import spectral_gaps
+from .oracle import _gamma_ps
 from .tallies import SkippedTallies, smoothed_estimates, tally
 
 DEFAULT_C = 48.0
@@ -107,10 +110,13 @@ def delta_hat(m: int, K_hat: int, n: int, delta: float) -> float:
 
 
 def empirical_gamma_ps(t: SkippedTallies, alpha: float) -> float:
-    """Exact pseudo-spectral gap of the alpha-smoothed P_hat, or 0 if no certificate closes."""
+    """Exact pseudo-spectral gap of the alpha-smoothed P_hat, or 0 if no certificate closes.
+
+    The oracle's skip loop stops once gamma_ps is certified, gamma_dps aside.
+    """
     P_hat = StochasticMatrix(smoothed_estimates(t, alpha).P_hat)
     try:
-        return spectral_gaps(P_hat).gamma_ps
+        return _gamma_ps(P_hat)
     except NonconvergentGapError:
         return 0.0
 

@@ -6,12 +6,12 @@ prefix of skips, where gap(k) is a per-skip gap of the count tables of skip k
 estimators differ only in the gap, the prefix length and the step:
 
 - ps-prefix and its additive and adaptive schedules: step 1 and the
-  unsmoothed gap 1 - sigma_2(L_hat)^2, read through the per-call memo
-  `_ps_gaps`, which solves each distinct skip once;
-- each level of the amplified scan: step 2^p through the same memo, since
-  skip j of the 2^p-skipped trajectory counts the pairs of skip 2^p j;
+  unsmoothed gap 1 - sigma_2(L_hat)^2;
+- each level of the amplified scan: step 2^p and the same gap, since skip j
+  of the 2^p-skipped trajectory counts the pairs of skip 2^p j;
 - dps: step 1 and the smoothed gap 1 - sigma_2(L_hat), in `_dps_scan`.
-The trajectory memoizes the tables, so calls on one trajectory share them.
+The trajectory memoizes the tables and, through `_gap`, the gaps, so calls on
+one trajectory build each table and solve each gap once.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 from . import eigensolve
 from .chain import Trajectory, _report_dict
@@ -87,24 +88,21 @@ def _ps_gap(t: SkippedTallies) -> float | None:
     return 1.0 - eigensolve.second_singular_value(L_hat) ** 2
 
 
-def _ps_gaps(tr: Trajectory) -> Callable[[int], float | None]:
-    """gap(k), the `_ps_gap` of skip k of tr, each skip solved once per call.
+def _gap(tr: Trajectory, k: int, alpha: float | None = None) -> float | None:
+    """Skip k's `_dps_gap` with alpha, else its `_ps_gap`, solved once per trajectory.
 
-    The gaps are kept here; the tables are the trajectory's tally memo.
+    The trajectory's `_gaps` keeps the first by (k, alpha), the second by k.
     """
-    gaps: dict[int, float | None] = {}
-
-    def gap(k: int) -> float | None:
-        if k not in gaps:
-            gaps[k] = _ps_gap(tally(tr, k))
-        return gaps[k]
-
-    return gap
+    key = k if alpha is None else (k, alpha)
+    if key not in tr._gaps:
+        t = tally(tr, k)
+        tr._gaps[key] = _ps_gap(t) if alpha is None else _dps_gap(t, alpha)
+    return tr._gaps[key]
 
 
-def _ps_prefix(tr: Trajectory, K: int, gap: Callable[[int], float | None]) -> EstimateReport:
-    """The prefix report over skips 1..K, read through the memo `gap`."""
-    value, per_k, K_used, diagnostics = _scan(tr, K, gap)
+def _ps_prefix(tr: Trajectory, K: int) -> EstimateReport:
+    """The prefix report over skips 1..K."""
+    value, per_k, K_used, diagnostics = _scan(tr, K, partial(_gap, tr))
     if not per_k:
         raise NoUsableKError(f"no usable skip rate in 1..{K}")
     return EstimateReport(
@@ -130,7 +128,7 @@ def gamma_ps_prefix_hat(tr: Trajectory, K: int) -> EstimateReport:
     Raises:
         NoUsableKError: if every skip in the prefix is unusable.
     """
-    return _ps_prefix(tr, K, _ps_gaps(tr))
+    return _ps_prefix(tr, K)
 
 
 def gamma_ps_additive(tr: Trajectory, epsilon: float) -> EstimateReport:
@@ -155,7 +153,7 @@ def gamma_ps_amplified(tr: Trajectory) -> EstimateReport:
         NoTriggerError: if the skipped data runs out before the threshold fires.
     """
     scan: dict[int, float] = {}
-    gap = _ps_gaps(tr)  # level 2k rereads the even skips of level k
+    gap = partial(_gap, tr)  # level 2k rereads the even skips of level k
     k = 1
     # the k-skipped trajectory keeps floor((m-1)/k) pairs; it needs two
     while (tr.m - 1) // k >= 2:
@@ -186,7 +184,7 @@ def gamma_ps_adaptive_multiplicative(tr: Trajectory, epsilon: float) -> Estimate
     if not 0.0 < epsilon < 5.0:
         raise ValueError("epsilon must be in (0, 5)")
     n_min = tally(tr, 1).n_min
-    report = _ps_prefix(tr, adaptive_K_multiplicative(n_min, epsilon), _ps_gaps(tr))
+    report = _ps_prefix(tr, adaptive_K_multiplicative(n_min, epsilon))
     diagnostics = {**report.diagnostics, "epsilon": epsilon, **_adaptive_diagnostics(n_min)}
     return replace(report, estimator="ps-adaptive", diagnostics=diagnostics)
 
@@ -211,8 +209,8 @@ def _dps_gap(t: SkippedTallies, alpha: float) -> float:
 def _dps_scan(tr: Trajectory, alpha: float, K: int | None) -> EstimateReport:
     """The dps estimate over skips 1..K.
 
-    With K omitted, the N_min of skip 1 sets the adaptive K. The tally memo
-    hands each table on to the scan and then to `confidence_interval`.
+    With K omitted, the N_min of skip 1 sets the adaptive K. The trajectory's
+    memos hand each table and gap on to the scan `confidence_interval` repeats.
     """
     if tr.m < 3:
         raise TrajectoryTooShortError("need m >= 3 for the smoothed estimator")
@@ -221,7 +219,7 @@ def _dps_scan(tr: Trajectory, alpha: float, K: int | None) -> EstimateReport:
         n_min = tally(tr, 1).n_min
         K = adaptive_K_dps(n_min, tr.m)
         diagnostics = {**_adaptive_diagnostics(n_min), "K_adaptive": True}
-    value, per_k, K_used, scanned = _scan(tr, K, lambda k: _dps_gap(tally(tr, k), alpha))
+    value, per_k, K_used, scanned = _scan(tr, K, lambda k: _gap(tr, k, alpha))
     return EstimateReport(
         estimator="dps",
         value=value,

@@ -138,6 +138,51 @@ def _second_modulus_floor(L: np.ndarray) -> float:
     return float(min(floor, 1.0))
 
 
+def _skip_loop(P: StochasticMatrix, k_cap: int, with_dps: bool) -> tuple[list[float], tuple, tuple, str]:
+    """sigma_2(L^k) for k = 1..K, the (gap, k) maxima of both gaps and the stop reason.
+
+    K is the first k where no skip j > k can beat the running gamma_ps, nor
+    gamma_dps when `with_dps` is set (see `spectral_gaps`).
+    """
+    L = build_L(P)
+    if not is_aperiodic(P):
+        raise NonconvergentGapError("chain is periodic: every per-skip gap is zero")
+    sigmas: list[float] = []
+    best_ps, k_ps = 0.0, 0
+    best_dps, k_dps = 0.0, 0
+    lam2_floor = None  # a floor on |lambda_2(P)| once bought; until then skip j is bounded by 1/j
+    Lk = L
+    while True:
+        sigma2 = _sigma2(Lk)
+        sigmas.append(sigma2)
+        k = len(sigmas)
+        gd, gdd = 1.0 - sigma2**2, 1.0 - sigma2
+        if gd / k > best_ps:
+            best_ps, k_ps = gd / k, k
+        if gdd / k > best_dps:
+            best_dps, k_dps = gdd / k, k
+        j = k + 1
+        # the smallest maximum the loop must certify; once j best >= 1 the floor cannot matter
+        best = best_dps if with_dps else best_ps
+        if lam2_floor is None and j * best < 1.0 and (best * (j + _EIG_COST) < 1.0 or k == _EIG_COST):
+            lam2_floor = _second_modulus_floor(L)
+        floor = lam2_floor or 0.0
+        if (1.0 - floor ** (2 * j)) / j <= best_ps and (not with_dps or (1.0 - floor**j) / j <= best_dps):
+            return sigmas, (best_ps, k_ps), (best_dps, k_dps), "1/k" if j * best >= 1.0 else "weyl"
+        if k >= k_cap:
+            raise NonconvergentGapError(
+                f"no certificate closed the skip loop by k = {k_cap} "
+                f"(best gaps {best_ps:.3e}, {best_dps:.3e}); the chain is too close "
+                "to periodic or reducible to resolve"
+            )
+        Lk = Lk @ L
+
+
+def _gamma_ps(P: StochasticMatrix, k_cap: int = DEFAULT_K_CAP) -> float:
+    """`spectral_gaps(P).gamma_ps`, or its NonconvergentGapError, certifying gamma_ps alone."""
+    return _skip_loop(P, k_cap, with_dps=False)[1][0]
+
+
 def spectral_gaps(P: StochasticMatrix, k_cap: int = DEFAULT_K_CAP) -> SpectralReport:
     """Exact pseudo-spectral and dilated pseudo-spectral gaps of P.
 
@@ -155,6 +200,8 @@ def spectral_gaps(P: StochasticMatrix, k_cap: int = DEFAULT_K_CAP) -> SpectralRe
     first k where the 1/j exit is open and over R = 8 skips away, or at k = R.
     The eigensolve is values-only, plus one guarded LU of L - w I per
     eigenvalue w it needs a condition number for (_second_modulus_floor).
+    Callers that read only gamma_ps use `_gamma_ps`, whose loop runs the same
+    test and the same rule for buying l on the gamma_ps maximum alone.
 
     `stop_reason` is "1/k" if 1/j alone closed the loop, "weyl" if it took l.
 
@@ -162,42 +209,9 @@ def spectral_gaps(P: StochasticMatrix, k_cap: int = DEFAULT_K_CAP) -> SpectralRe
         NonconvergentGapError: if P is periodic (|lambda_2| = 1, so every
             per-skip gap is zero), or if neither certificate fires by k_cap.
     """
-    L = build_L(P)
-    if not is_aperiodic(P):
-        raise NonconvergentGapError("chain is periodic: every per-skip gap is zero")
-    gamma_dagger_at_k: dict[int, float] = {}
-    gamma_ddagger_at_k: dict[int, float] = {}
-    best_ps, k_ps = 0.0, 0
-    best_dps, k_dps = 0.0, 0
-    lam2_floor = None  # a floor on |lambda_2(P)| once bought; until then skip j is bounded by 1/j
-    Lk = np.eye(P.n)
-    k = 0
-    while True:
-        k += 1
-        Lk = Lk @ L
-        sigma2 = _sigma2(Lk)
-        gd = 1.0 - sigma2**2
-        gdd = 1.0 - sigma2
-        gamma_dagger_at_k[k] = gd
-        gamma_ddagger_at_k[k] = gdd
-        if gd / k > best_ps:
-            best_ps, k_ps = gd / k, k
-        if gdd / k > best_dps:
-            best_dps, k_dps = gdd / k, k
-        j = k + 1
-        # best_ps >= best_dps, so once j best_dps >= 1 the floor cannot matter
-        if lam2_floor is None and j * best_dps < 1.0 and (best_dps * (j + _EIG_COST) < 1.0 or k == _EIG_COST):
-            lam2_floor = _second_modulus_floor(L)
-        floor = lam2_floor or 0.0
-        if (1.0 - floor**j) / j <= best_dps and (1.0 - floor ** (2 * j)) / j <= best_ps:
-            stop_reason = "1/k" if j * best_dps >= 1.0 else "weyl"
-            break
-        if k >= k_cap:
-            raise NonconvergentGapError(
-                f"no certificate closed the skip loop by k = {k_cap} "
-                f"(best gaps {best_ps:.3e}, {best_dps:.3e}); the chain is too close "
-                "to periodic or reducible to resolve"
-            )
+    sigmas, (best_ps, k_ps), (best_dps, k_dps), stop_reason = _skip_loop(P, k_cap, with_dps=True)
+    gamma_dagger_at_k = {k: 1.0 - s**2 for k, s in enumerate(sigmas, 1)}
+    gamma_ddagger_at_k = {k: 1.0 - s for k, s in enumerate(sigmas, 1)}
     # for reversible P, L is symmetric and sigma_2(L) is the largest non-Perron modulus
     gamma_star = gamma_ddagger_at_k[1] if is_reversible(P) else None
     return SpectralReport(
@@ -205,7 +219,7 @@ def spectral_gaps(P: StochasticMatrix, k_cap: int = DEFAULT_K_CAP) -> SpectralRe
         gamma_dps=best_dps,
         k_ps=k_ps,
         k_dps=k_dps,
-        k_explored=k,
+        k_explored=len(sigmas),
         stop_reason=stop_reason,
         gamma_dagger_at_k=gamma_dagger_at_k,
         gamma_ddagger_at_k=gamma_ddagger_at_k,
@@ -290,7 +304,7 @@ def verify_lemma_properties(P: StochasticMatrix, k_max: int = 10) -> LemmaLedger
     gps, k_ps = base.gamma_ps, base.k_ps
     skipped = {}
     for p in range(1, k_max + 1):
-        skipped[p] = spectral_gaps(matrix_power(P, p)).gamma_ps if p > 1 else gps
+        skipped[p] = _gamma_ps(matrix_power(P, p)) if p > 1 else gps
 
     for p in range(1, k_max + 1):
         check("skipped_gap_lower", {"p": p}, p * gps * (1.0 - p * k_ps * gps / 2.0), skipped[p])

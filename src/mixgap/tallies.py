@@ -5,8 +5,9 @@ t = 1..floor((m-1)/k), into the dense n x n int64 table N_{xx'}, the only
 thing a `SkippedTallies` stores; the visit counts N_x are its row sums. It
 bincounts pair codes x n + x' in chunks of max(2^18, n^2) pairs, states in the
 smallest unsigned dtype that holds n - 1 and codes in the smallest that holds
-n^2 - 1. A trajectory memoizes its compact states and each skip's table within
-the bytes of its int64 states; a table past that limit is returned uncached.
+n^2 - 1 up to 16 bits, past that in the intp that np.bincount reads. A
+trajectory memoizes its compact states and each skip's table within the bytes
+of its int64 states; a table past that limit is returned uncached.
 On the counts sit N_{xx'}/sqrt(N_x N_{x'}) and the alpha-smoothed estimates.
 """
 
@@ -112,7 +113,9 @@ def tally(tr: Trajectory, k: int = 1) -> SkippedTallies:
     if codes is None:
         codes = tr.states.astype(np.min_scalar_type(n - 1))
     src, dst = codes[::k][:-1], codes[::k][1:]
-    pair_dtype, chunk = np.min_scalar_type(n * n - 1), max(1 << 18, n * n)
+    # np.bincount casts any other dtype to intp, which costs more than uint32 codes save
+    pair_dtype = np.min_scalar_type(n * n - 1) if n <= 256 else np.intp
+    chunk = max(1 << 18, n * n)
     counts = np.zeros(n * n, dtype=np.int64)
     for lo in range(0, src.size, chunk):
         pairs = src[lo : lo + chunk].astype(pair_dtype) * n + dst[lo : lo + chunk]

@@ -7,6 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from mixgap.chain import StochasticMatrix, stationary_distribution
 from mixgap.oracle import _EIG_MARGIN, full_spectral_report
@@ -45,6 +47,12 @@ def second_modulus_floor_two_sided(L: np.ndarray) -> float:
         lower = np.abs(w) - _EIG_MARGIN * n * np.finfo(float).eps / s
     lower = np.delete(lower, np.argmin(np.abs(w - 1.0)))
     return float(np.clip(lower.max(), 0.0, 1.0))
+
+
+def strongly_connected(rows) -> bool:
+    """Irreducibility as scipy's count of strong components of the positive-support digraph."""
+    graph = csr_matrix((np.asarray(rows) > 0).astype(np.int8))
+    return connected_components(graph, directed=True, connection="strong")[0] == 1
 
 
 def tally_counts(states, n: int, k: int = 1) -> np.ndarray:

@@ -30,7 +30,7 @@ from mixgap.fixtures import FIXTURES, get_fixture
 from mixgap.oracle import spectral_gaps
 
 from conftest import birth_death, random_ergodic, random_reversible
-from reference_routes import generic_dilation
+from reference_routes import generic_dilation, strongly_connected
 
 UNIFORM2 = [[0.5, 0.5], [0.5, 0.5]]
 FLIP = [[0.0, 1.0], [1.0, 0.0]]
@@ -272,6 +272,18 @@ class TestErgodicityChecks:
     def test_dense_chain_is_ergodic(self):
         P = random_ergodic(0)
         assert is_irreducible(P) and is_aperiodic(P)
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 9), density=st.sampled_from([0.1, 0.3, 0.6, 0.9, 1.0]))
+    @settings(max_examples=200, deadline=None)
+    def test_irreducibility_matches_strong_components(self, seed, n, density):
+        # density 1 gives the all-positive rows that skip the graph search
+        rng = np.random.default_rng(seed)
+        W = (rng.random((n, n)) + 1e-3) * (rng.random((n, n)) < density)
+        W[W.sum(axis=1) == 0, 0] = 1.0
+        P = StochasticMatrix(W / W.sum(axis=1, keepdims=True))
+        assert is_irreducible(P) == strongly_connected(P.rows)
+        if density == 1.0:
+            assert P.rows.all() and is_irreducible(P)
 
     @given(
         seed=st.integers(0, 2**32 - 1),

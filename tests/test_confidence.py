@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import mixgap.eigensolve
 from mixgap.chain import Trajectory, simulate
 from mixgap.confidence import (
     confidence_interval,
@@ -14,7 +15,8 @@ from mixgap.confidence import (
     term_W,
 )
 from mixgap.fixtures import example_chain, get_fixture
-from mixgap.tallies import SkippedTallies, tally
+from mixgap.estimators import DEFAULT_ALPHA, gamma_dps_hat
+from mixgap.tallies import SkippedTallies, smoothed_estimates, tally
 
 ZIGZAG = Trajectory(np.array([0, 1, 0, 1, 1]), n=2)
 
@@ -256,6 +258,18 @@ class TestConfidenceInterval:
         report = confidence_interval(tr, c=0.01)
         assert [math.isinf(t["U"]) for t in report.per_k_terms.values()] == [k == skip for k in (1, 2)]
         assert report.vacuous and report.interval == (0.0, 1.0)
+
+    def test_interval_after_the_estimate_solves_each_smoothed_skip_once(self, monkeypatch):
+        tr = simulate(example_chain(), 100_000, seed=1)  # K_hat = 2
+        solved = []
+        svd = mixgap.eigensolve.second_singular_value
+        monkeypatch.setattr(mixgap.eigensolve, "second_singular_value", lambda A: solved.append(np.copy(A)) or svd(A))
+        gamma_dps_hat(tr)
+        report = confidence_interval(tr)
+        assert report.K_hat == 2
+        for k in (1, 2):
+            L_hat = smoothed_estimates(tally(tr, k), DEFAULT_ALPHA).L_hat
+            assert sum(np.array_equal(A, L_hat) for A in solved) == 1
 
     def test_empirical_gamma_ps_strictly_positive(self):
         t = tally(ZIGZAG, 1)

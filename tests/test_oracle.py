@@ -13,6 +13,7 @@ from mixgap.chain import (
     build_L,
     is_aperiodic,
     is_reversible,
+    simulate,
     stationary_distribution,
 )
 from mixgap.eigensolve import dense_symmetric_spectrum, second_singular_value
@@ -27,6 +28,7 @@ from mixgap.oracle import (
     spectral_gaps,
     verify_lemma_properties,
 )
+from mixgap.tallies import smoothed_estimates, tally
 
 from conftest import NEAR_PERIODIC_ROWS, PERIOD2_ROWS, random_ergodic, random_reversible
 from reference_routes import generic_dilation, mixing_time_sandwich, second_modulus_floor_two_sided
@@ -308,6 +310,51 @@ class TestPseudoSpectralGap:
         # one eigensolve at most, and no more skips than buying its floor at k = 8 would take
         assert len(floors) <= 1
         assert rep.k_explored <= fixed_start_stop(rep, floors[0] if floors else floor(build_L(P)))
+
+
+class TestGammaPsOnly:
+    """The skip loop that certifies gamma_ps alone, against the full report."""
+
+    @given(
+        family=st.sampled_from(["dense", "sparse", "cycle", "p_hat"]),
+        n=st.integers(2, 25),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_spectral_gaps_bit_for_bit(self, family, n, seed):
+        rng = np.random.default_rng(seed)
+        if family == "p_hat":
+            # the smoothed estimate from a short trajectory of any other family
+            source = chain_of_family(str(rng.choice(["dense", "sparse", "cycle"])), n, rng)
+            tr = simulate(source, int(rng.integers(5, 300)), seed=seed)
+            t = tally(tr, int(rng.integers(1, 4)))
+            P = StochasticMatrix(smoothed_estimates(t, float(rng.uniform(1e-3, 1.0))).P_hat)
+        else:
+            P = chain_of_family(family, n, rng)
+        if not is_aperiodic(P):
+            with pytest.raises(NonconvergentGapError, match="periodic"):
+                oracle_module._gamma_ps(P)
+            return
+        assert oracle_module._gamma_ps(P) == spectral_gaps(P).gamma_ps
+
+    def test_periodic_and_capped_chains_raise(self):
+        for rows in ([[0.0, 1.0], [1.0, 0.0]], PERIOD2_ROWS):
+            with pytest.raises(NonconvergentGapError, match="periodic"):
+                oracle_module._gamma_ps(StochasticMatrix(rows), k_cap=40)
+        with pytest.raises(NonconvergentGapError, match="k = 50"):
+            oracle_module._gamma_ps(StochasticMatrix(NEAR_PERIODIC_ROWS), k_cap=50)
+
+    def test_stops_once_gamma_ps_is_certified(self, monkeypatch):
+        # gamma_ps = 0.27 closes by 1/k at skip 3 (4 * 0.27 >= 1), gamma_dps = 0.14 only at skip 6
+        P = lazy_cycle(8, 0.5, 0.6)
+        rep = spectral_gaps(P)
+        assert (rep.stop_reason, rep.k_explored) == ("1/k", 6)
+        solves = []
+        sigma2 = oracle_module._sigma2
+        monkeypatch.setattr(oracle_module, "_sigma2", lambda Lk: solves.append(1) or sigma2(Lk))
+        monkeypatch.setattr(oracle_module, "_second_modulus_floor", None)  # not bought
+        assert oracle_module._gamma_ps(P) == rep.gamma_ps
+        assert len(solves) == 3
 
 
 class TestSecondModulusFloor:

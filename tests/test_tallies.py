@@ -12,7 +12,7 @@ from numpy.testing import assert_allclose
 from mixgap.chain import Trajectory, build_L, simulate
 from mixgap.confidence import confidence_interval
 from mixgap.errors import NoTriggerError, TrajectoryTooShortError, UnvisitedStateError
-from mixgap.estimators import gamma_dps_hat, gamma_ps_amplified
+from mixgap.estimators import DEFAULT_ALPHA, gamma_dps_hat, gamma_ps_amplified
 from mixgap.fixtures import example_chain
 from mixgap.tallies import smoothed_estimates, tally, unsmoothed_L_hat
 from reference_routes import tally_counts
@@ -125,17 +125,24 @@ class TestMemo:
         states = simulate(example_chain(), 100_000, seed=1).states
         calls = {"dps": gamma_dps_hat, "interval": confidence_interval, "amplified": gamma_ps_amplified}
 
-        def reports(order, shared):
+        def reports(order, shared, keep_tables=True):
             tr = Trajectory(states, 3)
             out = {}
             for name in order:
                 out[name] = json.dumps(calls[name](tr if shared else Trajectory(states, 3)).to_dict())
-            return out
+                if not keep_tables:  # then only the gap memo carries over
+                    tr._tallies.clear()
+            return out, tr
 
-        fresh = reports(list(calls), shared=False)
+        fresh, _ = reports(list(calls), shared=False)
         assert json.loads(fresh["interval"])["K_hat"] == 2
-        assert reports(list(calls), shared=True) == fresh
-        assert reports(list(reversed(calls)), shared=True) == fresh
+        # smoothed gaps of skips 1..K_hat by (k, alpha), unsmoothed ones of both amplified levels by k
+        gap_keys = {(1, DEFAULT_ALPHA), (2, DEFAULT_ALPHA)} | set(range(1, 17)) | set(range(2, 33, 2))
+        for order in (list(calls), list(reversed(calls))):
+            for keep_tables in (True, False):
+                out, tr = reports(order, shared=True, keep_tables=keep_tables)
+                assert out == fresh
+                assert set(tr._gaps) == gap_keys
 
     def test_memo_stays_within_the_states_bytes(self):
         # an n x n table is 720 kB here against 160 kB of states, so none is cached
