@@ -2,16 +2,18 @@
 
 Each (m, seed) cell simulates one trajectory, runs the smoothed dilation
 estimator with its confidence interval, and records the error against the
-exact oracle value plus a coverage bit. Cells run one after another in
-(m, seed) order, and each is deterministic, so the output bytes depend only
-on the inputs.
+exact oracle value plus a coverage bit. The trajectories of one m are walked
+together in batches of at most `_BATCH_STEPS` steps (one trajectory when m is
+larger), each exactly as `simulate(P, m, seed=seed)` would walk it; the
+intervals then run one after another in (m, seed) order. Every cell is
+deterministic, so the output bytes depend only on the inputs.
 """
 
 from __future__ import annotations
 
 from statistics import median
 
-from .chain import StochasticMatrix, simulate
+from .chain import _BATCH_STEPS, StochasticMatrix, _simulate_batch
 from .confidence import DEFAULT_C, DEFAULT_DELTA, confidence_interval
 from .estimators import DEFAULT_ALPHA
 from .oracle import spectral_gaps
@@ -46,15 +48,20 @@ def bench_convergence(
     cells = {}  # m -> (point, abs_error, half_width, covered) of each seed
     for m in sorted(m_grid):
         cell = cells[m] = []
-        for seed in range(seeds):
-            report = confidence_interval(
-                simulate(P, m, start="stationary", seed=seed), alpha=alpha, delta=delta, c=c
-            )
-            lo, hi = report.interval
-            point, err, hw = report.point, abs(report.point - gamma_dps), report.half_width
-            covered = int(lo <= gamma_dps <= hi)
-            cell.append((point, err, hw, covered))
-            lines.append(f"{m},{seed},{_fmt(point)},{_fmt(err)},{_fmt(hw)},{covered}")
+        per_batch = max(1, _BATCH_STEPS // m)
+        for b in range(0, seeds, per_batch):
+            batch = range(b, min(b + per_batch, seeds))
+            # the comprehension frees the batch's trajectories before the next batch
+            reports = [
+                confidence_interval(tr, alpha=alpha, delta=delta, c=c)
+                for tr in _simulate_batch(P, m, batch, "stationary")
+            ]
+            for seed, report in zip(batch, reports):
+                lo, hi = report.interval
+                point, err, hw = report.point, abs(report.point - gamma_dps), report.half_width
+                covered = int(lo <= gamma_dps <= hi)
+                cell.append((point, err, hw, covered))
+                lines.append(f"{m},{seed},{_fmt(point)},{_fmt(err)},{_fmt(hw)},{covered}")
     for m in m_grid:
         point, err, hw, covered = zip(*cells[m])
         p, e, h = _fmt(median(point)), _fmt(median(err)), _fmt(median(hw))

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import os
 from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
@@ -258,14 +259,20 @@ def mixing_time(
 
 # `simulate` walks long trajectories as chunks advanced in lockstep. One vector
 # step costs about 10-50 us against 0.1-0.3 us for one sequential step (2-core
-# host), so lockstep pays only with many chunks. After 32 rerun steps, chains
-# whose paths merge under common random numbers (dense or sparse random rows)
-# leave under 10% of the chunks still rerunning; lazy cycles and tori leave
-# over 75%.
-_LOCKSTEP_MIN_M = 4096  # chunks are round(sqrt(m) / 2) >= _CHECK_STEP steps long
-_CHECK_STEP = 32  # rerun step at which merging is judged
-_MAX_UNMET = 0.25  # fraction of chunks still rerunning then that falls back
+# host), so lockstep pays only with many chunks. Whether paths merge under
+# common random numbers is judged during the first _CHECK_STEP lockstep steps,
+# from _PROBES chunks also walked from a second start: on dense and sparse
+# random rows nearly all such pairs have met by then, on lazy cycles and tori
+# almost none have, and those chains are finished one step at a time.
+# at m >= _LOCKSTEP_MIN_M chunks are round(sqrt(m) / 2) >= _CHECK_STEP steps
+# long, so each trial's first chunk, walked from its true start, is right up
+# to the step where a failed merge check hands over to the sequential walk
+_LOCKSTEP_MIN_M = 4096
+_CHECK_STEP = 32  # lockstep step at which merging is judged
+_PROBES = 16  # chunk pairs walked from two starts up to _CHECK_STEP
+_MAX_UNMET = 0.25  # fraction of those pairs still apart that falls back
 _BLOCK = 1 << 14  # draws converted to Python floats at a time
+_BATCH_STEPS = 1 << 17  # steps of the trials that bench_convergence walks together
 
 
 def _physical_memory() -> int:
@@ -316,16 +323,27 @@ def _walk_sequential(
         out[b : b + len(block)] = block
 
 
-def _walk_coupled(
-    cut: np.ndarray, col: np.ndarray, size: np.ndarray, u: np.ndarray, out: np.ndarray
+def _walk_batch(
+    cut: np.ndarray, col: np.ndarray, size: np.ndarray, u: np.ndarray, out: np.ndarray, m: int
 ) -> None:
-    """Fill out[1:] by chunks run in lockstep, then rerun until consistent.
+    """Fill trials of m states held end to end in out, each from its first state.
 
-    Hands over to _walk_sequential at the earliest state not yet known to be
-    right when the reruns merge slowly (see _MAX_UNMET) or have not all met
-    the recorded path within one chunk length.
+    The chunks of every trial run in lockstep, then rerun until consistent.
+    Every trial hands over to _walk_sequential at step _CHECK_STEP + 1 when
+    the probe pairs show that paths merge slowly (see _MAX_UNMET), and a
+    trial whose reruns have not all met its recorded path within one chunk
+    length hands over at its earliest state not yet known to be right.
     """
-    m = u.size
+    trials = u.size // m
+
+    def sequential(trial: int, lo: int) -> None:
+        b = trial * m
+        _walk_sequential(cut, col, size, u[b : b + m], out[b : b + m], lo)
+
+    if m < _LOCKSTEP_MIN_M:
+        for trial in range(trials):
+            sequential(trial, 1)
+        return
     width = cut.shape[1]
     flat_cut, flat_col = cut.ravel(), col.ravel()
     halves = [width >> i for i in range(1, width.bit_length())]
@@ -339,35 +357,95 @@ def _walk_coupled(
         return flat_col[i]
 
     length = round(math.sqrt(m) / 2)
-    first = np.arange(1, m, length)  # first step of each chunk
-    chunks = first.size
-    tail = m - int(first[-1])  # steps of the last, possibly short, chunk
-    x = np.full(chunks, out[0])
-    for j in range(length):
-        live = chunks if j < tail else chunks - 1
-        t = first[:live] + j
-        x[:live] = step(x[:live], u[t])
-        out[t] = x[:live]
+    heads = np.arange(1, m, length)  # first step of each chunk of a trial
+    tail = m - int(heads[-1])  # steps of the last, possibly short, chunk
+    # chunk-major, so the last chunk of every trial sits at the end
+    first = (heads[:, None] + np.arange(0, u.size, m)).ravel()
+    guess = np.tile(out[::m], heads.size)  # each chunk starts from its trial's start
+
+    def lockstep(x: np.ndarray, pos: np.ndarray, j0: int, j1: int, probes: int) -> None:
+        # the first `probes` entries of x walk probe paths that are not recorded
+        for j in range(j0, j1):
+            live = x.size if j < tail else x.size - trials
+            t = pos[:live] + j
+            x[:live] = step(x[:live], u[t])
+            out[t[probes:]] = x[probes:live]
+
+    # each probe walks the draws of one of the first chunks from a state other
+    # than that chunk's guess; the pairs still apart at _CHECK_STEP judge merging
+    n = cut.shape[0]
+    second = (guess[:_PROBES] + 1 + np.arange(_PROBES) * (n - 1) // _PROBES) % n
+    x = np.concatenate([second, guess])
+    lockstep(x, np.concatenate([first[:_PROBES], first]), 0, _CHECK_STEP, _PROBES)
+    if np.count_nonzero(x[:_PROBES] != x[_PROBES : 2 * _PROBES]) > _MAX_UNMET * _PROBES:
+        # each trial's first chunk started from its true start
+        for trial in range(trials):
+            sequential(trial, _CHECK_STEP + 1)
+        return
+    lockstep(x[_PROBES:], first, _CHECK_STEP, length, 0)
     # rerun each chunk whose guessed start was not its predecessor's end, in
-    # lockstep; a rerun stops where it meets the recorded path, and one that
-    # leaves its chunk carries on into the next. Reruns stay whole chunks
-    # apart, and one that overwrites a state always moves on to the next, so
-    # once none is left every state follows from its predecessor and u.
-    t = first[1:][out[first[1:] - 1] != out[0]]
+    # lockstep; a rerun stops where it meets the recorded path or at the end
+    # of its trial, and one that leaves its chunk carries on into the next.
+    # Reruns stay whole chunks apart, and one that overwrites a state always
+    # moves on to the next, so once none is left every state follows from its
+    # predecessor and u.
+    t = first[trials:]
+    t = np.sort(t[out[t - 1] != guess[trials:]])
     x = out[t - 1]
-    for j in range(1, length + 1):
+    for _ in range(length):
         x = step(x, u[t])
         met = out[t] == x
         out[t] = x
         t += 1
-        keep = ~met & (t < m)
+        keep = ~met & (t % m != 0)
         x, t = x[keep], t[keep]
         if t.size == 0:
             return
-        if j == _CHECK_STEP and t.size > _MAX_UNMET * chunks:
-            break
-    # every state before the earliest rerun still going is final
-    _walk_sequential(cut, col, size, u, out, int(t[0]))
+    # every state of a trial before its earliest rerun still going is final
+    for trial, k in zip(*np.unique(t // m, return_index=True)):
+        sequential(int(trial), int(t[k] - trial * m))
+
+
+def _simulate_batch(
+    P: StochasticMatrix, m: int, seeds: Sequence[int], start: int | np.ndarray | str
+) -> list[Trajectory]:
+    """``simulate(P, m, start, seed)`` for each seed, all walked together.
+
+    Each trial draws its start and u from its own ``default_rng(seed)``, as
+    ``simulate`` does; only the schedule of the walk is shared.
+
+    Raises:
+        ValueError: for m < 1, a bad start, or a batch whose draws and states
+            (16 bytes per step) would not fit in physical memory.
+    """
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    steps = len(seeds) * m
+    # refuse before allocating, so a huge m is an input error, not a crash
+    if 16 * steps > _physical_memory():
+        raise ValueError(f"{steps} draws and states exceed physical memory")
+    n = P.n
+    if isinstance(start, str):
+        if start != "stationary":
+            raise ValueError(f"unknown start value {start!r}")
+        start = stationary_distribution(P)
+    p = None
+    if np.ndim(start) == 0:
+        if not 0 <= int(start) < n:
+            raise ValueError("start state out of range")
+    else:
+        p = np.asarray(start, dtype=float)
+        if p.shape != (n,) or abs(p.sum() - 1.0) > 1e-9 or np.min(p) < 0:
+            raise ValueError("start distribution must be a length-n probability vector")
+        p = p / p.sum()
+    tables = _support_tables(P.rows)
+    u, out = np.empty(steps), np.empty(steps, dtype=np.int64)
+    for b, seed in zip(range(0, steps, m), seeds):
+        rng = np.random.default_rng(seed)
+        out[b] = int(start) if p is None else rng.choice(n, p=p)
+        rng.random(out=u[b : b + m])  # the same draws as rng.random(m)
+    _walk_batch(*tables, u, out, m)
+    return [Trajectory(out[b : b + m], n) for b in range(0, steps, m)]
 
 
 def simulate(
@@ -396,39 +474,15 @@ def simulate(
     rule applied to the same u, so then each state follows from its
     predecessor exactly as in a one-step-at-a-time walk. Under these common
     random numbers paths from different starts merge (the grand coupling of
-    Propp and Wilson, 1996), so the reruns are short on chains that mix fast;
-    chains whose paths merge slowly are finished one step at a time.
+    Propp and Wilson, 1996), so the reruns are short on chains that mix fast.
+    A few chunks are also walked from a second start for the first
+    _CHECK_STEP steps; when most of those pairs have not met by then, the
+    chain's paths merge slowly and the trajectory is finished one step at a
+    time. ``bench_convergence`` walks the chunks of several trials in the
+    same vectors (``_simulate_batch``), with the same output per trial.
 
     Raises:
         ValueError: for m < 1, a bad start, or an m whose draws and states
             (16 bytes per step) would not fit in physical memory.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    # refuse before allocating, so a huge m is an input error, not a crash
-    if 16 * m > _physical_memory():
-        raise ValueError(f"{m} draws and states exceed physical memory")
-    n = P.n
-    rng = np.random.default_rng(seed)
-    if isinstance(start, str):
-        if start != "stationary":
-            raise ValueError(f"unknown start value {start!r}")
-        start = stationary_distribution(P)
-    if np.ndim(start) == 0:
-        x = int(start)
-        if not 0 <= x < n:
-            raise ValueError("start state out of range")
-    else:
-        p = np.asarray(start, dtype=float)
-        if p.shape != (n,) or abs(p.sum() - 1.0) > 1e-9 or np.min(p) < 0:
-            raise ValueError("start distribution must be a length-n probability vector")
-        x = int(rng.choice(n, p=p / p.sum()))
-    tables = _support_tables(P.rows)
-    u = rng.random(m)
-    out = np.empty(m, dtype=np.int64)
-    out[0] = x
-    if m < _LOCKSTEP_MIN_M:
-        _walk_sequential(*tables, u, out, 1)
-    else:
-        _walk_coupled(*tables, u, out)
-    return Trajectory(out, n)
+    return _simulate_batch(P, m, [seed], start)[0]

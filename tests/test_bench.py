@@ -1,6 +1,8 @@
 import math
 
+import mixgap.bench as bench_module
 from mixgap.bench import CSV_HEADER, bench_convergence
+from mixgap.chain import _BATCH_STEPS
 from mixgap.fixtures import get_fixture
 
 
@@ -42,3 +44,21 @@ def test_half_width_tracks_log_cubed_over_m_shape():
     ]
     assert max(ratios) / min(ratios) < 4.0
 
+
+def test_batches_hold_at_most_the_cap_steps(monkeypatch):
+    batches = []
+    walk = bench_module._simulate_batch
+
+    def recorded(P, m, seeds, start):
+        batches.append((m, list(seeds)))
+        return walk(P, m, seeds, start)
+
+    monkeypatch.setattr(bench_module, "_simulate_batch", recorded)
+    grid = [5000, 30_000, _BATCH_STEPS + 1]
+    bench_convergence(get_fixture("fast3"), m_grid=grid, seeds=5)
+    for m in grid:
+        seeds = [batch for bm, batch in batches if bm == m]
+        assert sum(seeds, []) == list(range(5))
+        # a trial longer than the cap is walked alone
+        assert all(len(s) * m <= _BATCH_STEPS or len(s) == 1 for s in seeds)
+    assert [len(s) for m, s in batches] == [5, 4, 1, 1, 1, 1, 1, 1]

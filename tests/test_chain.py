@@ -556,6 +556,12 @@ LENGTHS = st.one_of(
     st.sampled_from([1, 2, 3, 4095, 4096, 4097, 4098, 10001, 10002]),
     st.integers(4090, 12000),
 )
+# batches of up to five trials stay near the lockstep threshold; m - 1 is a
+# multiple of the 32-step chunk at 4097 and 4129
+BATCH_LENGTHS = st.one_of(
+    st.sampled_from([1, 2, 4095, 4096, 4097, 4098, 4129]),
+    st.integers(4090, 5000),
+)
 
 
 class TestSimulate:
@@ -597,8 +603,8 @@ class TestSimulate:
         P = StochasticMatrix([[0.3, 0.7 - 5e-13, 0.0], [0.0, 0.0, 1.0], [1.0 - 5e-13, 0.0, 0.0]])
 
         class NearOne:
-            def random(self, m):
-                return np.linspace(1 - 5e-13, np.nextafter(1.0, 0.0), m)
+            def random(self, out):
+                out[:] = np.linspace(1 - 5e-13, np.nextafter(1.0, 0.0), out.size)
 
         monkeypatch.setattr("mixgap.chain.np.random.default_rng", lambda seed: NearOne())
         tr = simulate(P, 30, start=0, seed=0)
@@ -637,7 +643,43 @@ class TestSimulate:
         tr = simulate(P, 100_000, start=0, seed=3)
         assert len(calls) == sequential_calls
         assert all(lo > 1 for lo in calls)
+        if sequential_calls:
+            # the merge probe decides before the lockstep pass goes past it
+            assert calls == [chain_module._CHECK_STEP + 1]
         assert tr.states.tolist() == reference_simulate(P, 100_000, 0, 3)
+
+    @given(
+        P=st.one_of(simulated_chains(), st.just(lazy_cycle(60))),
+        m=BATCH_LENGTHS,
+        mode=st.sampled_from(["int", "dist", "stationary"]),
+        seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=5),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_batch_matches_bisect_reference_per_trial(self, P, m, mode, seeds):
+        start = {
+            "int": seeds[0] % P.n,
+            "dist": np.random.default_rng(seeds[0]).dirichlet(np.ones(P.n)),
+            "stationary": "stationary",
+        }[mode]
+        batch = chain_module._simulate_batch(P, m, seeds, start)
+        assert len(batch) == len(seeds)
+        for seed, tr in zip(seeds, batch):
+            assert tr.states.tolist() == reference_simulate(P, m, start, seed)
+
+    def test_rerun_through_the_last_step_of_an_inner_trial(self, monkeypatch):
+        # at m = 4098 a trial's last chunk is its one last step; on ex31 with
+        # seed 0 that step guessed from the start differs from the true one,
+        # so a rerun must rewrite it and then stop before the next trial
+        P, m = get_fixture("ex31"), 4098
+        expected = reference_simulate(P, m, 0, 0)
+        u = np.random.default_rng(0).random(m)
+        assert bisect_walk(P, 0, u[-2:])[1] != expected[-1]
+        calls = []
+        monkeypatch.setattr(chain_module, "_walk_sequential", lambda *args: calls.append(args))
+        first, second = chain_module._simulate_batch(P, m, [0, 1], 0)
+        assert calls == []
+        assert first.states.tolist() == expected
+        assert second.states.tolist() == reference_simulate(P, m, 0, 1)
 
     def test_draw_near_one_on_the_coupled_path(self, monkeypatch):
         # rows 0 and 2 sum to 1 - 5e-13 and have fewer positive columns than
@@ -649,8 +691,8 @@ class TestSimulate:
         u[::7] = np.linspace(1 - 5e-13, np.nextafter(1.0, 0.0), u[::7].size)
 
         class Stub:
-            def random(self, m):
-                return u[:m].copy()
+            def random(self, out):
+                out[:] = u[: out.size]
 
         monkeypatch.setattr("mixgap.chain.np.random.default_rng", lambda seed: Stub())
         tr = simulate(P, u.size, start=0, seed=0)

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mixgap
+import mixgap.chain as chain_module
 from mixgap.chain import StochasticMatrix, is_irreducible, simulate
 from mixgap.cli import main, parse_args
 from mixgap.fixtures import FIXTURES, example_chain
@@ -514,6 +515,20 @@ class TestBenchCommand:
         assert lines[0] == "m,seed,point,abs_error,half_width,covered"
         assert len(lines) == 1 + 2 * 3 + 2  # header + trials + medians
 
+    def test_m_beyond_physical_memory_exits_invalid_input(self, monkeypatch):
+        # memory for exactly one full batch: every batch of the 5000 and 20000
+        # cells fits, and one trial above the batch cap is refused before it
+        # is allocated
+        cap = chain_module._BATCH_STEPS
+        monkeypatch.setattr(chain_module, "_physical_memory", lambda: 16 * cap)
+        argv = ["bench", "--fixture", "fast3", "--m-grid", "5000,20000", "--seeds", "30"]
+        assert run_in_process(argv)[0] == 0
+        code, out, err = run_in_process(["bench", "--fixture", "fast3", "--m-grid", str(cap + 1)])
+        assert (code, out) == (1, "")
+        error = json.loads(err)
+        assert error["error"] == "INVALID_INPUT"
+        assert "physical memory" in error["message"]
+
     def test_repeated_m_exits_invalid_input(self):
         argv = ["bench", "--fixture", "ex31", "--m-grid", "3,3", "--seeds", "1"]
         code, out, err = run_in_process(argv)
@@ -544,6 +559,9 @@ GOLDEN_CASES = {
         None,
     ),
     "bench": (["bench", "--fixture", "fast3", "--m-grid", "2000,1000", "--seeds", "3"], None),
+    "bench-lockstep": (
+        ["bench", "--fixture", "fast3", "--m-grid", "5000,20000", "--seeds", "30"], None
+    ),
     "exit1-K0": (["estimate", "--trajectory", "TRAJ", "--method", "ps-prefix", "--K", "0"], None),
     "exit1-bad-method": (["estimate", "--trajectory", "TRAJ", "--method", "bogus"], None),
     "exit2-too-short": (["estimate", "--trajectory", "TINY"], None),
@@ -565,9 +583,12 @@ GOLDEN_CASES = {
 # does not read --K were re-recorded when estimate began to reject unread
 # options: they exit 1 with INVALID_INPUT. The three *-out cases, which
 # pin the bytes of an --out file, were recorded before the CLI wrote every
-# output through one emitter.
+# output through one emitter. bench-lockstep, whose trajectories are long
+# enough for the lockstep walk, was recorded before bench walked its trials
+# in batches.
 GOLDEN_DIGESTS = {
     "bench": "b71c410a4e9c8b86451f1bd11863bbc8",
+    "bench-lockstep": "853a2bbe405afc26ef829c389f7f6e6a",
     "bench-out": "836aeca45f72d4be18aa380365b382b0",
     "estimate-dps": "ef42cd350332fb7baada5da5f7c30f6f",
     "estimate-dps-K3": "824b4ebeeec1cbdd6d802bf8d95038c0",
