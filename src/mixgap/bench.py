@@ -43,6 +43,8 @@ def bench_convergence(
         raise ValueError(f"seeds must be >= 1, got {seeds}")
     if len(set(m_grid)) != len(m_grid):
         raise ValueError(f"m_grid must not repeat an m, got {m_grid}")
+    if min(m_grid, default=1) < 1:
+        raise ValueError("m must be >= 1")  # as _simulate_batch says, but before any work
     gamma_dps = spectral_gaps(P).gamma_dps
     lines = [CSV_HEADER]
     cells = {}  # m -> (point, abs_error, half_width, covered) of each seed

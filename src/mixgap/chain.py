@@ -5,6 +5,8 @@ operations everything else builds on: stationary distributions, time
 reversal, matrix powers, the rescaled matrix L = D^{1/2} P D^{-1/2}, the
 reversible dilation, brute-force mixing time, and seeded simulation. Also
 holds the serializer behind the `to_dict` of the report dataclasses.
+Importing the module loads numpy only: `is_irreducible` imports the
+scipy.sparse strong components on first use, on a matrix with a zero entry.
 
 All containers are immutable after construction and safe to share across
 threads. Their private memos (`_stationary`, `_tallies`, `_gaps`) cache derived
@@ -20,8 +22,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import NoConvergenceError, NotMixedByCapError, ReducibleChainError
 
@@ -102,6 +102,9 @@ def is_irreducible(P: StochasticMatrix) -> bool:
     """True when the positive-support digraph is strongly connected."""
     if P.rows.all():  # a complete digraph, as every smoothed P_hat is
         return True
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
     graph = csr_matrix((P.rows > 0).astype(np.int8))
     return connected_components(graph, directed=True, connection="strong")[0] == 1
 
@@ -307,12 +310,15 @@ def _support_tables(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return cut, col, size
 
 
-def _walk_sequential(
-    cut: np.ndarray, col: np.ndarray, size: np.ndarray, u: np.ndarray, out: np.ndarray, lo: int
-) -> None:
-    """Fill out[lo:] one bisect per step, continuing from out[lo - 1]."""
+def _row_tuples(cut: np.ndarray, col: np.ndarray, size: np.ndarray) -> tuple[list, list]:
+    """Per row, its cuts and positive columns as Python tuples, for _walk_sequential."""
     cuts = [tuple(c[: s - 1].tolist()) for c, s in zip(cut, size)]
     cols = [tuple(c[:s].tolist()) for c, s in zip(col, size)]
+    return cuts, cols
+
+
+def _walk_sequential(cuts: list, cols: list, u: np.ndarray, out: np.ndarray, lo: int) -> None:
+    """Fill out[lo:] one bisect per step, continuing from out[lo - 1]."""
     x = int(out[lo - 1])
     for b in range(lo, u.size, _BLOCK):
         block = []
@@ -335,10 +341,13 @@ def _walk_batch(
     length hands over at its earliest state not yet known to be right.
     """
     trials = u.size // m
+    rows = []  # the _row_tuples of the batch, built on first use
 
     def sequential(trial: int, lo: int) -> None:
+        if not rows:
+            rows.extend(_row_tuples(cut, col, size))
         b = trial * m
-        _walk_sequential(cut, col, size, u[b : b + m], out[b : b + m], lo)
+        _walk_sequential(*rows, u[b : b + m], out[b : b + m], lo)
 
     if m < _LOCKSTEP_MIN_M:
         for trial in range(trials):

@@ -4,7 +4,8 @@ Computes the absolute spectral gap, the per-skip gaps of the multiplicative
 reversiblization and of the reversible dilation, and the (dilated)
 pseudo-spectral gap via a self-terminating loop over skip rates. Also houses
 verifier routines for the gap inequalities used as ground truth by the test
-suite.
+suite. The floor on |lambda_2| behind the Weyl stop imports scipy.linalg's
+LAPACK LU on first use, so importing the module loads no scipy.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 from . import eigensolve
 from .chain import (
@@ -114,6 +114,8 @@ def _second_modulus_floor(L: np.ndarray) -> float:
     A pivot below 4 n eps ||L||_1 is raised to it (LAPACK's xLAEIN guard), so
     an exactly computed eigenvalue still gives finite vectors.
     """
+    from scipy.linalg import get_lapack_funcs
+
     n = L.shape[0]
     w = np.linalg.eigvals(L)
     w[np.argmin(np.abs(w - 1.0))] = 0.0  # the Perron root; a modulus of 0 ends the walk

@@ -9,18 +9,23 @@ n^2 - 1 up to 16 bits, past that in the intp that np.bincount reads. A
 trajectory memoizes its compact states and each skip's table within the bytes
 of its int64 states; a table past that limit is returned uncached.
 On the counts sit N_{xx'}/sqrt(N_x N_{x'}) and the alpha-smoothed estimates.
+Everything here runs on numpy; only `SkippedTallies.transitions` imports
+scipy.sparse, on first use.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from .chain import Trajectory, _physical_memory
 from .errors import TrajectoryTooShortError, UnvisitedStateError
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_matrix
 
 _MEMO_LOCK = threading.Lock()  # makes the memo's byte check and insert one step
 
@@ -53,6 +58,8 @@ class SkippedTallies:
     @property
     def transitions(self) -> csr_matrix:
         """The counts as a sparse matrix, built on each access."""
+        from scipy.sparse import csr_matrix
+
         return csr_matrix(self.counts)
 
     @property

@@ -1,5 +1,7 @@
 import math
 
+import pytest
+
 import mixgap.bench as bench_module
 from mixgap.bench import CSV_HEADER, bench_convergence
 from mixgap.chain import _BATCH_STEPS
@@ -62,3 +64,14 @@ def test_batches_hold_at_most_the_cap_steps(monkeypatch):
         # a trial longer than the cap is walked alone
         assert all(len(s) * m <= _BATCH_STEPS or len(s) == 1 for s in seeds)
     assert [len(s) for m, s in batches] == [5, 4, 1, 1, 1, 1, 1, 1]
+
+
+@pytest.mark.parametrize("grid", [[0], [0, 100], [100, -3]])
+def test_m_below_one_is_refused_before_any_work(monkeypatch, grid):
+    def unexpected(*args, **kwargs):
+        raise AssertionError("bench_convergence worked on a grid it should refuse")
+
+    monkeypatch.setattr(bench_module, "spectral_gaps", unexpected)
+    monkeypatch.setattr(bench_module, "_simulate_batch", unexpected)
+    with pytest.raises(ValueError, match="m must be >= 1"):
+        bench_convergence(get_fixture("fast3"), m_grid=grid, seeds=2)

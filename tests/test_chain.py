@@ -648,6 +648,30 @@ class TestSimulate:
             assert calls == [chain_module._CHECK_STEP + 1]
         assert tr.states.tolist() == reference_simulate(P, 100_000, 0, 3)
 
+    @pytest.mark.parametrize("m", [1000, 5000], ids=["sequential", "lockstep-fallback"])
+    def test_row_tuples_built_once_per_batch(self, monkeypatch, m):
+        # every trial of lazy_cycle(60) is walked one step at a time, from the
+        # same per-row tuples
+        built, tables = [], []
+        row_tuples, walk = chain_module._row_tuples, chain_module._walk_sequential
+
+        def counted_build(*args):
+            built.append(row_tuples(*args))
+            return built[-1]
+
+        def recorded(cuts, cols, *args):
+            tables.append((cuts, cols))
+            return walk(cuts, cols, *args)
+
+        monkeypatch.setattr(chain_module, "_row_tuples", counted_build)
+        monkeypatch.setattr(chain_module, "_walk_sequential", recorded)
+        P, seeds = lazy_cycle(60), [0, 1, 2]
+        batch = chain_module._simulate_batch(P, m, seeds, 0)
+        assert len(built) == 1 and len(tables) == 3
+        assert all(cuts is built[0][0] and cols is built[0][1] for cuts, cols in tables)
+        for seed, tr in zip(seeds, batch):
+            assert tr.states.tolist() == reference_simulate(P, m, 0, seed)
+
     @given(
         P=st.one_of(simulated_chains(), st.just(lazy_cycle(60))),
         m=BATCH_LENGTHS,

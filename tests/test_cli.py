@@ -472,6 +472,9 @@ class TestValueRanges:
             (["lemma-check", "--fixture", "ex31", "--k-max", "-3"], "k_max"),
             (["lemma-check", "--fixture", "ex31", "--k-max", "21"], "k_max"),
             (["bench", "--fixture", "fast3", "--seeds", "0"], "seeds"),
+            (["bench", "--fixture", "fast3", "--m-grid", "0", "--seeds", "2"], "m"),
+            (["bench", "--fixture", "fast3", "--m-grid", "0,100", "--seeds", "2"], "m"),
+            (["bench", "--fixture", "fast3", "--m-grid", "-5", "--seeds", "2"], "m"),
         ],
         ids=lambda v: " ".join(v) if isinstance(v, list) else v,
     )
@@ -712,9 +715,7 @@ class TestArgumentParsing:
         assert "--seed" in error["message"]
 
     def test_main_pipe_stdin(self, ex31_json, tmp_path):
-        # the child processes import the mixgap this test imported
-        paths = [str(Path(mixgap.__file__).parents[1]), os.environ.get("PYTHONPATH")]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+        env = child_env()
         sim = subprocess.run(
             [sys.executable, "-m", "mixgap.cli", "simulate", "--matrix", ex31_json,
              "--m", "2000", "--seed", "3"],
@@ -727,3 +728,57 @@ class TestArgumentParsing:
         )
         report = json.loads(est.stdout)
         assert report["estimator"] == "dps"
+
+    def test_import_loads_no_scipy(self):
+        code = "import mixgap, sys; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+        child = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, check=True, env=child_env()
+        )
+        assert child.stdout.decode().strip() == "[]"
+
+    def test_pipe_children_load_no_scipy(self):
+        sim, _, loaded = run_fresh(["simulate", "--fixture", "ex31", "--m", "2000"])
+        assert loaded == []
+        est, _, loaded = run_fresh(
+            ["estimate", "--method", "dps", "--trajectory", "-", "--n", "3"], stdin=sim
+        )
+        assert loaded == []
+        assert json.loads(est)["estimator"] == "dps"
+
+    def test_oracle_floor_in_a_fresh_process(self):
+        # ex31 buys its Weyl floor at k = 1, so the floor is where the fresh
+        # process loads scipy.linalg for the first time
+        out, before, after = run_fresh(["oracle", "--fixture", "ex31"])
+        assert before == [] and "scipy.linalg" in after
+        code, expected, err = run_in_process(["oracle", "--fixture", "ex31"])
+        assert (code, err) == (0, "")
+        assert out == expected.encode()
+
+
+def child_env():
+    """The environment under which a child process imports the mixgap this test imported."""
+    paths = [str(Path(mixgap.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+
+
+# runs mixgap.cli.main on argv, then writes to stderr the scipy modules loaded
+# before main ran and after it returned
+MAIN_THEN_SCIPY = (
+    "import json, sys\n"
+    "from mixgap.cli import main\n"
+    "scipy = lambda: [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+    "before = scipy()\n"
+    "code = main(sys.argv[1:])\n"
+    "sys.stderr.write(json.dumps([before, scipy()]))\n"
+    "sys.exit(code)\n"
+)
+
+
+def run_fresh(argv, stdin=b""):
+    """`mixgap argv` in a fresh process: its stdout bytes and its scipy modules before and after."""
+    child = subprocess.run(
+        [sys.executable, "-c", MAIN_THEN_SCIPY, *argv],
+        input=stdin, capture_output=True, check=True, env=child_env(),
+    )
+    before, after = json.loads(child.stderr)
+    return child.stdout, before, after

@@ -4,6 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -405,13 +406,14 @@ class TestSecondModulusFloor:
     def test_slow_cycle_factors_one_shift(self, monkeypatch):
         # the top pair's conjugate shares its s, and the next modulus lies below the floor
         factored = []
-        lapack = oracle_module.get_lapack_funcs
+        lapack = scipy.linalg.get_lapack_funcs
 
         def counting(names, arrays):
             getrf, getrs = lapack(names, arrays)
             return (lambda A, **kw: factored.append(A.shape) or getrf(A, **kw)), getrs
 
-        monkeypatch.setattr(oracle_module, "get_lapack_funcs", counting)
+        # the floor imports the name from scipy.linalg on each call
+        monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", counting)
         oracle_module._second_modulus_floor(build_L(lazy_cycle(80, 0.5, 0.6)))
         assert factored == [(80, 80)]
 
