@@ -440,11 +440,12 @@ def _simulate_batch(
         start = stationary_distribution(P)
     p = None
     if np.ndim(start) == 0:
-        if not 0 <= int(start) < n:
-            raise ValueError("start state out of range")
+        if np.asarray(start).dtype.kind not in "iu" or not 0 <= start < n:
+            raise ValueError(f"start state must be an integer in [0, {n}), got {start!r}")
     else:
         p = np.asarray(start, dtype=float)
-        if p.shape != (n,) or abs(p.sum() - 1.0) > 1e-9 or np.min(p) < 0:
+        # written so that a NaN entry fails it
+        if p.shape != (n,) or not (np.min(p) >= 0 and abs(p.sum() - 1.0) <= 1e-9):
             raise ValueError("start distribution must be a length-n probability vector")
         p = p / p.sum()
     tables = _support_tables(P.rows)

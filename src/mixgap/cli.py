@@ -130,7 +130,8 @@ def run(args: argparse.Namespace) -> int:
         sys.stderr.write(json.dumps({"error": err.code, "message": str(err)}) + "\n")
         return 2
     except (OSError, ValueError, KeyError) as err:
-        _invalid_input(str(err))
+        # str() of a KeyError quotes its message; print the message itself
+        _invalid_input(str(err.args[0]) if isinstance(err, KeyError) and err.args else str(err))
         return 1
 
 

@@ -1,14 +1,14 @@
 """Fully empirical confidence intervals for the dilated pseudo-spectral gap.
 
-The point estimate and adaptive prefix K_hat come from the scan behind
-`gamma_dps_hat`, the tallies and smoothed gaps from the trajectory's memos,
-so after `gamma_dps_hat` the scan solves nothing again. T reads the exact
-gamma_ps of each smoothed P_hat, from the oracle loop that certifies gamma_ps
-alone. This module adds the per-skip terms W, V, T, U and the confidence
-split delta_hat, and assembles the interval point +/- (1/K_hat +
-max_k (V + U(2+U))/k), clipped to [0, 1]. A blown-up U term (a smoothed
-visit frequency at or below T) degrades the interval to the vacuous [0, 1]
-with a flag instead of failing.
+The interval reads the scan of `gamma_dps_hat`: its point estimate and
+adaptive prefix K_hat, with the tallies and smoothed gaps from the
+trajectory's memos, so after `gamma_dps_hat` the scan solves nothing again.
+T reads the exact gamma_ps of each smoothed P_hat, from the oracle loop that
+certifies gamma_ps alone. This module adds the per-skip terms W, V, T, U and
+the confidence split delta_hat, and assembles the interval point +/-
+(1/K_hat + max_k (V + U(2+U))/k), clipped to [0, 1]. A blown-up U term (a
+smoothed visit frequency at or below T) degrades the interval to the vacuous
+[0, 1] with a flag instead of failing.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from .chain import StochasticMatrix, Trajectory, _report_dict
 from .errors import NonconvergentGapError
-from .estimators import DEFAULT_ALPHA, _dps_scan
+from .estimators import DEFAULT_ALPHA, gamma_dps_hat
 from .oracle import _gamma_ps
 from .tallies import SkippedTallies, smoothed_estimates, tally
 
@@ -142,7 +142,7 @@ def confidence_interval(
     if not 0.0 <= c < math.inf:
         raise ValueError(f"c must be finite and >= 0, got {c}")
     m, n = tr.m, tr.n
-    estimate = _dps_scan(tr, alpha, None)
+    estimate = gamma_dps_hat(tr, alpha)
     point, K_hat = estimate.value, estimate.K_used
     d_hat = delta_hat(m, K_hat, n, delta)
 

@@ -9,7 +9,7 @@ estimators differ only in the gap, the prefix length and the step:
   unsmoothed gap 1 - sigma_2(L_hat)^2;
 - each level of the amplified scan: step 2^p and the same gap, since skip j
   of the 2^p-skipped trajectory counts the pairs of skip 2^p j;
-- dps: step 1 and the smoothed gap 1 - sigma_2(L_hat), in `_dps_scan`.
+- dps: step 1 and the smoothed gap 1 - sigma_2(L_hat), in `gamma_dps_hat`.
 The trajectory memoizes the tables and, through `_gap`, the gaps, so calls on
 one trajectory build each table and solve each gap once.
 """
@@ -100,20 +100,6 @@ def _gap(tr: Trajectory, k: int, alpha: float | None = None) -> float | None:
     return tr._gaps[key]
 
 
-def _ps_prefix(tr: Trajectory, K: int) -> EstimateReport:
-    """The prefix report over skips 1..K."""
-    value, per_k, K_used, diagnostics = _scan(tr, K, partial(_gap, tr))
-    if not per_k:
-        raise NoUsableKError(f"no usable skip rate in 1..{K}")
-    return EstimateReport(
-        estimator="ps-prefix",
-        value=value,
-        K_used=K_used,
-        per_k_values=per_k,
-        diagnostics=diagnostics,
-    )
-
-
 def _adaptive_diagnostics(n_min: int) -> dict:
     """Diagnostics of a prefix set from N_min; only N_min = 0 clamps K up to 1."""
     return {"N_min": n_min, "K_clamped": True} if n_min == 0 else {"N_min": n_min}
@@ -128,7 +114,16 @@ def gamma_ps_prefix_hat(tr: Trajectory, K: int) -> EstimateReport:
     Raises:
         NoUsableKError: if every skip in the prefix is unusable.
     """
-    return _ps_prefix(tr, K)
+    value, per_k, K_used, diagnostics = _scan(tr, K, partial(_gap, tr))
+    if not per_k:
+        raise NoUsableKError(f"no usable skip rate in 1..{K}")
+    return EstimateReport(
+        estimator="ps-prefix",
+        value=value,
+        K_used=K_used,
+        per_k_values=per_k,
+        diagnostics=diagnostics,
+    )
 
 
 def gamma_ps_additive(tr: Trajectory, epsilon: float) -> EstimateReport:
@@ -184,7 +179,7 @@ def gamma_ps_adaptive_multiplicative(tr: Trajectory, epsilon: float) -> Estimate
     if not 0.0 < epsilon < 5.0:
         raise ValueError("epsilon must be in (0, 5)")
     n_min = tally(tr, 1).n_min
-    report = _ps_prefix(tr, adaptive_K_multiplicative(n_min, epsilon))
+    report = gamma_ps_prefix_hat(tr, adaptive_K_multiplicative(n_min, epsilon))
     diagnostics = {**report.diagnostics, "epsilon": epsilon, **_adaptive_diagnostics(n_min)}
     return replace(report, estimator="ps-adaptive", diagnostics=diagnostics)
 
@@ -206,11 +201,15 @@ def _dps_gap(t: SkippedTallies, alpha: float) -> float:
     return 1.0 - eigensolve.second_singular_value(smoothed_estimates(t, alpha).L_hat)
 
 
-def _dps_scan(tr: Trajectory, alpha: float, K: int | None) -> EstimateReport:
-    """The dps estimate over skips 1..K.
+def gamma_dps_hat(
+    tr: Trajectory, alpha: float = DEFAULT_ALPHA, K: int | None = None
+) -> EstimateReport:
+    """Smoothed dilation plug-in estimator of the dilated pseudo-spectral gap.
 
-    With K omitted, the N_min of skip 1 sets the adaptive K. The trajectory's
-    memos hand each table and gap on to the scan `confidence_interval` repeats.
+    With K omitted, the prefix is the adaptive ceil(N_min^{3/2}/(m log^{3/2} m)).
+    Smoothing keeps every skip usable, so there is no unvisited-state failure
+    mode here. The trajectory's memos hand each table and gap on to the scan
+    `confidence_interval` repeats.
     """
     if tr.m < 3:
         raise TrajectoryTooShortError("need m >= 3 for the smoothed estimator")
@@ -227,15 +226,3 @@ def _dps_scan(tr: Trajectory, alpha: float, K: int | None) -> EstimateReport:
         per_k_values=per_k,
         diagnostics={**diagnostics, **scanned, "alpha": alpha},
     )
-
-
-def gamma_dps_hat(
-    tr: Trajectory, alpha: float = DEFAULT_ALPHA, K: int | None = None
-) -> EstimateReport:
-    """Smoothed dilation plug-in estimator of the dilated pseudo-spectral gap.
-
-    With K omitted, the prefix is the adaptive ceil(N_min^{3/2}/(m log^{3/2} m)).
-    Smoothing keeps every skip usable, so there is no unvisited-state failure
-    mode here.
-    """
-    return _dps_scan(tr, alpha, K)

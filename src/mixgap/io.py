@@ -8,9 +8,10 @@ Text is written as one decimal state index per line. It is read as tokens
 separated by ASCII whitespace (the six bytes ``bytes.split()`` splits on),
 each read as Python ``int()`` reads it. Input made only of whitespace and
 plain ASCII digit tokens of at most 18 digits is parsed by numpy byte
-kernels, a bounded chunk at a time. Any other byte, or a longer token, sends
-the whole input through ``int()`` token by token, which then decides what is
-accepted and how a bad token is reported.
+kernels, in chunks cut before whitespace (`_digit_tokens` states the rule).
+Any other byte, or a longer token, sends the whole input through ``int()``
+token by token, which then decides what is accepted and how a bad token is
+reported.
 """
 
 from __future__ import annotations
@@ -46,6 +47,8 @@ def load_matrix(path: str | Path) -> StochasticMatrix:
             rows = np.asarray(obj["rows"], dtype=float)
             if "n" in obj and (type(obj["n"]) is not int or (obj["n"],) != rows.shape[:1]):
                 raise ValueError("declared n is not an integer matching the row count")
+        except KeyError as err:
+            raise ValueError(f"malformed matrix JSON: no {err} key") from None
         except (TypeError, OverflowError) as err:
             raise ValueError(f"malformed matrix JSON: {err}") from None
     else:
@@ -106,49 +109,33 @@ def save_trajectory(tr: Trajectory, path: str | Path, fmt: str = "text") -> None
     Path(path).write_bytes(encode_trajectory(tr, fmt))
 
 
-def _chunk_cuts(buf: np.ndarray) -> list[int] | None:
-    """Offsets that cut buf into chunks of about _CHUNK_BYTES, each cut before
-    a whitespace byte; None when 19 bytes at a cut hold no whitespace, since
-    that is a token the vectorized reader does not take."""
-    cuts = [0]
-    while cuts[-1] < buf.size:
-        cut = cuts[-1] + _CHUNK_BYTES
-        ahead = np.flatnonzero(_BYTE_KIND[buf[cut : cut + _MAX_DIGITS + 1]] == 0)
-        if ahead.size:
-            cuts.append(cut + int(ahead[0]))
-        elif cut + _MAX_DIGITS + 1 >= buf.size:
-            cuts.append(buf.size)
-        else:
-            return None
-    return cuts
-
-
-def _padded_kinds(chunk: np.ndarray) -> np.ndarray:
-    """Byte kinds of chunk between one whitespace kind at either end."""
-    kind = np.zeros(chunk.size + 2, dtype=np.uint8)
-    np.take(_BYTE_KIND, chunk, out=kind[1:-1], mode="clip")
-    return kind
-
-
 def _digit_tokens(raw: bytes) -> np.ndarray | None:
     """The values of whitespace-separated ASCII digit tokens of at most 18
-    digits; None when raw holds any other byte or a longer token."""
+    digits; None when raw holds any other byte or a longer token.
+
+    A chunk ends before the first whitespace byte of the 19 from _CHUNK_BYTES
+    past its start, so no token straddles a cut; with none there, it ends at
+    the end of raw if those 19 bytes reach it, else they make a token too long.
+    """
     buf = np.frombuffer(raw, dtype=np.uint8)
-    cuts = _chunk_cuts(buf)
-    if cuts is None:
-        return None
-    chunks = [buf[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
-    count = 0
-    for chunk in chunks:
-        kind = _padded_kinds(chunk)
+    # room for the most tokens raw can hold; pages never written never become resident
+    states = np.empty(buf.size // 2 + 1, dtype=np.int64)
+    filled = lo = 0
+    while lo < buf.size:
+        cut = lo + _CHUNK_BYTES
+        ahead = np.flatnonzero(_BYTE_KIND[buf[cut : cut + _MAX_DIGITS + 1]] == 0)
+        if ahead.size:
+            hi = cut + int(ahead[0])
+        elif cut + _MAX_DIGITS + 1 >= buf.size:
+            hi = buf.size
+        else:
+            return None
+        chunk = buf[lo:hi]
+        # byte kinds of the chunk between one whitespace kind at either end
+        kind = np.zeros(chunk.size + 2, dtype=np.uint8)
+        np.take(_BYTE_KIND, chunk, out=kind[1:-1], mode="clip")
         if kind.max() > 1:
             return None
-        count += np.count_nonzero(kind[1:] != kind[:-1]) // 2
-    states = np.empty(count, dtype=np.int64)
-    filled = 0
-    for chunk in chunks:
-        # a chunk after the first starts with whitespace, so no token straddles a cut
-        kind = _padded_kinds(chunk)
         edges = np.flatnonzero(kind[1:] != kind[:-1])
         starts, ends = edges[0::2], edges[1::2]
         lengths = ends - starts
@@ -162,7 +149,8 @@ def _digit_tokens(raw: bytes) -> np.ndarray | None:
             digit[lengths <= j] = 0
             values += digit * _POW10[j]
         filled += starts.size
-    return states
+        lo = hi
+    return states[:filled]
 
 
 def _int_tokens(raw: bytes) -> np.ndarray:
@@ -177,7 +165,10 @@ def _int_tokens(raw: bytes) -> np.ndarray:
 
 def _states_from_bytes(raw: bytes) -> np.ndarray:
     if raw.startswith(TRAJECTORY_MAGIC):
-        return np.frombuffer(raw[len(TRAJECTORY_MAGIC):], dtype="<u4").astype(np.int64)
+        size = len(raw) - len(TRAJECTORY_MAGIC)
+        if size % 4:
+            raise ValueError(f"binary trajectory payload of {size} bytes is not a multiple of 4 (uint32)")
+        return np.frombuffer(raw, dtype="<u4", offset=len(TRAJECTORY_MAGIC)).astype(np.int64)
     states = _digit_tokens(raw)
     return _int_tokens(raw) if states is None else states
 

@@ -736,6 +736,26 @@ class TestSimulate:
         with pytest.raises(ValueError, match="physical memory"):
             simulate(ex31, 10**12)
 
+    @pytest.mark.parametrize(
+        "start",
+        [[math.nan, 0.0, 1.0], [math.inf, 0.0, 1.0], [0.5, 0.5], [0.6, 0.6, -0.2], [0.5, 0.4, 0.0]],
+        ids=["nan", "inf", "short", "negative", "sum-below-one"],
+    )
+    def test_rejects_a_bad_start_distribution(self, ex31, start):
+        with pytest.raises(ValueError, match="probability vector"):
+            simulate(ex31, 5, start=start, seed=0)
+
+    @pytest.mark.parametrize("start", [1.5, 1.0, math.nan, True, -1, 3, 2**70], ids=repr)
+    def test_rejects_a_start_state_that_is_not_an_index(self, ex31, start):
+        # int(1.5) is 1, so a fractional start once walked silently from state 1
+        with pytest.raises(ValueError, match="start state must be an integer"):
+            simulate(ex31, 5, start=start, seed=0)
+
+    def test_integer_start_state_of_any_integer_type(self, ex31):
+        expected = simulate(ex31, 50, start=2, seed=3).states.tolist()
+        for start in (np.int64(2), np.uint8(2), np.array(2)):
+            assert simulate(ex31, 50, start=start, seed=3).states.tolist() == expected
+
     def test_states_stay_int64(self, ex31):
         # perfbench's trajectory digest and SIMULATE_DIGESTS hash the raw bytes
         # of `states`, so compact states must wait until those digests stop

@@ -105,6 +105,14 @@ class TestSimulateAndStats:
         assert (code, out) == (1, "")
         assert json.loads(err)["error"] == "INVALID_INPUT"
 
+    def test_nan_start_distribution_exits_invalid_input(self):
+        code, out, err = run_in_process(["simulate", "--fixture", "ex31", "--m", "5", "--start", "nan,0,1"])
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {
+            "error": "INVALID_INPUT",
+            "message": "start distribution must be a length-n probability vector",
+        }
+
     def test_stats_counts(self, traj_file, tmp_path):
         out = tmp_path / "stats.json"
         assert main(["stats", "--trajectory", traj_file, "--k", "2", "--out", str(out)]) == 0
@@ -270,6 +278,14 @@ def trajectory_texts(draw):
 
 
 class TestTrajectoryInputContract:
+    def test_ragged_binary_payload_names_its_size(self, tmp_path):
+        path = tmp_path / "traj.bin"
+        path.write_bytes(b"MXGTRJ01" + bytes(9))
+        code, out, err = run_in_process(["estimate", "--trajectory", str(path)])
+        assert (code, out) == (1, "")
+        message = "binary trajectory payload of 9 bytes is not a multiple of 4 (uint32)"
+        assert err == json.dumps({"error": "INVALID_INPUT", "message": message}) + "\n"
+
     @pytest.mark.parametrize(
         "text",
         ["0 1 99999999999999999999", "0 1 0 1000000 0"],
@@ -378,6 +394,20 @@ class TestMatrixInputContract:
         code, out, err = run_in_process(["oracle", "--matrix", str(path)])
         assert (code, out) == (1, "")
         assert json.loads(err)["error"] == "INVALID_INPUT"
+
+    def test_missing_rows_names_the_key(self, tmp_path):
+        path = tmp_path / "P.json"
+        path.write_text('{"n": 2}')
+        code, out, err = run_in_process(["oracle", "--matrix", str(path)])
+        assert (code, out) == (1, "")
+        message = "malformed matrix JSON: no 'rows' key"
+        assert err == json.dumps({"error": "INVALID_INPUT", "message": message}) + "\n"
+
+    def test_unknown_fixture_message_is_not_quoted(self):
+        code, out, err = run_in_process(["oracle", "--fixture", "nope"])
+        assert (code, out) == (1, "")
+        message = f"unknown fixture 'nope'; have {sorted(FIXTURES)}"
+        assert err == json.dumps({"error": "INVALID_INPUT", "message": message}) + "\n"
 
     def test_unresolved_stationary_vector_exits_no_convergence(self, tmp_path):
         # pi_star = 2.5e-24; an absolute residual test lets through a pi whose

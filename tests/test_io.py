@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -142,6 +142,15 @@ def decode_outcome(decode, raw):
 
 @given(raw=token_texts(), chunk=st.integers(1, 8))
 @settings(max_examples=300, deadline=None)
+# the cut rule's branches: a token ending exactly at a cut; a 19-digit token
+# across a cut, then starting at one with 19 digits ahead; a last token with
+# no whitespace in the 19 bytes at the last cut; empty and blank input
+@example(raw=b"12 345\n", chunk=2)
+@example(raw=b"5 1234567890123456789\n6", chunk=3)
+@example(raw=b"5 1234567890123456789\n6", chunk=2)
+@example(raw=b"7 123456789012345678", chunk=2)
+@example(raw=b"", chunk=1)
+@example(raw=b" \t\n\r\x0b\x0c", chunk=2)
 def test_vectorized_and_per_token_decoders_agree(raw, chunk):
     # small chunks make tokens straddle chunk cuts
     with pytest.MonkeyPatch.context() as patch:
