@@ -4,9 +4,10 @@ Each (m, seed) cell simulates one trajectory, runs the smoothed dilation
 estimator with its confidence interval, and records the error against the
 exact oracle value plus a coverage bit. The trajectories of one m are walked
 together in batches of at most `_BATCH_STEPS` steps (one trajectory when m is
-larger), each exactly as `simulate(P, m, seed=seed)` would walk it; the
-intervals then run one after another in (m, seed) order. Every cell is
-deterministic, so the output bytes depend only on the inputs.
+larger), each exactly as `simulate(P, m, seed=seed)` would walk it. The
+intervals of a batch are then computed together (`confidence._intervals`),
+and each equals `confidence_interval` of its trajectory alone, byte for byte.
+Every cell is deterministic, so the output bytes depend only on the inputs.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from statistics import median
 
 from .chain import _BATCH_STEPS, StochasticMatrix, _simulate_batch
-from .confidence import DEFAULT_C, DEFAULT_DELTA, confidence_interval
+from .confidence import DEFAULT_C, DEFAULT_DELTA, _intervals
 from .estimators import DEFAULT_ALPHA
 from .oracle import spectral_gaps
 
@@ -53,11 +54,8 @@ def bench_convergence(
         per_batch = max(1, _BATCH_STEPS // m)
         for b in range(0, seeds, per_batch):
             batch = range(b, min(b + per_batch, seeds))
-            # the comprehension frees the batch's trajectories before the next batch
-            reports = [
-                confidence_interval(tr, alpha=alpha, delta=delta, c=c)
-                for tr in _simulate_batch(P, m, batch, "stationary")
-            ]
+            # the batch's trajectories are freed before the next batch is walked
+            reports = _intervals(_simulate_batch(P, m, batch, "stationary"), alpha, delta, c)
             for seed, report in zip(batch, reports):
                 lo, hi = report.interval
                 point, err, hw = report.point, abs(report.point - gamma_dps), report.half_width

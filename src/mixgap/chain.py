@@ -36,6 +36,11 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _stack(arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """The arrays stacked on a new first axis; a view of the one array of a stack of one."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+
+
 def _report_dict(obj):
     """A dataclass report as JSON-ready data: keys become str, tuples lists."""
     if is_dataclass(obj):
@@ -58,11 +63,13 @@ class StochasticMatrix:
         rows = np.asarray(self.rows, dtype=float)
         if rows.ndim != 2 or rows.shape[0] != rows.shape[1] or rows.shape[0] < 1:
             raise ValueError(f"expected a square matrix, got shape {rows.shape}")
-        if not np.all(np.isfinite(rows)):
+        # array methods, not np.all/np.min/np.max: the smoothed P_hat of every
+        # interval term is built here, and the wrappers cost more than the checks
+        if not np.isfinite(rows).all():
             raise ValueError("non-finite transition probability")
-        if np.min(rows) < 0:
+        if rows.min() < 0:
             raise ValueError("negative transition probability")
-        err = np.max(np.abs(rows.sum(axis=1) - 1.0))
+        err = np.abs(rows.sum(axis=1) - 1.0).max()
         if err > ROW_SUM_TOL:
             raise ValueError(f"rows must sum to 1 (max deviation {err:.3e})")
         object.__setattr__(self, "rows", _freeze(rows))
@@ -117,7 +124,7 @@ def is_aperiodic(P: StochasticMatrix) -> bool:
     digraph, where the period equals gcd over edges (u, v) of
     (level(u) + 1 - level(v)).
     """
-    if np.any(np.diagonal(P.rows) > 0):
+    if (P.rows.diagonal() > 0).any():
         return True
     n = P.n
     adj = [np.nonzero(P.rows[x] > 0)[0] for x in range(n)]
@@ -148,26 +155,40 @@ def stationary_distribution(P: StochasticMatrix) -> np.ndarray:
         ReducibleChainError: if the support digraph is not strongly connected.
         NoConvergenceError: if the solve misses the entrywise relative test.
     """
-    if P._stationary:
-        return P._stationary[0]
-    if not is_irreducible(P):
-        raise ReducibleChainError("support graph is not strongly connected")
-    n = P.n
-    # (P^T - I) pi^T = 0 with the last equation replaced by sum(pi) = 1
-    A = P.rows.T - np.eye(n)
-    A[-1, :] = 1.0
-    b = np.zeros(n)
-    b[-1] = 1.0
-    pi = np.linalg.solve(A, b)
-    pi /= pi.sum()
-    residual = np.abs(pi @ P.rows - pi)
-    if not np.all(residual < STATIONARY_TOL * pi):
-        raise NoConvergenceError(
-            f"stationary vector not resolved relative to its entries (residual "
-            f"{np.max(residual):.3e}, smallest entry {np.min(pi):.3e})"
-        )
-    P._stationary.append(_freeze(pi))
-    return P._stationary[0]
+    return _stationary_batch([P])[0]
+
+
+def _stationary_batch(Ps: Sequence[StochasticMatrix]) -> list[np.ndarray]:
+    """`stationary_distribution` of each chain, all of one size.
+
+    The chains without a memoized pi are solved in one stacked solve, which
+    gives each the same bits as solving it alone; errors are raised for the
+    first failing chain in order.
+    """
+    todo = [P for P in Ps if not P._stationary]
+    for P in todo:
+        if not is_irreducible(P):
+            raise ReducibleChainError("support graph is not strongly connected")
+    if todo:
+        n = todo[0].n
+        rows = _stack([P.rows for P in todo])
+        # (P^T - I) pi^T = 0 with the last equation replaced by sum(pi) = 1
+        A = np.swapaxes(rows, 1, 2) - np.eye(n)
+        A[:, -1, :] = 1.0
+        b = np.zeros((len(todo), n, 1))
+        b[:, -1] = 1.0
+        pis = np.linalg.solve(A, b)[..., 0]
+        pis /= pis.sum(axis=1, keepdims=True)
+        residuals = np.abs((pis[:, None, :] @ rows)[:, 0] - pis)
+        resolved = (residuals < STATIONARY_TOL * pis).all(axis=1).tolist()
+        for P, pi, residual, ok in zip(todo, pis, residuals, resolved):
+            if not ok:
+                raise NoConvergenceError(
+                    f"stationary vector not resolved relative to its entries (residual "
+                    f"{np.max(residual):.3e}, smallest entry {np.min(pi):.3e})"
+                )
+            P._stationary.append(_freeze(pi))
+    return [P._stationary[0] for P in Ps]
 
 
 def time_reversal(P: StochasticMatrix) -> StochasticMatrix:

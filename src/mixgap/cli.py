@@ -67,9 +67,13 @@ def _emit(out: str | None, output) -> None:
 def _parse_start(raw: str):
     if raw == "stationary":
         return raw
-    if "," in raw:
-        return [float(tok) for tok in raw.split(",")]
-    return int(raw)
+    try:
+        return [float(tok) for tok in raw.split(",")] if "," in raw else int(raw)
+    except ValueError:
+        raise ValueError(
+            "--start must be a state index, comma-separated probabilities or "
+            f"'stationary', got {raw!r}"
+        ) from None
 
 
 # --method -> its estimator and the options it reads, with their defaults

@@ -5,8 +5,9 @@ singular value of an n x n matrix: the multiplicative reversiblization gap is
 1 - sigma_2^2 (Fill 1991; Paulin 2015) and the reversible dilation gap is
 1 - sigma_2. `second_singular_value` computes it by a direct SVD, which keeps
 full precision where an eigensolve of the Gram matrix A^T A loses half the
-digits. The dense symmetric spectrum and the seeded two-pass Lanczos
-iteration are independent routes to the same number through the dilation
+digits, and `second_singular_values` does the same for a stack of matrices.
+The dense symmetric spectrum and the seeded two-pass Lanczos iteration are
+independent routes to the same number through the dilation
 [[0, A], [A^T, 0]], whose eigenvalues are +/- the singular values of A.
 """
 
@@ -29,10 +30,19 @@ def second_singular_value(A: np.ndarray) -> float:
     On a one-dimensional space the operator deflated by its top singular pair
     is zero, so its norm, the second singular value, is 0.
     """
+    return float(second_singular_values(A))
+
+
+def second_singular_values(A: np.ndarray) -> np.ndarray:
+    """sigma_2 of each matrix of a stack of shape (..., n, n), as `second_singular_value`.
+
+    numpy runs the same LAPACK solve on each matrix of a stack, so each value
+    has the bits of that matrix's own `second_singular_value`.
+    """
     A = np.asarray(A, dtype=float)
-    if A.shape[0] < 2:
-        return 0.0
-    return float(np.linalg.svd(A, compute_uv=False)[1])
+    if A.shape[-1] < 2:
+        return np.zeros(A.shape[:-2])
+    return np.linalg.svd(A, compute_uv=False)[..., 1]
 
 
 # kept as a reference route: tests and the benchmark's tracer call it by name

@@ -11,20 +11,22 @@ estimators differ only in the gap, the prefix length and the step:
   of the 2^p-skipped trajectory counts the pairs of skip 2^p j;
 - dps: step 1 and the smoothed gap 1 - sigma_2(L_hat), in `gamma_dps_hat`.
 The trajectory memoizes the tables and, through `_gap`, the gaps, so calls on
-one trajectory build each table and solve each gap once.
+one trajectory build each table and solve each gap once. `gamma_dps_hat` is
+the batch of one of `_dps_hat_batch`, whose trajectories solve the smoothed
+gaps of each skip in one stacked SVD (`_gap_batch`).
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field, replace
 from functools import partial
 
 from . import eigensolve
 from .chain import Trajectory, _report_dict
 from .errors import NoTriggerError, NoUsableKError, TrajectoryTooShortError, UnvisitedStateError
-from .tallies import SkippedTallies, smoothed_estimates, tally, unsmoothed_L_hat
+from .tallies import SkippedTallies, _smoothed_batch, tally, unsmoothed_L_hat
 
 DEFAULT_ALPHA = 1e-2
 AMPLIFIED_PREFIX = 16
@@ -89,15 +91,25 @@ def _ps_gap(t: SkippedTallies) -> float | None:
 
 
 def _gap(tr: Trajectory, k: int, alpha: float | None = None) -> float | None:
-    """Skip k's `_dps_gap` with alpha, else its `_ps_gap`, solved once per trajectory.
+    """Skip k's smoothed dilation gap with alpha, else its `_ps_gap`, solved once per trajectory."""
+    return _gap_batch([tr], k, alpha)[0]
 
-    The trajectory's `_gaps` keeps the first by (k, alpha), the second by k.
+
+def _gap_batch(trs: Sequence[Trajectory], k: int, alpha: float | None = None) -> list[float | None]:
+    """`_gap(tr, k, alpha)` of each trajectory, all over one n.
+
+    The trajectory's `_gaps` keeps the smoothed gap by (k, alpha), the other
+    by k. The smoothed gaps not kept yet, 1 - sigma_2(L_hat), come from one
+    stacked SVD of their L_hat.
     """
     key = k if alpha is None else (k, alpha)
-    if key not in tr._gaps:
-        t = tally(tr, k)
-        tr._gaps[key] = _ps_gap(t) if alpha is None else _dps_gap(t, alpha)
-    return tr._gaps[key]
+    miss = [tr for tr in trs if key not in tr._gaps]
+    if miss:
+        tables = [tally(tr, k) for tr in miss]
+        gaps = [_ps_gap(t) for t in tables] if alpha is None else _dps_gaps(tables, alpha)
+        for tr, g in zip(miss, gaps):
+            tr._gaps[key] = g
+    return [tr._gaps[key] for tr in trs]
 
 
 def _adaptive_diagnostics(n_min: int) -> dict:
@@ -192,15 +204,6 @@ def adaptive_K_dps(n_min: int, m: int) -> int:
     return max(K, 1)
 
 
-def _dps_gap(t: SkippedTallies, alpha: float) -> float:
-    """1 - sigma_2(L_hat) of the alpha-smoothed tallies t.
-
-    That equals 2 - lambda_2(S(L_hat) + I), since the dilation S(L_hat) has
-    eigenvalues +/- the singular values of L_hat.
-    """
-    return 1.0 - eigensolve.second_singular_value(smoothed_estimates(t, alpha).L_hat)
-
-
 def gamma_dps_hat(
     tr: Trajectory, alpha: float = DEFAULT_ALPHA, K: int | None = None
 ) -> EstimateReport:
@@ -211,18 +214,49 @@ def gamma_dps_hat(
     mode here. The trajectory's memos hand each table and gap on to the scan
     `confidence_interval` repeats.
     """
-    if tr.m < 3:
-        raise TrajectoryTooShortError("need m >= 3 for the smoothed estimator")
-    diagnostics: dict = {}
+    return _dps_hat_batch([tr], alpha, K)[0]
+
+
+def _dps_gaps(ts: Sequence[SkippedTallies], alpha: float) -> list[float]:
+    """1 - sigma_2(L_hat) of each table's alpha-smoothed L_hat (one n), in one stacked SVD.
+
+    That equals 2 - lambda_2(S(L_hat) + I), since the dilation S(L_hat) has
+    eigenvalues +/- the singular values of L_hat.
+    """
+    return (1.0 - eigensolve.second_singular_values(_smoothed_batch(ts, alpha)[2])).tolist()
+
+
+def _dps_hat_batch(
+    trs: Sequence[Trajectory], alpha: float, K: int | None = None
+) -> list[EstimateReport]:
+    """`gamma_dps_hat(tr, alpha, K)` of each trajectory, all over one n.
+
+    Skip by skip, the gaps of every trajectory whose prefix reaches that skip
+    are solved together (`_gap_batch`); each scan then reads them from its memo.
+    """
+    for tr in trs:
+        if tr.m < 3:
+            raise TrajectoryTooShortError("need m >= 3 for the smoothed estimator")
+    diagnostics: list[dict] = [{} for _ in trs]
     if K is None:
-        n_min = tally(tr, 1).n_min
-        K = adaptive_K_dps(n_min, tr.m)
-        diagnostics = {**_adaptive_diagnostics(n_min), "K_adaptive": True}
-    value, per_k, K_used, scanned = _scan(tr, K, lambda k: _gap(tr, k, alpha))
-    return EstimateReport(
-        estimator="dps",
-        value=value,
-        K_used=K_used,
-        per_k_values=per_k,
-        diagnostics={**diagnostics, **scanned, "alpha": alpha},
-    )
+        n_mins = [tally(tr, 1).n_min for tr in trs]
+        Ks = [adaptive_K_dps(n_min, tr.m) for tr, n_min in zip(trs, n_mins)]
+        diagnostics = [{**_adaptive_diagnostics(n_min), "K_adaptive": True} for n_min in n_mins]
+    else:
+        Ks = [K] * len(trs)
+    prefix = [min(K, tr.m - 1) for tr, K in zip(trs, Ks)]  # the J of each scan
+    for k in range(1, max(prefix) + 1):
+        _gap_batch([tr for tr, J in zip(trs, prefix) if J >= k], k, alpha)
+    reports = []
+    for tr, K, given in zip(trs, Ks, diagnostics):
+        value, per_k, K_used, scanned = _scan(tr, K, partial(_gap, tr, alpha=alpha))
+        reports.append(
+            EstimateReport(
+                estimator="dps",
+                value=value,
+                K_used=K_used,
+                per_k_values=per_k,
+                diagnostics={**given, **scanned, "alpha": alpha},
+            )
+        )
+    return reports

@@ -156,7 +156,12 @@ def _digit_tokens(raw: bytes) -> np.ndarray | None:
 def _int_tokens(raw: bytes) -> np.ndarray:
     tokens = raw.split()
     # parse each distinct token once; int() decides which tokens are valid
-    values = {tok: int(tok) for tok in set(tokens)}
+    try:
+        values = {tok: int(tok) for tok in set(tokens)}
+    except ValueError:
+        for tok in tokens:  # name the first bad token in input order, not in set order
+            int(tok)
+        raise
     try:
         return np.array(list(map(values.__getitem__, tokens)), dtype=np.int64)
     except OverflowError as err:

@@ -11,6 +11,7 @@ LAPACK LU on first use, so importing the module loads no scipy.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -19,6 +20,8 @@ from . import eigensolve
 from .chain import (
     StochasticMatrix,
     _report_dict,
+    _stack,
+    _stationary_batch,
     build_L,
     is_aperiodic,
     is_reversible,
@@ -61,15 +64,15 @@ class SpectralReport:
         return _report_dict(self)
 
 
-def _sigma2(Lk: np.ndarray) -> float:
-    """sigma_2(L^k), clipped to at most 1."""
-    return min(eigensolve.second_singular_value(Lk), 1.0)
+def _sigma2(Lk: np.ndarray) -> list[float]:
+    """sigma_2(L^k) of each matrix of a stack, clipped to at most 1."""
+    return [min(s, 1.0) for s in eigensolve.second_singular_values(Lk).tolist()]
 
 
 def _sigma2_of_power(P: StochasticMatrix, k: int) -> float:
     if k < 1:
         raise ValueError("k must be >= 1")
-    return _sigma2(np.linalg.matrix_power(build_L(P), k))
+    return _sigma2(np.linalg.matrix_power(build_L(P), k)[None])[0]
 
 
 def gamma_dagger(P: StochasticMatrix, k: int = 1) -> float:
@@ -140,49 +143,87 @@ def _second_modulus_floor(L: np.ndarray) -> float:
     return float(min(floor, 1.0))
 
 
-def _skip_loop(P: StochasticMatrix, k_cap: int, with_dps: bool) -> tuple[list[float], tuple, tuple, str]:
-    """sigma_2(L^k) for k = 1..K, the (gap, k) maxima of both gaps and the stop reason.
+def _skip_loop(Ps: Sequence[StochasticMatrix], k_cap: int, with_dps: bool) -> list:
+    """For each chain (all of one size): sigma_2(L^k) for k = 1..K, the (gap, k)
+    maxima of both gaps and the stop reason, or the NonconvergentGapError that
+    ends its loop.
 
     K is the first k where no skip j > k can beat the running gamma_ps, nor
-    gamma_dps when `with_dps` is set (see `spectral_gaps`).
+    gamma_dps when `with_dps` is set (see `spectral_gaps`). The chains still
+    running share one stacked SVD and one stacked product per k, which give
+    each chain the bits of its own loop; each buys its floor by itself.
     """
-    L = build_L(P)
-    if not is_aperiodic(P):
-        raise NonconvergentGapError("chain is periodic: every per-skip gap is zero")
-    sigmas: list[float] = []
-    best_ps, k_ps = 0.0, 0
-    best_dps, k_dps = 0.0, 0
-    lam2_floor = None  # a floor on |lambda_2(P)| once bought; until then skip j is bounded by 1/j
-    Lk = L
+    pis = _stationary_batch(Ps)
+    out: list = [None] * len(Ps)
+    live = []
+    for i, P in enumerate(Ps):
+        if is_aperiodic(P):
+            live.append(i)
+        else:
+            out[i] = NonconvergentGapError("chain is periodic: every per-skip gap is zero")
+    if not live:
+        return out
+    s = np.sqrt(_stack([pis[i] for i in live]))
+    L = s[:, :, None] * _stack([Ps[i].rows for i in live])
+    L /= s[:, None, :]
+    sigmas: dict[int, list[float]] = {i: [] for i in live}
+    best_ps, k_ps = dict.fromkeys(live, 0.0), dict.fromkeys(live, 0)
+    best_dps, k_dps = dict.fromkeys(live, 0.0), dict.fromkeys(live, 0)
+    # a floor on |lambda_2(P)| once bought; until then skip j is bounded by 1/j
+    lam2_floor = dict.fromkeys(live)
+    L_live = Lk = L
+    k = 0
     while True:
-        sigma2 = _sigma2(Lk)
-        sigmas.append(sigma2)
-        k = len(sigmas)
-        gd, gdd = 1.0 - sigma2**2, 1.0 - sigma2
-        if gd / k > best_ps:
-            best_ps, k_ps = gd / k, k
-        if gdd / k > best_dps:
-            best_dps, k_dps = gdd / k, k
-        j = k + 1
-        # the smallest maximum the loop must certify; once j best >= 1 the floor cannot matter
-        best = best_dps if with_dps else best_ps
-        if lam2_floor is None and j * best < 1.0 and (best * (j + _EIG_COST) < 1.0 or k == _EIG_COST):
-            lam2_floor = _second_modulus_floor(L)
-        floor = lam2_floor or 0.0
-        if (1.0 - floor ** (2 * j)) / j <= best_ps and (not with_dps or (1.0 - floor**j) / j <= best_dps):
-            return sigmas, (best_ps, k_ps), (best_dps, k_dps), "1/k" if j * best >= 1.0 else "weyl"
-        if k >= k_cap:
-            raise NonconvergentGapError(
-                f"no certificate closed the skip loop by k = {k_cap} "
-                f"(best gaps {best_ps:.3e}, {best_dps:.3e}); the chain is too close "
-                "to periodic or reducible to resolve"
-            )
-        Lk = Lk @ L
+        k += 1
+        running, kept = [], []
+        for slot, (i, sigma2) in enumerate(zip(live, _sigma2(Lk))):
+            sigmas[i].append(sigma2)
+            gd, gdd = 1.0 - sigma2**2, 1.0 - sigma2
+            if gd / k > best_ps[i]:
+                best_ps[i], k_ps[i] = gd / k, k
+            if gdd / k > best_dps[i]:
+                best_dps[i], k_dps[i] = gdd / k, k
+            j = k + 1
+            # the smallest maximum the loop must certify; once j best >= 1 the floor cannot matter
+            best = best_dps[i] if with_dps else best_ps[i]
+            if lam2_floor[i] is None and j * best < 1.0 and (
+                best * (j + _EIG_COST) < 1.0 or k == _EIG_COST
+            ):
+                lam2_floor[i] = _second_modulus_floor(L_live[slot])
+            floor = lam2_floor[i] or 0.0
+            if (1.0 - floor ** (2 * j)) / j <= best_ps[i] and (
+                not with_dps or (1.0 - floor**j) / j <= best_dps[i]
+            ):
+                stop_reason = "1/k" if j * best >= 1.0 else "weyl"
+                out[i] = sigmas[i], (best_ps[i], k_ps[i]), (best_dps[i], k_dps[i]), stop_reason
+            elif k >= k_cap:
+                out[i] = NonconvergentGapError(
+                    f"no certificate closed the skip loop by k = {k_cap} "
+                    f"(best gaps {best_ps[i]:.3e}, {best_dps[i]:.3e}); the chain is too close "
+                    "to periodic or reducible to resolve"
+                )
+            else:
+                running.append(i)
+                kept.append(slot)
+        if not running:
+            return out
+        if len(running) < len(live):
+            Lk, L_live = Lk[kept], L_live[kept]
+        live = running
+        Lk = Lk @ L_live
+
+
+def _only(results: list):
+    """The one result of a `_skip_loop` over one chain; raises it when it is an error."""
+    [result] = results
+    if isinstance(result, NonconvergentGapError):
+        raise result
+    return result
 
 
 def _gamma_ps(P: StochasticMatrix, k_cap: int = DEFAULT_K_CAP) -> float:
     """`spectral_gaps(P).gamma_ps`, or its NonconvergentGapError, certifying gamma_ps alone."""
-    return _skip_loop(P, k_cap, with_dps=False)[1][0]
+    return _only(_skip_loop([P], k_cap, with_dps=False))[1][0]
 
 
 def spectral_gaps(P: StochasticMatrix, k_cap: int = DEFAULT_K_CAP) -> SpectralReport:
@@ -211,7 +252,8 @@ def spectral_gaps(P: StochasticMatrix, k_cap: int = DEFAULT_K_CAP) -> SpectralRe
         NonconvergentGapError: if P is periodic (|lambda_2| = 1, so every
             per-skip gap is zero), or if neither certificate fires by k_cap.
     """
-    sigmas, (best_ps, k_ps), (best_dps, k_dps), stop_reason = _skip_loop(P, k_cap, with_dps=True)
+    result = _only(_skip_loop([P], k_cap, with_dps=True))
+    sigmas, (best_ps, k_ps), (best_dps, k_dps), stop_reason = result
     gamma_dagger_at_k = {k: 1.0 - s**2 for k, s in enumerate(sigmas, 1)}
     gamma_ddagger_at_k = {k: 1.0 - s for k, s in enumerate(sigmas, 1)}
     # for reversible P, L is symmetric and sigma_2(L) is the largest non-Perron modulus

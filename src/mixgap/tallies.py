@@ -16,12 +16,14 @@ scipy.sparse, on first use.
 from __future__ import annotations
 
 import threading
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .chain import Trajectory, _physical_memory
+from .chain import Trajectory, _physical_memory, _stack
 from .errors import TrajectoryTooShortError, UnvisitedStateError
 
 if TYPE_CHECKING:
@@ -50,10 +52,12 @@ class SkippedTallies:
         if counts.sum() != self.num_pairs:
             raise ValueError("transition counts must sum to floor((m-1)/k)")
 
-    @property
+    @cached_property
     def visits(self) -> np.ndarray:
-        """Visit counts N_x, the row sums of the counts."""
-        return self.counts.sum(axis=1)
+        """Visit counts N_x, the row sums of the counts, summed on first use."""
+        visits = self.counts.sum(axis=1)
+        visits.flags.writeable = False
+        return visits
 
     @property
     def transitions(self) -> csr_matrix:
@@ -67,11 +71,11 @@ class SkippedTallies:
         """Number of counted transitions, floor((m-1)/k)."""
         return (self.m - 1) // self.k
 
-    @property
+    @cached_property
     def n_min(self) -> int:
         return int(self.visits.min())
 
-    @property
+    @cached_property
     def n_max(self) -> int:
         return int(self.visits.max())
 
@@ -156,15 +160,30 @@ def smoothed_estimates(t: SkippedTallies, alpha: float) -> SmoothedEstimates:
     pi_hat(x) = (N_x + n a) / (floor((m-1)/k) + n^2 a)
     L_hat = diag(pi_hat)^{1/2} P_hat diag(pi_hat)^{-1/2}
     """
+    P_hat, pi_hat, L_hat = _smoothed_batch([t], alpha)
+    return SmoothedEstimates(alpha=alpha, P_hat=P_hat[0], pi_hat=pi_hat[0], L_hat=L_hat[0])
+
+
+def _smoothed_batch(
+    ts: Sequence[SkippedTallies], alpha: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The stacks of `smoothed_estimates` P_hat, pi_hat and L_hat of tables over one n.
+
+    Every entry is the same float operation on the same numbers as for one
+    table alone, so each matrix of a stack has that table's bits.
+    """
     if not 0.0 < alpha < np.inf:
         raise ValueError(f"alpha must be finite and > 0, got {alpha}")
-    n = t.n
+    n = ts[0].n
+    pairs = np.array([t.num_pairs for t in ts])
     # with pairs + n^2 alpha infinite, pi_hat would be 0 and L_hat NaN
-    if not t.num_pairs + n * n * alpha < np.inf:
+    if not pairs.max() + n * n * alpha < np.inf:
         raise ValueError(f"alpha must keep n^2 alpha finite, got {alpha} with n = {n}")
-    visits = t.visits.astype(float)
-    P_hat = (t.counts + alpha) / (visits + n * alpha)[:, None]
-    pi_hat = (visits + n * alpha) / (t.num_pairs + n * n * alpha)
+    visits = _stack([t.visits for t in ts]).astype(float)
+    P_hat = _stack([t.counts for t in ts]) + alpha
+    P_hat /= (visits + n * alpha)[:, :, None]
+    pi_hat = (visits + n * alpha) / (pairs + n * n * alpha)[:, None]
     root = np.sqrt(pi_hat)
-    L_hat = (root[:, None] * P_hat) / root[None, :]
-    return SmoothedEstimates(alpha=alpha, P_hat=P_hat, pi_hat=pi_hat, L_hat=L_hat)
+    L_hat = root[:, :, None] * P_hat
+    L_hat /= root[:, None, :]
+    return P_hat, pi_hat, L_hat

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from mixgap.chain import StochasticMatrix
 from mixgap.fixtures import example_chain, random_dense_chain, random_reversible_chain
@@ -27,6 +28,40 @@ def random_reversible(seed: int, n: int | None = None) -> StochasticMatrix:
     if n is None:
         n = int(rng.integers(2, 9))
     return random_reversible_chain(n, seed=int(rng.integers(0, 2**31)))
+
+
+def lazy_cycle(n, lazy=0.5, right=0.6):
+    P = np.zeros((n, n))
+    i = np.arange(n)
+    P[i, i] = lazy
+    P[i, (i + 1) % n] += (1.0 - lazy) * right
+    P[i, (i - 1) % n] += (1.0 - lazy) * (1.0 - right)
+    return StochasticMatrix(P)
+
+
+@st.composite
+def simulated_chains(draw):
+    """Irreducible chains from four families; lazy drifted cycles merge slowly
+    under common random numbers and take the sequential fallback."""
+    kind = draw(st.sampled_from(["dense", "sparse", "sticky", "cycle"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "cycle":
+        n = draw(st.integers(20, 60))
+        rows = lazy_cycle(n, rng.uniform(0.3, 0.7), rng.uniform(0.5, 0.9)).rows
+    else:
+        n = draw(st.integers(1, 8))
+        W = rng.gamma(2.0, size=(n, n))
+        if kind == "sparse":
+            # a ring keeps the support strongly connected
+            W = W * (rng.random((n, n)) < 0.3) + np.roll(np.eye(n), 1, axis=1)
+        elif kind == "sticky":
+            W = 1e-3 * W + np.eye(n)
+        rows = W / W.sum(axis=1, keepdims=True)
+    if draw(st.booleans()):
+        # inside the 1e-12 row-sum tolerance: draws past the last cut must
+        # still land on a positive column
+        rows = rows * (1.0 - 5e-13)
+    return StochasticMatrix(rows)
 
 
 def birth_death(n: int, right: float) -> np.ndarray:

@@ -29,7 +29,7 @@ from mixgap.errors import NoConvergenceError, NotMixedByCapError, ReducibleChain
 from mixgap.fixtures import FIXTURES, get_fixture
 from mixgap.oracle import spectral_gaps
 
-from conftest import birth_death, random_ergodic, random_reversible
+from conftest import birth_death, lazy_cycle, random_ergodic, random_reversible, simulated_chains
 from reference_routes import generic_dilation, strongly_connected
 
 UNIFORM2 = [[0.5, 0.5], [0.5, 0.5]]
@@ -488,15 +488,6 @@ SIMULATE_DIGESTS = {
 }
 
 
-def lazy_cycle(n, lazy=0.5, right=0.6):
-    P = np.zeros((n, n))
-    i = np.arange(n)
-    P[i, i] = lazy
-    P[i, (i + 1) % n] += (1.0 - lazy) * right
-    P[i, (i - 1) % n] += (1.0 - lazy) * (1.0 - right)
-    return StochasticMatrix(P)
-
-
 def bisect_walk(P, x, u):
     """Per-step reference: bisect_right over each full row's cumulative sums,
     +inf from the row's last positive column on."""
@@ -522,31 +513,6 @@ def reference_simulate(P, m, start, seed):
         p = np.asarray(start, dtype=float)
         x = int(rng.choice(P.n, p=p / p.sum()))
     return bisect_walk(P, x, rng.random(m))
-
-
-@st.composite
-def simulated_chains(draw):
-    """Irreducible chains from four families; lazy drifted cycles merge slowly
-    under common random numbers and take the sequential fallback."""
-    kind = draw(st.sampled_from(["dense", "sparse", "sticky", "cycle"]))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    if kind == "cycle":
-        n = draw(st.integers(20, 60))
-        rows = lazy_cycle(n, rng.uniform(0.3, 0.7), rng.uniform(0.5, 0.9)).rows
-    else:
-        n = draw(st.integers(1, 8))
-        W = rng.gamma(2.0, size=(n, n))
-        if kind == "sparse":
-            # a ring keeps the support strongly connected
-            W = W * (rng.random((n, n)) < 0.3) + np.roll(np.eye(n), 1, axis=1)
-        elif kind == "sticky":
-            W = 1e-3 * W + np.eye(n)
-        rows = W / W.sum(axis=1, keepdims=True)
-    if draw(st.booleans()):
-        # inside the 1e-12 row-sum tolerance: draws past the last cut must
-        # still land on a positive column
-        rows = rows * (1.0 - 5e-13)
-    return StochasticMatrix(rows)
 
 
 # the sequential walk runs below m = 4096; chunks are 32 steps long near

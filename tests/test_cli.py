@@ -113,6 +113,15 @@ class TestSimulateAndStats:
             "message": "start distribution must be a length-n probability vector",
         }
 
+    @pytest.mark.parametrize("start", ["1.5", "0.5,x", "uniform"])
+    def test_malformed_start_names_the_option(self, start):
+        code, out, err = run_in_process(["simulate", "--fixture", "ex31", "--m", "5", "--start", start])
+        assert (code, out) == (1, "")
+        message = (
+            f"--start must be a state index, comma-separated probabilities or 'stationary', got {start!r}"
+        )
+        assert err == json.dumps({"error": "INVALID_INPUT", "message": message}) + "\n"
+
     def test_stats_counts(self, traj_file, tmp_path):
         out = tmp_path / "stats.json"
         assert main(["stats", "--trajectory", traj_file, "--k", "2", "--out", str(out)]) == 0
@@ -299,6 +308,20 @@ class TestTrajectoryInputContract:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert json.loads(captured.err)["error"] == "INVALID_INPUT"
+
+    def test_first_bad_token_is_named_under_any_hash_seed(self, tmp_path):
+        # the reader parses each distinct token once through a set, whose order
+        # follows the hash seed; the error must name the first bad token anyway
+        path = tmp_path / "traj.txt"
+        path.write_text("0 x 1 y z")
+        argv = [sys.executable, "-m", "mixgap.cli", "estimate", "--method", "pi-star"]
+        argv += ["--trajectory", str(path)]
+        message = "invalid literal for int() with base 10: b'x'"
+        message = json.dumps({"error": "INVALID_INPUT", "message": message})
+        for hash_seed in ("1", "2"):
+            env = {**child_env(), "PYTHONHASHSEED": hash_seed}
+            child = subprocess.run(argv, capture_output=True, env=env)
+            assert (child.returncode, child.stdout, child.stderr.decode()) == (1, b"", message + "\n")
 
     @given(text=trajectory_texts(), n=st.one_of(st.none(), st.integers(1, 6)))
     @settings(max_examples=30, deadline=None)

@@ -1,11 +1,18 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import mixgap.eigensolve
-from mixgap.chain import Trajectory, simulate
+import mixgap.oracle as oracle_module
+from mixgap.chain import StochasticMatrix, Trajectory, _simulate_batch, simulate
 from mixgap.confidence import (
+    DEFAULT_DELTA,
+    _empirical_gamma_ps_batch,
+    _intervals,
     confidence_interval,
     delta_hat,
     empirical_gamma_ps,
@@ -14,9 +21,12 @@ from mixgap.confidence import (
     term_V,
     term_W,
 )
+from mixgap.errors import MixgapError
 from mixgap.fixtures import example_chain, get_fixture
 from mixgap.estimators import DEFAULT_ALPHA, gamma_dps_hat
 from mixgap.tallies import SkippedTallies, smoothed_estimates, tally
+
+from conftest import lazy_cycle, simulated_chains
 
 ZIGZAG = Trajectory(np.array([0, 1, 0, 1, 1]), n=2)
 
@@ -228,7 +238,9 @@ class TestConfidenceInterval:
 
     def test_degenerate_empirical_gap_makes_interval_vacuous(self, monkeypatch):
         tr = simulate(get_fixture("fast3"), 20_000, seed=1)
-        monkeypatch.setattr("mixgap.confidence.empirical_gamma_ps", lambda t, alpha: 0.0)
+        monkeypatch.setattr(
+            "mixgap.confidence._empirical_gamma_ps_batch", lambda ts, alpha: [0.0] * len(ts)
+        )
         report = confidence_interval(tr, c=0.01)
         assert report.vacuous and report.interval == (0.0, 1.0)
         for terms in report.per_k_terms.values():
@@ -250,10 +262,10 @@ class TestConfidenceInterval:
     @pytest.mark.parametrize("skip", [1, 2])
     def test_one_infinite_U_makes_interval_vacuous(self, skip, monkeypatch):
         tr = simulate(example_chain(), 100_000, seed=2)  # K_hat = 2, finite U at c = 0.01
-        exact = empirical_gamma_ps
+        exact = _empirical_gamma_ps_batch
         monkeypatch.setattr(
-            "mixgap.confidence.empirical_gamma_ps",
-            lambda t, alpha: 0.0 if t.k == skip else exact(t, alpha),
+            "mixgap.confidence._empirical_gamma_ps_batch",
+            lambda ts, alpha: [0.0 if t.k == skip else gps for t, gps in zip(ts, exact(ts, alpha))],
         )
         report = confidence_interval(tr, c=0.01)
         assert [math.isinf(t["U"]) for t in report.per_k_terms.values()] == [k == skip for k in (1, 2)]
@@ -262,8 +274,12 @@ class TestConfidenceInterval:
     def test_interval_after_the_estimate_solves_each_smoothed_skip_once(self, monkeypatch):
         tr = simulate(example_chain(), 100_000, seed=1)  # K_hat = 2
         solved = []
-        svd = mixgap.eigensolve.second_singular_value
-        monkeypatch.setattr(mixgap.eigensolve, "second_singular_value", lambda A: solved.append(np.copy(A)) or svd(A))
+        svds = mixgap.eigensolve.second_singular_values
+        monkeypatch.setattr(
+            mixgap.eigensolve,
+            "second_singular_values",
+            lambda A: solved.extend(np.reshape(A, (-1, *np.shape(A)[-2:])).copy()) or svds(A),
+        )
         gamma_dps_hat(tr)
         report = confidence_interval(tr)
         assert report.K_hat == 2
@@ -274,3 +290,74 @@ class TestConfidenceInterval:
     def test_empirical_gamma_ps_strictly_positive(self):
         t = tally(ZIGZAG, 1)
         assert empirical_gamma_ps(t, alpha=0.1) > 0
+
+
+def outcome(call):
+    """The report of a call as sorted JSON, or the name and message of its typed error."""
+    try:
+        return json.dumps(call().to_dict(), sort_keys=True)
+    except MixgapError as err:
+        return type(err).__name__, str(err)
+
+
+class TestBatchedIntervals:
+    @given(
+        P=st.one_of(simulated_chains(), st.just(lazy_cycle(60))),
+        m=st.integers(3, 5000),
+        seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=5),
+        alpha=st.sampled_from([1e-2, 1e-9]),
+        c=st.sampled_from([0.0, 48.0]),
+    )
+    @settings(max_examples=30, deadline=None)
+    # K_hat 2 on seed 0, every interval vacuous
+    @example(P=StochasticMatrix([[0.1, 0.9], [0.9, 0.1]]), m=5000, seeds=[0, 1, 2, 3], alpha=1e-2, c=48.0)
+    # the uncertifiable gap of a periodic P_hat, which maps to 0
+    @example(P=StochasticMatrix([[0.0, 1.0], [1.0, 0.0]]), m=1000, seeds=[0, 1], alpha=1e-9, c=0.0)
+    # one oracle stack of three P_hat whose loops buy the floor and stop at skips 9, 14 and 18
+    @example(P=lazy_cycle(60), m=5000, seeds=[0, 1, 2], alpha=1e-2, c=48.0)
+    def test_each_report_is_the_trajectory_alone(self, P, m, seeds, alpha, c):
+        batch = _simulate_batch(P, m, seeds, "stationary")
+        alone = [
+            outcome(lambda: confidence_interval(Trajectory(tr.states.copy(), tr.n), alpha=alpha, c=c))
+            for tr in batch
+        ]
+        try:
+            reports = _intervals(batch, alpha, DEFAULT_DELTA, c)
+        except MixgapError as err:
+            # a batch stops at its first error, which one of its trajectories raises alone
+            assert (type(err).__name__, str(err)) in alone
+        else:
+            assert [json.dumps(r.to_dict(), sort_keys=True) for r in reports] == alone
+
+    def test_examples_reach_the_cases_they_are_for(self, monkeypatch):
+        two_state = StochasticMatrix([[0.1, 0.9], [0.9, 0.1]])
+        batch = _simulate_batch(two_state, 5000, [0, 1, 2, 3], "stationary")
+        reports = _intervals(batch, 1e-2, DEFAULT_DELTA, 48.0)
+        assert [r.K_hat for r in reports] == [2, 1, 1, 1] and all(r.vacuous for r in reports)
+        flip = _simulate_batch(StochasticMatrix([[0.0, 1.0], [1.0, 0.0]]), 1000, [0, 1], "stationary")
+        reports = _intervals(flip, 1e-9, DEFAULT_DELTA, 0.0)
+        assert all(r.vacuous and r.diagnostics["degenerate_empirical_gap_k"] == 1 for r in reports)
+        stops, floors = [], []
+        skip_loop, floor = oracle_module._skip_loop, oracle_module._second_modulus_floor
+
+        def recorded(Ps, k_cap, with_dps):
+            results = skip_loop(Ps, k_cap, with_dps)
+            stops.append([len(r[0]) for r in results])
+            return results
+
+        monkeypatch.setattr("mixgap.confidence._skip_loop", recorded)
+        monkeypatch.setattr(oracle_module, "_second_modulus_floor", lambda L: floors.append(L) or floor(L))
+        _intervals(_simulate_batch(lazy_cycle(60), 5000, [0, 1, 2], "stationary"), 1e-2, DEFAULT_DELTA, 48.0)
+        assert stops == [[9, 14, 18]] and len(floors) == 3
+
+    def test_no_stack_holds_more_entries_than_the_batch_has_steps(self, monkeypatch):
+        # 13 trials of 1,000 steps on 60 states: 13,000 steps hold three 60 x 60 tables
+        stacks = []
+        svds = mixgap.eigensolve.second_singular_values
+        monkeypatch.setattr(
+            mixgap.eigensolve, "second_singular_values", lambda A: stacks.append(np.shape(A)) or svds(A)
+        )
+        batch = _simulate_batch(lazy_cycle(60), 1000, range(13), "stationary")
+        _intervals(batch, 1e-2, DEFAULT_DELTA, 48.0)
+        assert max(shape[0] for shape in stacks) == 3
+

@@ -6,7 +6,7 @@ import pytest
 from mixgap.chain import StochasticMatrix, Trajectory, simulate
 from mixgap.errors import NoTriggerError, NoUsableKError
 from mixgap.estimators import (
-    _dps_gap,
+    _dps_gaps,
     adaptive_K_dps,
     adaptive_K_multiplicative,
     gamma_dps_hat,
@@ -194,7 +194,7 @@ class TestDpsEstimator:
         P = example_chain()
         k1 = make_tallies([[0, 2, 0], [0, 0, 2], [2, 0, 2]], k=1, m=9)
         k2 = make_tallies([[0, 0, 4], [2, 0, 2], [2, 4, 2]], k=2, m=33)
-        per_k = {k: _dps_gap(t, alpha=1e-12) for k, t in ((1, k1), (2, k2))}
+        per_k = dict(zip((1, 2), _dps_gaps([k1, k2], alpha=1e-12)))
         value = max(per_k[k] / k for k in (1, 2))
         assert per_k[1] == pytest.approx(gamma_ddagger(P, 1), abs=1e-8)
         assert per_k[2] == pytest.approx(gamma_ddagger(P, 2), abs=1e-8)
