@@ -282,12 +282,13 @@ def mixing_time(
 
 
 # `simulate` walks long trajectories as chunks advanced in lockstep. One vector
-# step costs about 10-50 us against 0.1-0.3 us for one sequential step (2-core
-# host), so lockstep pays only with many chunks. Whether paths merge under
-# common random numbers is judged during the first _CHECK_STEP lockstep steps,
-# from _PROBES chunks also walked from a second start: on dense and sparse
-# random rows nearly all such pairs have met by then, on lazy cycles and tori
-# almost none have, and those chains are finished one step at a time.
+# step costs about 10-50 us against 0.1 us for one sequential step by table
+# lookup (0.15-0.2 us by bisect; 2-core host), so lockstep pays only with many
+# chunks. Whether paths merge under common random numbers is judged during the
+# first _CHECK_STEP lockstep steps, from _PROBES chunks also walked from a
+# second start: on dense and sparse random rows nearly all such pairs have met
+# by then, on lazy cycles and tori almost none have, and those chains are
+# finished one step at a time.
 # at m >= _LOCKSTEP_MIN_M chunks are round(sqrt(m) / 2) >= _CHECK_STEP steps
 # long, so each trial's first chunk, walked from its true start, is right up
 # to the step where a failed merge check hands over to the sequential walk
@@ -295,8 +296,14 @@ _LOCKSTEP_MIN_M = 4096
 _CHECK_STEP = 32  # lockstep step at which merging is judged
 _PROBES = 16  # chunk pairs walked from two starts up to _CHECK_STEP
 _MAX_UNMET = 0.25  # fraction of those pairs still apart that falls back
-_BLOCK = 1 << 14  # draws converted to Python floats at a time
+_BLOCK = 1 << 14  # draws turned into symbols or Python floats, and states collected, at a time
 _BATCH_STEPS = 1 << 17  # steps of the trials that bench_convergence walks together
+# the sequential walk's symbol table: at most this many entries, each a list
+# slot and, past n = 256, its own int object (40 bytes in all), plus two int
+# arrays of that size while it is built, so at most about 60 MB whatever m is
+_TABLE_ENTRIES = 1 << 20
+_BINS = 1 << 12  # most equal bins of [0, 1) that place a draw among the cuts
+_BIN_PASSES = 4  # most cuts in one bin before np.searchsorted counts instead
 
 
 def _physical_memory() -> int:
@@ -331,23 +338,88 @@ def _support_tables(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return cut, col, size
 
 
-def _row_tuples(cut: np.ndarray, col: np.ndarray, size: np.ndarray) -> tuple[list, list]:
-    """Per row, its cuts and positive columns as Python tuples, for _walk_sequential."""
-    cuts = [tuple(c[: s - 1].tolist()) for c, s in zip(cut, size)]
-    cols = [tuple(c[:s].tolist()) for c, s in zip(col, size)]
-    return cuts, cols
+def _symbol_rows(cut: np.ndarray, col: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """The (n, A) table whose entry [x, s] is the column row x picks for a draw
+    with exactly s members of the cut union U at or below it.
+
+    Every finite cut of a row is a member of U, so the row's count of cuts
+    <= u equals its count of cuts <= the largest member of U that is <= u:
+    the s-th entry of the cumulative count of row x's cuts over U.
+    """
+    finite = np.isfinite(cut)
+    xs = np.nonzero(finite)[0]
+    hits = np.zeros((cut.shape[0], U.size + 1), dtype=np.intp)
+    # each cut is a member of U, so its left-searched index is its position
+    np.add.at(hits, (xs, np.searchsorted(U, cut[finite]) + 1), 1)
+    return np.take_along_axis(col, np.cumsum(hits, axis=1), axis=1)
 
 
-def _walk_sequential(cuts: list, cols: list, u: np.ndarray, out: np.ndarray, lo: int) -> None:
-    """Fill out[lo:] one bisect per step, continuing from out[lo - 1]."""
-    x = int(out[lo - 1])
-    for b in range(lo, u.size, _BLOCK):
-        block = []
-        append = block.append
-        for ut in u[b : b + _BLOCK].tolist():
-            x = cols[x][bisect_right(cuts[x], ut)]
-            append(x)
-        out[b : b + len(block)] = block
+def _symbol_counter(U: np.ndarray, draws: int):
+    """The function from draws in [0, 1) to their counts of members of U at or below them.
+
+    The draws fall in G equal bins, G a power of two no larger than _BINS or
+    about draws / 8, so u * G and its floor j are exact. base[j] counts the
+    members below bin j, and pass i compares u with the i-th member inside
+    its bin (+inf where the bin holds fewer), so each count is exact. With
+    more than _BIN_PASSES members in some bin, np.searchsorted counts instead.
+    """
+    G = min(_BINS, 1 << max(0, (draws >> 3).bit_length() - 1))
+    edges = np.searchsorted(U, np.arange(G + 1) / G)
+    base, inside = edges[:-1], np.diff(edges)
+    if inside.max() > _BIN_PASSES:
+        return lambda u: np.searchsorted(U, u, side="right")
+    padded = np.append(U, np.inf)
+    members = [padded[np.where(i < inside, base + i, U.size)] for i in range(inside.max())]
+
+    def count(u: np.ndarray) -> np.ndarray:
+        j = (u * G).astype(np.intp)
+        s = base[j]
+        for member in members:
+            s += member[j] <= u
+        return s
+
+    return count
+
+
+def _walk_sequential(
+    cut: np.ndarray, col: np.ndarray, size: np.ndarray, u: np.ndarray, out: np.ndarray, m: int,
+    walks: Sequence[tuple[int, int]],
+) -> None:
+    """For each (trial, lo) of walks, fill the trial's out[lo:] one step at a
+    time, continuing from its out[lo - 1]; trials hold m states end to end.
+
+    Let U be the distinct finite cuts of all rows and A = |U| + 1. When the
+    table of n x A entries is no larger than the draws to walk (nor than
+    _TABLE_ENTRIES), each draw becomes its symbol, its count of members of U
+    at or below it, which no state changes, and a step is one lookup in
+    _symbol_rows; that picks bisect_right's column exactly. Otherwise a step
+    bisects the current row's cuts.
+    """
+    draws = sum(m - lo for _, lo in walks)
+    finite = np.sort(cut[np.isfinite(cut)])
+    U = finite[np.diff(finite, prepend=-np.inf) > 0]  # np.unique, without its import of numpy.ma
+    if cut.shape[0] * (U.size + 1) <= min(draws, _TABLE_ENTRIES):
+        rows, symbols = _symbol_rows(cut, col, U).tolist(), _symbol_counter(U, draws)
+    else:
+        rows = None
+        cuts = [tuple(c[: s - 1].tolist()) for c, s in zip(cut, size)]
+        cols = [tuple(c[:s].tolist()) for c, s in zip(col, size)]
+    for trial, lo in walks:
+        b = trial * m
+        x = int(out[b + lo - 1])
+        for first in range(b + lo, b + m, _BLOCK):
+            last = min(first + _BLOCK, b + m)
+            block = []
+            append = block.append
+            if rows is not None:
+                for s in symbols(u[first:last]).tolist():
+                    x = rows[x][s]
+                    append(x)
+            else:
+                for ut in u[first:last].tolist():
+                    x = cols[x][bisect_right(cuts[x], ut)]
+                    append(x)
+            out[first:last] = block
 
 
 def _walk_batch(
@@ -359,20 +431,13 @@ def _walk_batch(
     Every trial hands over to _walk_sequential at step _CHECK_STEP + 1 when
     the probe pairs show that paths merge slowly (see _MAX_UNMET), and a
     trial whose reruns have not all met its recorded path within one chunk
-    length hands over at its earliest state not yet known to be right.
+    length hands over at its earliest state not yet known to be right. The
+    trials handed over are walked in one _walk_sequential call, which builds
+    its table once for all of them.
     """
     trials = u.size // m
-    rows = []  # the _row_tuples of the batch, built on first use
-
-    def sequential(trial: int, lo: int) -> None:
-        if not rows:
-            rows.extend(_row_tuples(cut, col, size))
-        b = trial * m
-        _walk_sequential(*rows, u[b : b + m], out[b : b + m], lo)
-
     if m < _LOCKSTEP_MIN_M:
-        for trial in range(trials):
-            sequential(trial, 1)
+        _walk_sequential(cut, col, size, u, out, m, [(trial, 1) for trial in range(trials)])
         return
     width = cut.shape[1]
     flat_cut, flat_col = cut.ravel(), col.ravel()
@@ -409,8 +474,8 @@ def _walk_batch(
     lockstep(x, np.concatenate([first[:_PROBES], first]), 0, _CHECK_STEP, _PROBES)
     if np.count_nonzero(x[:_PROBES] != x[_PROBES : 2 * _PROBES]) > _MAX_UNMET * _PROBES:
         # each trial's first chunk started from its true start
-        for trial in range(trials):
-            sequential(trial, _CHECK_STEP + 1)
+        walks = [(trial, _CHECK_STEP + 1) for trial in range(trials)]
+        _walk_sequential(cut, col, size, u, out, m, walks)
         return
     lockstep(x[_PROBES:], first, _CHECK_STEP, length, 0)
     # rerun each chunk whose guessed start was not its predecessor's end, in
@@ -432,8 +497,9 @@ def _walk_batch(
         if t.size == 0:
             return
     # every state of a trial before its earliest rerun still going is final
-    for trial, k in zip(*np.unique(t // m, return_index=True)):
-        sequential(int(trial), int(t[k] - trial * m))
+    trial, k = np.unique(t // m, return_index=True)
+    walks = list(zip(trial.tolist(), (t[k] - trial * m).tolist()))
+    _walk_sequential(cut, col, size, u, out, m, walks)
 
 
 def _simulate_batch(
@@ -446,7 +512,8 @@ def _simulate_batch(
 
     Raises:
         ValueError: for m < 1, a bad start, or a batch whose draws and states
-            (16 bytes per step) would not fit in physical memory.
+            (16 bytes per step) would not fit in physical memory; the step
+            table of `_walk_sequential` adds at most about 60 MB on top.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -509,11 +576,15 @@ def simulate(
     A few chunks are also walked from a second start for the first
     _CHECK_STEP steps; when most of those pairs have not met by then, the
     chain's paths merge slowly and the trajectory is finished one step at a
-    time. ``bench_convergence`` walks the chunks of several trials in the
-    same vectors (``_simulate_batch``), with the same output per trial.
+    time. A walk of enough steps does that by table lookup: each draw first
+    becomes its count of the distinct cuts of all rows at or below it, which
+    fixes the column every row picks (see _walk_sequential).
+    ``bench_convergence`` walks the chunks of several trials in the same
+    vectors (``_simulate_batch``), with the same output per trial.
 
     Raises:
         ValueError: for m < 1, a bad start, or an m whose draws and states
-            (16 bytes per step) would not fit in physical memory.
+            (16 bytes per step) would not fit in physical memory. The step
+            table adds at most _TABLE_ENTRIES entries, about 60 MB, at any m.
     """
     return _simulate_batch(P, m, [seed], start)[0]

@@ -39,17 +39,32 @@ def lazy_cycle(n, lazy=0.5, right=0.6):
     return StochasticMatrix(P)
 
 
+def lazy_torus(side, lazy=0.5, moves=(0.35, 0.15, 0.3, 0.2)):
+    """Lazy walk on a side x side torus; `moves` weights right, left, down, up."""
+    n = side * side
+    states = np.arange(n)
+    r, c = np.divmod(states, side)
+    P = np.zeros((n, n))
+    P[states, states] = lazy
+    weights = np.asarray(moves) / np.sum(moves) * (1.0 - lazy)
+    for w, (dr, dc) in zip(weights, ((0, 1), (0, -1), (1, 0), (-1, 0))):
+        P[states, ((r + dr) % side) * side + (c + dc) % side] += w
+    return StochasticMatrix(P)
+
+
 @st.composite
 def simulated_chains(draw):
-    """Irreducible chains from four families; lazy drifted cycles merge slowly
-    under common random numbers and take the sequential fallback."""
-    kind = draw(st.sampled_from(["dense", "sparse", "sticky", "cycle"]))
+    """Irreducible chains from five families. Lazy drifted cycles merge slowly
+    under common random numbers and take the sequential fallback, by symbol
+    table; wide dense chains have more distinct cuts than short walks have
+    draws, so their sequential walks bisect."""
+    kind = draw(st.sampled_from(["dense", "sparse", "sticky", "cycle", "wide"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if kind == "cycle":
         n = draw(st.integers(20, 60))
         rows = lazy_cycle(n, rng.uniform(0.3, 0.7), rng.uniform(0.5, 0.9)).rows
     else:
-        n = draw(st.integers(1, 8))
+        n = draw(st.integers(20, 60) if kind == "wide" else st.integers(1, 8))
         W = rng.gamma(2.0, size=(n, n))
         if kind == "sparse":
             # a ring keeps the support strongly connected

@@ -29,7 +29,7 @@ from mixgap.errors import NoConvergenceError, NotMixedByCapError, ReducibleChain
 from mixgap.fixtures import FIXTURES, get_fixture
 from mixgap.oracle import spectral_gaps
 
-from conftest import birth_death, lazy_cycle, random_ergodic, random_reversible, simulated_chains
+from conftest import birth_death, lazy_cycle, lazy_torus, random_ergodic, random_reversible, simulated_chains
 from reference_routes import generic_dilation, strongly_connected
 
 UNIFORM2 = [[0.5, 0.5], [0.5, 0.5]]
@@ -487,6 +487,26 @@ SIMULATE_DIGESTS = {
     ("rand5b", 7, "uniform", 200000): "d990919e3f4c9bbf440e396ba7720d39",
 }
 
+# blake2b-128 of simulate(P, m, seed=seed).states from the stationary start on
+# chains whose paths merge slowly: below m = 4096 they are walked one step at a
+# time from the start, and above it every trial hands over at _CHECK_STEP + 1.
+# Recorded from the one-bisect-per-step walk before the symbol table replaced it.
+FALLBACK_DIGESTS = {
+    ("lazy_cycle(60)", 0, 1000): "936908558b94bc049035d7f843d616fa",
+    ("lazy_cycle(60)", 0, 5000): "fe29bb99edb8bc338cb62437245201ca",
+    ("lazy_cycle(60)", 0, 300000): "ed5fa9ec33ce015bee4b4b4f0c263211",
+    ("lazy_cycle(60)", 7, 1000): "6d3f800b208d93d48138e58868053acb",
+    ("lazy_cycle(60)", 7, 5000): "3293382c2aec3d99092f9a051c5e6abf",
+    ("lazy_cycle(60)", 7, 300000): "4f95da69f0292d8385cf325704110dee",
+    ("lazy_torus(6)", 0, 1000): "c92469f2592995eabc8f5afa403a7413",
+    ("lazy_torus(6)", 0, 5000): "092ddc43c7a4c4cbbf6d818559a0b45f",
+    ("lazy_torus(6)", 0, 300000): "e3141025c9c3b18b3b3a4f06e756e48d",
+    ("lazy_torus(6)", 7, 1000): "5142a1125812cdde2b68558d8071767a",
+    ("lazy_torus(6)", 7, 5000): "f65a0b69bdcbbe1f2525eefdc53238d6",
+    ("lazy_torus(6)", 7, 300000): "04d1b7f55eb1c04e3af353b07f26d30e",
+}
+FALLBACK_CHAINS = {"lazy_cycle(60)": lambda: lazy_cycle(60), "lazy_torus(6)": lambda: lazy_torus(6)}
+
 
 def bisect_walk(P, x, u):
     """Per-step reference: bisect_right over each full row's cumulative sums,
@@ -608,33 +628,32 @@ class TestSimulate:
         monkeypatch.setattr(chain_module, "_walk_sequential", counted)
         tr = simulate(P, 100_000, start=0, seed=3)
         assert len(calls) == sequential_calls
-        assert all(lo > 1 for lo in calls)
         if sequential_calls:
             # the merge probe decides before the lockstep pass goes past it
-            assert calls == [chain_module._CHECK_STEP + 1]
+            assert calls == [[(0, chain_module._CHECK_STEP + 1)]]
         assert tr.states.tolist() == reference_simulate(P, 100_000, 0, 3)
 
     @pytest.mark.parametrize("m", [1000, 5000], ids=["sequential", "lockstep-fallback"])
-    def test_row_tuples_built_once_per_batch(self, monkeypatch, m):
-        # every trial of lazy_cycle(60) is walked one step at a time, from the
-        # same per-row tuples
-        built, tables = [], []
-        row_tuples, walk = chain_module._row_tuples, chain_module._walk_sequential
+    def test_symbol_table_built_once_per_batch(self, monkeypatch, m):
+        # every trial of lazy_cycle(60) is walked one step at a time, in one
+        # walk that builds one symbol table for all of them
+        built, walks = [], []
+        symbol_rows, walk = chain_module._symbol_rows, chain_module._walk_sequential
 
         def counted_build(*args):
-            built.append(row_tuples(*args))
+            built.append(symbol_rows(*args))
             return built[-1]
 
-        def recorded(cuts, cols, *args):
-            tables.append((cuts, cols))
-            return walk(cuts, cols, *args)
+        def recorded(*args):
+            walks.append(args[-1])
+            return walk(*args)
 
-        monkeypatch.setattr(chain_module, "_row_tuples", counted_build)
+        monkeypatch.setattr(chain_module, "_symbol_rows", counted_build)
         monkeypatch.setattr(chain_module, "_walk_sequential", recorded)
         P, seeds = lazy_cycle(60), [0, 1, 2]
         batch = chain_module._simulate_batch(P, m, seeds, 0)
-        assert len(built) == 1 and len(tables) == 3
-        assert all(cuts is built[0][0] and cols is built[0][1] for cuts, cols in tables)
+        lo = 1 if m < chain_module._LOCKSTEP_MIN_M else chain_module._CHECK_STEP + 1
+        assert walks == [[(0, lo), (1, lo), (2, lo)]] and len(built) == 1
         for seed, tr in zip(seeds, batch):
             assert tr.states.tolist() == reference_simulate(P, m, 0, seed)
 
@@ -698,6 +717,15 @@ class TestSimulate:
                 got = hashlib.blake2b(states.tobytes(), digest_size=16).hexdigest()
                 assert got == digest, (seed, label, m)
 
+    @pytest.mark.parametrize("name", sorted(FALLBACK_CHAINS))
+    def test_golden_digests_of_slowly_merging_chains(self, name):
+        P = FALLBACK_CHAINS[name]()
+        for (chain, seed, m), digest in FALLBACK_DIGESTS.items():
+            if chain == name:
+                states = simulate(P, m, seed=seed).states
+                got = hashlib.blake2b(states.tobytes(), digest_size=16).hexdigest()
+                assert got == digest, (seed, m)
+
     def test_refuses_m_beyond_physical_memory(self, ex31):
         with pytest.raises(ValueError, match="physical memory"):
             simulate(ex31, 10**12)
@@ -732,3 +760,90 @@ class TestSimulate:
     def test_trajectory_validates_indices(self):
         with pytest.raises(ValueError):
             Trajectory(np.array([0, 3]), n=2)
+
+
+@st.composite
+def adversarial_rows(draw):
+    """Stochastic rows whose cuts sit where a symbol count could slip: on the
+    dyadic grid of the bins, nextafter neighbours, equal cumulative sums from
+    tiny entries, and rows summing to just inside 1 - 1e-12."""
+    n = draw(st.integers(4, 10))  # room for the four entries of the fixed rows
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = np.zeros((n, n))
+    for x in range(n):
+        kind = draw(st.sampled_from(["dyadic", "neighbours", "tiny", "short"]))
+        if kind == "dyadic":
+            p = int(rng.integers(1, 15))
+            points = np.unique(rng.integers(1, 2**p, size=n - 1)) / 2**p
+            row = np.diff(np.concatenate([[0.0], points, [1.0]]))
+        elif kind == "neighbours":
+            c = rng.random()
+            ulp = np.spacing(c)
+            row = np.array([c, ulp, ulp, 1.0 - c - 2 * ulp])
+        elif kind == "tiny":
+            row = np.array([0.5, 1e-300, 1e-18, 0.5 - 1e-18])
+        else:
+            row = rng.dirichlet(np.ones(n)) * (1.0 - 0.99e-12)
+        rows[x, rng.permutation(n)[: row.size]] = row
+    return rows
+
+
+def cut_union(rows):
+    cut = chain_module._support_tables(rows)[0]
+    return np.unique(cut[np.isfinite(cut)])
+
+
+def probe_draws(U, rng):
+    """Draws in [0, 1): random, every member of U with its neighbours, and dyadic points."""
+    near = np.concatenate([U, np.nextafter(U, 0.0), np.nextafter(U, 1.0)])
+    grid = np.arange(1 << 13) / (1 << 13)
+    u = np.concatenate([rng.random(500), near, grid, [0.0, np.nextafter(1.0, 0.0), 1 - 5e-13]])
+    return u[(u >= 0.0) & (u < 1.0)]
+
+
+class TestSymbolTable:
+    @given(rows=adversarial_rows(), seed=st.integers(0, 2**32 - 1),
+           draws=st.sampled_from([1, 100, 5000, 10**6]))
+    @settings(max_examples=80, deadline=None)
+    def test_symbol_count_is_searchsorted(self, rows, seed, draws):
+        U = cut_union(rows)
+        u = probe_draws(U, np.random.default_rng(seed))
+        count = chain_module._symbol_counter(U, draws)
+        assert count(u).tolist() == np.searchsorted(U, u, side="right").tolist()
+
+    @pytest.mark.parametrize(
+        "U",
+        [np.linspace(0.5, 0.5 + 1e-9, 40), np.array([0.25, 0.5, 0.75, 1.0, 1.0 + 1e-12]),
+         np.array([np.nextafter(0.5, 0.0), 0.5, np.nextafter(0.5, 1.0)]), np.array([])],
+        ids=["one-crowded-bin", "cuts-at-and-past-one", "neighbours-at-an-edge", "no-cuts"],
+    )
+    def test_symbol_count_on_edge_cut_sets(self, U):
+        u = probe_draws(U, np.random.default_rng(0))
+        for draws in (1, 4096, 10**6):
+            count = chain_module._symbol_counter(U, draws)
+            assert count(u).tolist() == np.searchsorted(U, u, side="right").tolist()
+
+    @given(rows=adversarial_rows(), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_table_walk_matches_bisect_reference(self, rows, seed):
+        P = StochasticMatrix(rows)
+        rng = np.random.default_rng(seed)
+        u = probe_draws(cut_union(rows), rng)
+        u = np.concatenate([[0.0], rng.permutation(np.tile(u, 2))])
+        cut, col, size = chain_module._support_tables(P.rows)
+        assert P.n * (cut_union(P.rows).size + 1) <= u.size - 1  # the table serves this walk
+        out = np.empty(u.size, dtype=np.int64)
+        out[0] = seed % P.n
+        chain_module._walk_sequential(cut, col, size, u, out, u.size, [(0, 1)])
+        assert out.tolist() == bisect_walk(P, seed % P.n, u)
+
+    def test_table_past_its_entry_cap_keeps_the_bisect(self, monkeypatch):
+        built = []
+        symbol_rows = chain_module._symbol_rows
+        monkeypatch.setattr(chain_module, "_symbol_rows", lambda *args: built.append(args) or symbol_rows(*args))
+        P = lazy_cycle(60)
+        expected = reference_simulate(P, 5000, 0, 3)
+        assert simulate(P, 5000, start=0, seed=3).states.tolist() == expected and len(built) == 1
+        # one entry short of the table that the walk would build
+        monkeypatch.setattr(chain_module, "_TABLE_ENTRIES", P.n * (cut_union(P.rows).size + 1) - 1)
+        assert simulate(P, 5000, start=0, seed=3).states.tolist() == expected and len(built) == 1

@@ -250,6 +250,20 @@ class TestIntervalCommand:
         assert report["interval"] == [0.0, 1.0]
         assert report["diagnostics"]["degenerate_empirical_gap_k"] == 1
 
+    def test_unresolvable_stationary_vector_gives_vacuous_report(self, tmp_path):
+        # at alpha = 1e-9 the smoothed P_hat of 30, 29, 30 over 60 states gives
+        # its 58 unvisited states pi near 3e-8, which the solve cannot resolve
+        path = tmp_path / "three.txt"
+        path.write_text("30\n29\n30\n")
+        code, out, err = run_in_process(
+            ["interval", "--trajectory", str(path), "--n", "60", "--alpha", "1e-9"]
+        )
+        assert (code, err) == (0, "")
+        report = json.loads(out, parse_constant=reject_constant)
+        assert report["vacuous"] is True
+        assert report["interval"] == [0.0, 1.0]
+        assert report["diagnostics"]["degenerate_empirical_gap_k"] == 1
+
     def test_two_state_trajectory_is_too_short(self, tmp_path):
         path = tmp_path / "two.txt"
         path.write_text("0\n1\n")

@@ -21,9 +21,10 @@ from mixgap.confidence import (
     term_V,
     term_W,
 )
-from mixgap.errors import MixgapError
+from mixgap.errors import MixgapError, NoConvergenceError
 from mixgap.fixtures import example_chain, get_fixture
 from mixgap.estimators import DEFAULT_ALPHA, gamma_dps_hat
+from mixgap.oracle import spectral_gaps
 from mixgap.tallies import SkippedTallies, smoothed_estimates, tally
 
 from conftest import lazy_cycle, simulated_chains
@@ -246,6 +247,27 @@ class TestConfidenceInterval:
         for terms in report.per_k_terms.values():
             assert terms["T"] == terms["U"] == math.inf
         assert report.diagnostics["degenerate_empirical_gap_k"] == max(report.per_k_terms)
+
+    def test_unresolvable_stationary_vector_makes_interval_vacuous(self):
+        # at alpha = 1e-9 the 58 unvisited states of P_hat get pi near 3e-8,
+        # too small for the stationary solve to resolve entry by entry
+        tr = Trajectory(np.array([30, 29, 30]), 60)
+        P_hat = StochasticMatrix(smoothed_estimates(tally(tr, 1), 1e-9).P_hat)
+        with pytest.raises(NoConvergenceError):
+            spectral_gaps(P_hat)  # the oracle still refuses it as a user's P
+        assert empirical_gamma_ps(tally(tr, 1), 1e-9) == 0.0
+        report = confidence_interval(tr, alpha=1e-9)
+        assert report.vacuous and report.interval == (0.0, 1.0)
+        assert report.K_hat == 1 and report.per_k_terms[1]["T"] == math.inf
+        assert report.diagnostics["degenerate_empirical_gap_k"] == 1
+
+    def test_unresolvable_cell_of_a_batch_leaves_the_others_alone(self):
+        bad = tally(Trajectory(np.array([30, 29, 30]), 60), 1)
+        tr = simulate(lazy_cycle(60), 5000, seed=0)
+        good = [tally(tr, 1), tally(tr, 2)]
+        alone = [empirical_gamma_ps(t, 1e-9) for t in good]
+        assert all(gps > 0 for gps in alone)
+        assert _empirical_gamma_ps_batch([good[0], bad, good[1]], 1e-9) == [alone[0], 0.0, alone[1]]
 
     def test_vacuous_exactly_when_some_U_is_infinite(self):
         outcomes = set()
