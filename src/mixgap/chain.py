@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
-from .errors import NoConvergenceError, NotMixedByCapError, ReducibleChainError
+from .errors import NoConvergenceError, NotMixedByCapError, ReducibleChainError, _value
 
 ROW_SUM_TOL = 1e-12
 STATIONARY_TOL = 1e-10
@@ -60,7 +60,10 @@ class StochasticMatrix:
     _stationary: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        rows = np.asarray(self.rows, dtype=float)
+        rows = np.asarray(self.rows)
+        if rows.dtype.kind == "c":
+            raise ValueError(f"transition probabilities must be real, got dtype {rows.dtype}")
+        rows = np.asarray(rows, dtype=float)
         if rows.ndim != 2 or rows.shape[0] != rows.shape[1] or rows.shape[0] < 1:
             raise ValueError(f"expected a square matrix, got shape {rows.shape}")
         # array methods, not np.all/np.min/np.max: the smoothed P_hat of every
@@ -90,15 +93,21 @@ class Trajectory:
     _gaps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        states = np.asarray(self.states, dtype=np.int64)
+        states = np.asarray(self.states)
         if states.ndim != 1 or states.size < 1:
             raise ValueError("trajectory must be a non-empty 1-d sequence")
+        if states.dtype.kind not in "iu":
+            raise ValueError(f"trajectory states must be integers, got dtype {states.dtype}")
+        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)):
+            raise ValueError(f"state-space size must be an integer, got {self.n!r}")
         if self.n < 1:
             raise ValueError("state-space size must be >= 1")
         if states.min() < 0 or states.max() >= self.n:
             raise ValueError("state index out of range [0, n)")
+        states = np.asarray(states, dtype=np.int64)
         states.flags.writeable = False
         object.__setattr__(self, "states", states)
+        object.__setattr__(self, "n", int(self.n))
 
     @property
     def m(self) -> int:
@@ -155,23 +164,24 @@ def stationary_distribution(P: StochasticMatrix) -> np.ndarray:
         ReducibleChainError: if the support digraph is not strongly connected.
         NoConvergenceError: if the solve misses the entrywise relative test.
     """
-    return _stationary_batch([P])[0]
+    return _value(_stationary_batch([P])[0])
 
 
-def _stationary_batch(Ps: Sequence[StochasticMatrix]) -> list[np.ndarray]:
-    """`stationary_distribution` of each chain, all of one size.
+def _stationary_batch(Ps: Sequence[StochasticMatrix]) -> list:
+    """For each chain (all of one size): `stationary_distribution`, or the
+    MixgapError it raises alone.
 
-    The chains without a memoized pi are solved in one stacked solve, which
-    gives each the same bits as solving it alone; errors are raised for the
-    first failing chain in order.
+    The irreducible chains without a memoized pi are solved in one stacked
+    solve, which gives each the same bits as solving it alone.
     """
-    todo = [P for P in Ps if not P._stationary]
-    for P in todo:
-        if not is_irreducible(P):
-            raise ReducibleChainError("support graph is not strongly connected")
+    out: list = [P._stationary[0] if P._stationary else None for P in Ps]
+    for i, P in enumerate(Ps):
+        if out[i] is None and not is_irreducible(P):
+            out[i] = ReducibleChainError("support graph is not strongly connected")
+    todo = [i for i, slot in enumerate(out) if slot is None]
     if todo:
-        n = todo[0].n
-        rows = _stack([P.rows for P in todo])
+        n = Ps[0].n
+        rows = _stack([Ps[i].rows for i in todo])
         # (P^T - I) pi^T = 0 with the last equation replaced by sum(pi) = 1
         A = np.swapaxes(rows, 1, 2) - np.eye(n)
         A[:, -1, :] = 1.0
@@ -181,14 +191,16 @@ def _stationary_batch(Ps: Sequence[StochasticMatrix]) -> list[np.ndarray]:
         pis /= pis.sum(axis=1, keepdims=True)
         residuals = np.abs((pis[:, None, :] @ rows)[:, 0] - pis)
         resolved = (residuals < STATIONARY_TOL * pis).all(axis=1).tolist()
-        for P, pi, residual, ok in zip(todo, pis, residuals, resolved):
-            if not ok:
-                raise NoConvergenceError(
+        for i, pi, residual, ok in zip(todo, pis, residuals, resolved):
+            if ok:
+                out[i] = _freeze(pi)
+                Ps[i]._stationary.append(out[i])
+            else:
+                out[i] = NoConvergenceError(
                     f"stationary vector not resolved relative to its entries (residual "
                     f"{np.max(residual):.3e}, smallest entry {np.min(pi):.3e})"
                 )
-            P._stationary.append(_freeze(pi))
-    return [P._stationary[0] for P in Ps]
+    return out
 
 
 def time_reversal(P: StochasticMatrix) -> StochasticMatrix:

@@ -27,15 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import (
-    StochasticMatrix,
-    Trajectory,
-    _report_dict,
-    _stack,
-    _stationary_batch,
-    stationary_distribution,
-)
-from .errors import NoConvergenceError
+from .chain import StochasticMatrix, Trajectory, _report_dict, _stack
+from .errors import MixgapError
 from .estimators import DEFAULT_ALPHA, _dps_hat_batch
 from .oracle import DEFAULT_K_CAP, _skip_loop
 from .tallies import SkippedTallies, _smoothed_batch, tally
@@ -145,40 +138,24 @@ def empirical_gamma_ps(t: SkippedTallies, alpha: float) -> float:
     """Exact pseudo-spectral gap of the alpha-smoothed P_hat, or 0 if it cannot be resolved.
 
     The oracle's skip loop stops once gamma_ps is certified, gamma_dps aside.
-    The gap counts as 0 when no certificate closes that loop, and when the
-    stationary vector of P_hat misses its entrywise relative test (a tiny
-    alpha leaves unvisited states with pi near 1e-8, below what the solve
-    resolves); either way T is infinite and the interval vacuous.
+    The gap counts as 0 when that loop ends in an error: no certificate
+    closes it, or the stationary vector of P_hat misses its entrywise
+    relative test (a tiny alpha leaves unvisited states with pi near 1e-8,
+    below what the solve resolves). Either way T is infinite and the interval
+    vacuous.
     """
     return _empirical_gamma_ps_batch([t], alpha)[0]
 
 
 def _empirical_gamma_ps_batch(ts: Sequence[SkippedTallies], alpha: float) -> list[float]:
-    """`empirical_gamma_ps` of each table (all over one n), in one batched oracle loop.
+    """`empirical_gamma_ps` of each table (all over one n), in one stacked oracle loop.
 
-    A P_hat whose stationary vector is not resolved counts as 0 by itself:
+    The loop gives each P_hat its own slot, so an error slot counts as 0 and
     the others keep the bits they get alone.
     """
     P_hats = [StochasticMatrix(P_hat) for P_hat in _smoothed_batch(ts, alpha)[0]]
-    try:
-        _stationary_batch(P_hats)
-        resolved = [True] * len(P_hats)
-    except NoConvergenceError:
-        resolved = [_has_stationary(P) for P in P_hats]
-    solvable = [P for P, ok in zip(P_hats, resolved) if ok]
-    solved = iter(_skip_loop(solvable, DEFAULT_K_CAP, with_dps=False))
-    results = [next(solved) if ok else None for ok in resolved]
-    # a result is a tuple, or None or the NonconvergentGapError of a gap that counts as 0
-    return [r[1][0] if isinstance(r, tuple) else 0.0 for r in results]
-
-
-def _has_stationary(P: StochasticMatrix) -> bool:
-    """True when `stationary_distribution(P)` resolves, which memoizes it."""
-    try:
-        stationary_distribution(P)
-    except NoConvergenceError:
-        return False
-    return True
+    slots = _skip_loop(P_hats, DEFAULT_K_CAP, with_dps=False)
+    return [0.0 if isinstance(slot, MixgapError) else slot[1][0] for slot in slots]
 
 
 def confidence_interval(

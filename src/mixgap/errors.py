@@ -1,7 +1,8 @@
 """Typed domain errors shared across the package.
 
 Every error carries a stable machine-readable ``code`` so the CLI can emit
-structured error objects and map them to exit codes.
+structured error objects and map them to exit codes. A batch function
+returns one slot per chain, holding its result or the error it raises alone.
 """
 
 from __future__ import annotations
@@ -11,6 +12,13 @@ class MixgapError(Exception):
     """Base class for all domain errors raised by this package."""
 
     code = "ERROR"
+
+
+def _value(slot):
+    """The result in one chain's slot of a batch; raises it when it is an error."""
+    if isinstance(slot, MixgapError):
+        raise slot
+    return slot
 
 
 class ReducibleChainError(MixgapError):

@@ -30,7 +30,7 @@ from .chain import (
     stationary_distribution,
     stationary_projector,
 )
-from .errors import NonconvergentGapError
+from .errors import MixgapError, NonconvergentGapError, _value
 
 DEFAULT_K_CAP = 1000
 # rounding allowance of every inequality the lemma ledger tests
@@ -145,25 +145,24 @@ def _second_modulus_floor(L: np.ndarray) -> float:
 
 def _skip_loop(Ps: Sequence[StochasticMatrix], k_cap: int, with_dps: bool) -> list:
     """For each chain (all of one size): sigma_2(L^k) for k = 1..K, the (gap, k)
-    maxima of both gaps and the stop reason, or the NonconvergentGapError that
-    ends its loop.
+    maxima of both gaps and the stop reason, or the MixgapError that ends its
+    loop alone.
 
+    A chain's error is the one in its `_stationary_batch` slot, else the
+    NonconvergentGapError of a periodic chain or of a loop that reaches k_cap.
     K is the first k where no skip j > k can beat the running gamma_ps, nor
     gamma_dps when `with_dps` is set (see `spectral_gaps`). The chains still
     running share one stacked SVD and one stacked product per k, which give
     each chain the bits of its own loop; each buys its floor by itself.
     """
-    pis = _stationary_batch(Ps)
-    out: list = [None] * len(Ps)
-    live = []
+    out = _stationary_batch(Ps)
     for i, P in enumerate(Ps):
-        if is_aperiodic(P):
-            live.append(i)
-        else:
+        if not isinstance(out[i], MixgapError) and not is_aperiodic(P):
             out[i] = NonconvergentGapError("chain is periodic: every per-skip gap is zero")
+    live = [i for i, slot in enumerate(out) if not isinstance(slot, MixgapError)]
     if not live:
         return out
-    s = np.sqrt(_stack([pis[i] for i in live]))
+    s = np.sqrt(_stack([out[i] for i in live]))
     L = s[:, :, None] * _stack([Ps[i].rows for i in live])
     L /= s[:, None, :]
     sigmas: dict[int, list[float]] = {i: [] for i in live}
@@ -213,19 +212,6 @@ def _skip_loop(Ps: Sequence[StochasticMatrix], k_cap: int, with_dps: bool) -> li
         Lk = Lk @ L_live
 
 
-def _only(results: list):
-    """The one result of a `_skip_loop` over one chain; raises it when it is an error."""
-    [result] = results
-    if isinstance(result, NonconvergentGapError):
-        raise result
-    return result
-
-
-def _gamma_ps(P: StochasticMatrix, k_cap: int = DEFAULT_K_CAP) -> float:
-    """`spectral_gaps(P).gamma_ps`, or its NonconvergentGapError, certifying gamma_ps alone."""
-    return _only(_skip_loop([P], k_cap, with_dps=False))[1][0]
-
-
 def spectral_gaps(P: StochasticMatrix, k_cap: int = DEFAULT_K_CAP) -> SpectralReport:
     """Exact pseudo-spectral and dilated pseudo-spectral gaps of P.
 
@@ -243,16 +229,18 @@ def spectral_gaps(P: StochasticMatrix, k_cap: int = DEFAULT_K_CAP) -> SpectralRe
     first k where the 1/j exit is open and over R = 8 skips away, or at k = R.
     The eigensolve is values-only, plus one guarded LU of L - w I per
     eigenvalue w it needs a condition number for (_second_modulus_floor).
-    Callers that read only gamma_ps use `_gamma_ps`, whose loop runs the same
-    test and the same rule for buying l on the gamma_ps maximum alone.
+    Callers that read only gamma_ps run `_skip_loop` with `with_dps` unset,
+    which applies the same test and the same rule for buying l to the gamma_ps
+    maximum alone.
 
     `stop_reason` is "1/k" if 1/j alone closed the loop, "weyl" if it took l.
 
     Raises:
+        ReducibleChainError, NoConvergenceError: from `stationary_distribution`.
         NonconvergentGapError: if P is periodic (|lambda_2| = 1, so every
             per-skip gap is zero), or if neither certificate fires by k_cap.
     """
-    result = _only(_skip_loop([P], k_cap, with_dps=True))
+    result = _value(_skip_loop([P], k_cap, with_dps=True)[0])
     sigmas, (best_ps, k_ps), (best_dps, k_dps), stop_reason = result
     gamma_dagger_at_k = {k: 1.0 - s**2 for k, s in enumerate(sigmas, 1)}
     gamma_ddagger_at_k = {k: 1.0 - s for k, s in enumerate(sigmas, 1)}
@@ -346,9 +334,11 @@ def verify_lemma_properties(P: StochasticMatrix, k_max: int = 10) -> LemmaLedger
 
     base = spectral_gaps(P)
     gps, k_ps = base.gamma_ps, base.k_ps
-    skipped = {}
-    for p in range(1, k_max + 1):
-        skipped[p] = _gamma_ps(matrix_power(P, p)) if p > 1 else gps
+    # P^2..P^k_max in one gamma_ps-only loop; each power carries the pi of P
+    powers = [matrix_power(P, p) for p in range(2, k_max + 1)]
+    skipped = {1: gps}
+    for p, slot in enumerate(_skip_loop(powers, DEFAULT_K_CAP, with_dps=False), 2):
+        skipped[p] = _value(slot)[1][0]
 
     for p in range(1, k_max + 1):
         check("skipped_gap_lower", {"p": p}, p * gps * (1.0 - p * k_ps * gps / 2.0), skipped[p])

@@ -1,5 +1,7 @@
 import hashlib
+import json
 import math
+import warnings
 from bisect import bisect_right
 
 import numpy as np
@@ -28,6 +30,7 @@ from mixgap.chain import (
 from mixgap.errors import NoConvergenceError, NotMixedByCapError, ReducibleChainError
 from mixgap.fixtures import FIXTURES, get_fixture
 from mixgap.oracle import spectral_gaps
+from mixgap.tallies import tally
 
 from conftest import birth_death, lazy_cycle, lazy_torus, random_ergodic, random_reversible, simulated_chains
 from reference_routes import generic_dilation, strongly_connected
@@ -51,6 +54,14 @@ class TestStochasticMatrix:
     def test_rejects_negative_entries(self):
         with pytest.raises(ValueError):
             StochasticMatrix([[1.5, -0.5], [0.5, 0.5]])
+
+    def test_rejects_complex_entries(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # not numpy's ComplexWarning
+            with pytest.raises(ValueError, match="must be real"):
+                StochasticMatrix(np.array([[0.5 + 1j, 0.5], [0.5, 0.5]]))
+            with pytest.raises(ValueError, match="must be real"):
+                StochasticMatrix(np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex))
 
     def test_rejects_non_finite_entries(self):
         for bad in (np.nan, np.inf):
@@ -760,6 +771,24 @@ class TestSimulate:
     def test_trajectory_validates_indices(self):
         with pytest.raises(ValueError):
             Trajectory(np.array([0, 3]), n=2)
+
+    def test_trajectory_rejects_states_that_are_not_integers(self):
+        for states in ([0, 1.9, 2], np.array([0.0, 1.0]), [True, False], np.array([0, 1], dtype=complex)):
+            with pytest.raises(ValueError, match="states must be integers"):
+                Trajectory(states, 3)
+        # the shape check comes first, for an empty list too (whose dtype is float)
+        with pytest.raises(ValueError, match="non-empty 1-d"):
+            Trajectory([], 3)
+
+    def test_trajectory_rejects_a_size_that_is_not_an_integer(self):
+        for n in (2.5, 3.0, True, "3", np.float64(3.0)):
+            with pytest.raises(ValueError, match="size must be an integer"):
+                Trajectory([0, 1], n)
+
+    def test_trajectory_size_is_a_python_int(self):
+        tr = Trajectory(np.array([0, 1, 2], dtype=np.uint64), np.int64(3))
+        assert type(tr.n) is int and tr.states.tolist() == [0, 1, 2]
+        assert json.loads(json.dumps(tally(tr, 1).to_dict()))["n"] == 3
 
 
 @st.composite

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 import mixgap.oracle as oracle_module
 from mixgap.chain import (
     StochasticMatrix,
+    Trajectory,
+    _stationary_batch,
     build_L,
     is_aperiodic,
     is_reversible,
@@ -18,7 +20,13 @@ from mixgap.chain import (
     stationary_distribution,
 )
 from mixgap.eigensolve import dense_symmetric_spectrum, second_singular_value
-from mixgap.errors import NonconvergentGapError, ReducibleChainError
+from mixgap.errors import (
+    MixgapError,
+    NoConvergenceError,
+    NonconvergentGapError,
+    ReducibleChainError,
+    _value,
+)
 from mixgap.fixtures import get_fixture
 from mixgap.oracle import (
     absolute_spectral_gap,
@@ -313,6 +321,11 @@ class TestPseudoSpectralGap:
         assert rep.k_explored <= fixed_start_stop(rep, floors[0] if floors else floor(build_L(P)))
 
 
+def gamma_ps_only(P: StochasticMatrix, k_cap: int = oracle_module.DEFAULT_K_CAP) -> float:
+    """gamma_ps from the skip loop that certifies it alone; raises its error."""
+    return _value(oracle_module._skip_loop([P], k_cap, with_dps=False)[0])[1][0]
+
+
 class TestGammaPsOnly:
     """The skip loop that certifies gamma_ps alone, against the full report."""
 
@@ -334,16 +347,16 @@ class TestGammaPsOnly:
             P = chain_of_family(family, n, rng)
         if not is_aperiodic(P):
             with pytest.raises(NonconvergentGapError, match="periodic"):
-                oracle_module._gamma_ps(P)
+                gamma_ps_only(P)
             return
-        assert oracle_module._gamma_ps(P) == spectral_gaps(P).gamma_ps
+        assert gamma_ps_only(P) == spectral_gaps(P).gamma_ps
 
     def test_periodic_and_capped_chains_raise(self):
         for rows in ([[0.0, 1.0], [1.0, 0.0]], PERIOD2_ROWS):
             with pytest.raises(NonconvergentGapError, match="periodic"):
-                oracle_module._gamma_ps(StochasticMatrix(rows), k_cap=40)
+                gamma_ps_only(StochasticMatrix(rows), k_cap=40)
         with pytest.raises(NonconvergentGapError, match="k = 50"):
-            oracle_module._gamma_ps(StochasticMatrix(NEAR_PERIODIC_ROWS), k_cap=50)
+            gamma_ps_only(StochasticMatrix(NEAR_PERIODIC_ROWS), k_cap=50)
 
     def test_stops_once_gamma_ps_is_certified(self, monkeypatch):
         # gamma_ps = 0.27 closes by 1/k at skip 3 (4 * 0.27 >= 1), gamma_dps = 0.14 only at skip 6
@@ -354,8 +367,55 @@ class TestGammaPsOnly:
         sigma2 = oracle_module._sigma2
         monkeypatch.setattr(oracle_module, "_sigma2", lambda Lk: solves.append(1) or sigma2(Lk))
         monkeypatch.setattr(oracle_module, "_second_modulus_floor", None)  # not bought
-        assert oracle_module._gamma_ps(P) == rep.gamma_ps
+        assert gamma_ps_only(P) == rep.gamma_ps
         assert len(solves) == 3
+
+
+def slot_bits(slot):
+    """A batch slot as comparable data: the bytes of a pi, a loop's result, or an error's type and message."""
+    if isinstance(slot, MixgapError):
+        return type(slot), str(slot)
+    return slot.tobytes() if isinstance(slot, np.ndarray) else slot
+
+
+class TestOneSlotPerChain:
+    """A batch gives each chain what it gets alone, errors included."""
+
+    @staticmethod
+    def mixed_batch() -> list[StochasticMatrix]:
+        n = 60
+        # at alpha = 1e-9 the 58 unvisited states get pi near 3e-8, which the solve cannot resolve
+        unresolved = smoothed_estimates(tally(Trajectory(np.array([30, 29, 30]), n), 1), 1e-9).P_hat
+        periodic = np.roll(np.eye(n), 1, axis=1)
+        reducible = np.eye(n)
+        rows = [lazy_cycle(n, 0.5, 0.6).rows, unresolved, periodic, reducible]
+        return [StochasticMatrix(r) for r in rows]
+
+    def test_stationary_batch(self):
+        batch = self.mixed_batch()
+        slots = _stationary_batch(batch)
+        alone = [_stationary_batch([StochasticMatrix(P.rows)])[0] for P in batch]
+        assert [slot_bits(s) for s in slots] == [slot_bits(s) for s in alone]
+        kinds = [type(s) for s in slots]
+        assert kinds == [np.ndarray, NoConvergenceError, np.ndarray, ReducibleChainError]
+        # memoized chains keep their pi and stay out of the solve
+        assert all(s is P._stationary[0] for s, P in zip(_stationary_batch(batch), batch) if P._stationary)
+        # a caller of one chain raises its slot
+        with pytest.raises(NoConvergenceError):
+            stationary_distribution(batch[1])
+        with pytest.raises(ReducibleChainError):
+            stationary_distribution(batch[3])
+
+    def test_skip_loop(self):
+        batch = self.mixed_batch()
+        slots = oracle_module._skip_loop(batch, oracle_module.DEFAULT_K_CAP, with_dps=False)
+        alone = [
+            oracle_module._skip_loop([StochasticMatrix(P.rows)], oracle_module.DEFAULT_K_CAP, with_dps=False)[0]
+            for P in batch
+        ]
+        assert [slot_bits(s) for s in slots] == [slot_bits(s) for s in alone]
+        kinds = [type(s) for s in slots]
+        assert kinds == [tuple, NoConvergenceError, NonconvergentGapError, ReducibleChainError]
 
 
 class TestSecondModulusFloor:
@@ -443,6 +503,29 @@ class TestLemmaLedger:
         for seed in range(30):
             P = random_ergodic(seed, n=2 + seed % 5)
             assert verify_lemma_properties(P, k_max=6).all_passed
+
+    @pytest.mark.parametrize("n", [20, 40])
+    def test_stacked_powers_equal_their_own_loops(self, n, monkeypatch):
+        floors, calls = [], []
+        floor, skip_loop = oracle_module._second_modulus_floor, oracle_module._skip_loop
+        monkeypatch.setattr(oracle_module, "_second_modulus_floor", lambda L: floors.append(1) or floor(L))
+        monkeypatch.setattr(
+            oracle_module,
+            "_skip_loop",
+            lambda Ps, k_cap, with_dps: calls.append((Ps, skip_loop(Ps, k_cap, with_dps))) or calls[-1][1],
+        )
+        stacked = verify_lemma_properties(lazy_cycle(n, 0.5, 0.6), 10).to_dict()
+        # spectral_gaps buys at most one floor, so the powers' stacked loop bought the rest
+        assert len(floors) > 1
+        [_, (powers, slots)] = calls
+        assert len(powers) == 9 and max(len(slot[0]) for slot in slots) > 1
+        assert slots == [skip_loop([Q], oracle_module.DEFAULT_K_CAP, False)[0] for Q in powers]
+        monkeypatch.setattr(
+            oracle_module,
+            "_skip_loop",
+            lambda Ps, k_cap, with_dps: [r for Q in Ps for r in skip_loop([Q], k_cap, with_dps)],
+        )
+        assert verify_lemma_properties(lazy_cycle(n, 0.5, 0.6), 10).to_dict() == stacked
 
 
 class TestMixingSandwich:
