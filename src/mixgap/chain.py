@@ -271,8 +271,13 @@ def mixing_time(
     unmixed and t + 2^j <= t_max. That costs O(log t_max) matrix products.
 
     Raises:
+        ValueError: if t_max < 1 or threshold is not in (0, 1].
         NotMixedByCapError: if the distance is still >= threshold at t_max.
     """
+    if t_max < 1:
+        raise ValueError(f"t_max must be >= 1, got {t_max!r}")
+    if not 0.0 < threshold <= 1.0:
+        raise ValueError(f"threshold must be in (0, 1], got {threshold!r}")
     pi = stationary_distribution(P)
 
     def mixed(Pt: np.ndarray) -> bool:

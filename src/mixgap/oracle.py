@@ -4,8 +4,13 @@ Computes the absolute spectral gap, the per-skip gaps of the multiplicative
 reversiblization and of the reversible dilation, and the (dilated)
 pseudo-spectral gap via a self-terminating loop over skip rates. Also houses
 verifier routines for the gap inequalities used as ground truth by the test
-suite. The floor on |lambda_2| behind the Weyl stop imports scipy.linalg's
-LAPACK LU on first use, so importing the module loads no scipy.
+suite. The floor on |lambda_2| behind the Weyl stop needs only the few
+eigenvalues of largest modulus. Above _SUBSPACE_MIN_N states it takes them
+from a _RITZ_DIM x _RITZ_DIM projection of L on its dominant subspace, and
+keeps each only if its refined residual is within the backward error of
+LAPACK's QR; otherwise, and on smaller chains, it takes L's whole spectrum
+from that QR. It imports scipy.linalg's LAPACK LU on first use, so importing
+the module loads no scipy.
 """
 
 from __future__ import annotations
@@ -36,13 +41,26 @@ DEFAULT_K_CAP = 1000
 # rounding allowance of every inequality the lemma ledger tests
 _SLACK = 1e-9
 # cost of the eigenvalue floor behind the Weyl stop, in sigma_2 solves of L^k
-# (one OpenBLAS thread): 4.4-5.1 on 40- and 60-state lazy cycles, 10.6-13.2 on
-# an 80-state one (LAPACK's values-only QR turns multishift above n = 75) and
-# 4.4-5.5 on a dense 324-state chain. 8, the cost of the two-sided eig it
-# replaced, is kept so that no loop's k_explored or stop_reason moves
+# (in-process medians, one OpenBLAS thread): 3.3-3.6 on a 40-state lazy
+# cycle, 2.6-3.4 on 60- and 80-state ones and 1.9-2.5 on 324-state chains. A
+# chain whose subspace route falls back pays the whole spectrum's QR on top,
+# 8.8-9.7 solves at n = 80 and 4.4-6.2 at n = 324. 8, the cost of the
+# two-sided eig the floor first replaced, is kept so that no loop's
+# k_explored or stop_reason moves
 _EIG_COST = 8
 # eigenvalue i of the computed L is trusted to within _EIG_MARGIN * n * eps / s_i
 _EIG_MARGIN = 4.0
+# above _SUBSPACE_MIN_N states the floor's candidates are the _RITZ_DIM Ritz
+# values of L on the subspace that _SQUARINGS squarings find, each refined by
+# _REFINE_STEPS inverse-iteration solves. The two routes cost the same near
+# n = 40 (one OpenBLAS thread; the subspace's fixed cost is about 0.2 ms).
+# Of 206 chains of 41-324 states (lazy cycles, tori, random families and
+# smoothed P_hats), 10 squarings sent 14 to the whole spectrum and 11 sent
+# 1; fewer solves sent more
+_SUBSPACE_MIN_N = 40
+_SQUARINGS = 11
+_RITZ_DIM = 12
+_REFINE_STEPS = 4
 
 
 @dataclass(frozen=True)
@@ -103,44 +121,115 @@ def absolute_spectral_gap(P: StochasticMatrix) -> float:
     return float(min(max(1.0 - rho, 0.0), 1.0))
 
 
-def _second_modulus_floor(L: np.ndarray) -> float:
-    """A lower bound on |lambda_2(P)|, the largest non-Perron eigenvalue modulus.
+def _ritz_values(L: np.ndarray, root: np.ndarray) -> np.ndarray:
+    """Eigenvalue estimates of A = L - root root^T from its dominant subspace.
 
-    L is diagonally similar to P, so it has the same spectrum. Each computed
-    eigenvalue w_i is discounted by a few n eps / s_i, where s_i = |y_i^H x_i|
-    (unit left and right eigenvectors) is its condition number, so an
-    ill-conditioned spectrum only lowers the bound. The eigenvalues come from
-    one values-only solve, and the Perron root is the one nearest 1. They are
-    walked in decreasing modulus, a conjugate sharing its partner's s, until
-    one is no larger than the bound so far. Each s_i takes one LU of L - w_i I
-    (real when w_i is) and two inverse-iteration solves for x_i and for y_i.
-    A pivot below 4 n eps ||L||_1 is raised to it (LAPACK's xLAEIN guard), so
-    an exactly computed eigenvalue still gives finite vectors.
+    root = sqrt(pi) is L's unit left and right Perron vector, so A has L's
+    spectrum with the Perron root moved to 0. A is squared _SQUARINGS times,
+    each square rescaled to unit Frobenius norm, in two n x n buffers. The
+    _RITZ_DIM Ritz values of A on V = orth(A orth(A^(2^q) G)), G a fixed
+    uniform random block, come from one small eigvals; there are none if a
+    square vanishes.
+    """
+    M = np.outer(-root, root)
+    M += L
+    T = np.empty_like(M)
+    for _ in range(_SQUARINGS):
+        np.matmul(M, M, out=T)
+        scale = np.linalg.norm(T)
+        if not scale > 0.0:
+            return np.zeros(0)
+        T /= scale
+        M, T = T, M
+    V = M @ (np.random.default_rng(0).random((L.shape[0], _RITZ_DIM)) - 0.5)
+
+    def apply(X: np.ndarray) -> np.ndarray:  # A X without forming A
+        return L @ X - np.outer(root, root @ X)
+
+    V = np.linalg.qr(apply(np.linalg.qr(V)[0]))[0]
+    return np.linalg.eigvals(V.T @ apply(V))
+
+
+def _walk(L: np.ndarray, w: np.ndarray, root: np.ndarray | None = None) -> float | None:
+    """The largest |w_i| - tol / s_i over candidates w walked in decreasing
+    modulus, tol = _EIG_MARGIN n eps.
+
+    Each candidate with imag >= 0 (a conjugate shares its partner's s) is
+    walked until one is no larger than the floor so far. s_i = |y_i^H x_i|
+    takes one LU of L - w_i I (real when w_i is) and inverse-iteration solves
+    for x_i and y_i. A pivot below tol ||L||_1 is raised to it (LAPACK's
+    xLAEIN guard), so an exactly computed eigenvalue still gives finite
+    vectors. Without `root`, w is the whole spectrum, and x and y start from
+    ones and take two solves each. With `root`, w are Ritz values: x and y
+    start from a fixed random vector orthogonal to root, take
+    _REFINE_STEPS solves each, and w_i becomes mu = y^H L x / y^H x. The walk
+    then gives None if ||L x - mu x|| > tol, if mu lies within its discount
+    of the Perron root 1, or if the candidates run out above the floor.
     """
     from scipy.linalg import get_lapack_funcs
 
     n = L.shape[0]
-    w = np.linalg.eigvals(L)
-    w[np.argmin(np.abs(w - 1.0))] = 0.0  # the Perron root; a modulus of 0 ends the walk
     tol = _EIG_MARGIN * n * np.finfo(float).eps
     guard = tol * np.linalg.norm(L, 1)
+    if root is None:
+        start, steps = np.ones(n), 2
+    else:
+        start, steps = np.random.default_rng(0).random(n), _REFINE_STEPS
+        start -= root * (root @ start)
     floor = 0.0
     for mu in sorted(w[w.imag >= 0], key=abs, reverse=True):
         if abs(mu) <= floor:
-            break
-        A = L - (mu if mu.imag else mu.real) * np.eye(n)
+            return float(min(floor, 1.0))
+        shift = mu if mu.imag else mu.real
+        A = np.array(L, dtype=type(shift), order="F")
+        A.flat[:: n + 1] -= shift
         getrf, getrs = get_lapack_funcs(("getrf", "getrs"), (A,))
         lu, piv, _ = getrf(A, overwrite_a=True)
         tiny = np.flatnonzero(np.abs(lu.diagonal()) < guard)
         lu[tiny, tiny] = guard
-        x = y = np.ones(n)
-        for _ in range(2):
+        x = y = start
+        for _ in range(steps):
             x = getrs(lu, piv, x)[0]
             x /= np.linalg.norm(x)
             y = getrs(lu, piv, y, trans=2)[0]
             y /= np.linalg.norm(y)
-        floor = max(floor, abs(mu) - tol / abs(np.vdot(y, x)))
-    return float(min(floor, 1.0))
+        s = abs(np.vdot(y, x))
+        if root is not None:
+            # L @ x for a complex x would cast all of L to complex
+            Lx = L @ x if x.dtype.kind == "f" else L @ x.real + 1j * (L @ x.imag)
+            mu = np.vdot(y, Lx) / np.vdot(y, x)
+            if np.linalg.norm(Lx - mu * x) > tol or abs(1.0 - mu) <= tol / s:
+                return None
+        floor = max(floor, abs(mu) - tol / s)
+    return None
+
+
+def _second_modulus_floor(L: np.ndarray, root: np.ndarray) -> float:
+    """A lower bound on |lambda_2(P)|, the largest non-Perron eigenvalue modulus.
+
+    L is diagonally similar to P, so it has the same spectrum, and root =
+    sqrt(pi) is its unit Perron vector. Each eigenvalue w_i is discounted by
+    tol / s_i, tol = _EIG_MARGIN n eps and s_i = |y_i^H x_i| (unit left and
+    right eigenvectors) its condition number, so an ill-conditioned spectrum
+    only lowers the bound (`_walk`).
+
+    Above _SUBSPACE_MIN_N states the candidates are the Ritz values of the
+    deflated L on its dominant subspace (`_ritz_values`), each refined to
+    mu = y^H L x / y^H x from its inverse-iteration vectors. A refined mu is
+    kept only if ||L x - mu x|| <= tol, the backward error the whole-spectrum
+    QR is trusted to, so its discount means what it means there. If the
+    subspace walk gives no floor (`_walk` says when), and at or below
+    _SUBSPACE_MIN_N states, the candidates are L's whole spectrum from one
+    values-only QR, with the root nearest 1 taken as Perron's and set to 0,
+    which ends the walk.
+    """
+    if L.shape[0] > _SUBSPACE_MIN_N:
+        floor = _walk(L, _ritz_values(L, root), root)
+        if floor is not None:
+            return floor
+    w = np.linalg.eigvals(L)
+    w[np.argmin(np.abs(w - 1.0))] = 0.0  # the Perron root; a modulus of 0 ends the walk
+    return _walk(L, w)
 
 
 def _skip_loop(Ps: Sequence[StochasticMatrix], k_cap: int, with_dps: bool) -> list:
@@ -162,9 +251,9 @@ def _skip_loop(Ps: Sequence[StochasticMatrix], k_cap: int, with_dps: bool) -> li
     live = [i for i, slot in enumerate(out) if not isinstance(slot, MixgapError)]
     if not live:
         return out
-    s = np.sqrt(_stack([out[i] for i in live]))
-    L = s[:, :, None] * _stack([Ps[i].rows for i in live])
-    L /= s[:, None, :]
+    root = np.sqrt(_stack([out[i] for i in live]))
+    L = root[:, :, None] * _stack([Ps[i].rows for i in live])
+    L /= root[:, None, :]
     sigmas: dict[int, list[float]] = {i: [] for i in live}
     best_ps, k_ps = dict.fromkeys(live, 0.0), dict.fromkeys(live, 0)
     best_dps, k_dps = dict.fromkeys(live, 0.0), dict.fromkeys(live, 0)
@@ -188,7 +277,7 @@ def _skip_loop(Ps: Sequence[StochasticMatrix], k_cap: int, with_dps: bool) -> li
             if lam2_floor[i] is None and j * best < 1.0 and (
                 best * (j + _EIG_COST) < 1.0 or k == _EIG_COST
             ):
-                lam2_floor[i] = _second_modulus_floor(L_live[slot])
+                lam2_floor[i] = _second_modulus_floor(L_live[slot], root[slot])
             floor = lam2_floor[i] or 0.0
             if (1.0 - floor ** (2 * j)) / j <= best_ps[i] and (
                 not with_dps or (1.0 - floor**j) / j <= best_dps[i]
@@ -207,7 +296,7 @@ def _skip_loop(Ps: Sequence[StochasticMatrix], k_cap: int, with_dps: bool) -> li
         if not running:
             return out
         if len(running) < len(live):
-            Lk, L_live = Lk[kept], L_live[kept]
+            Lk, L_live, root = Lk[kept], L_live[kept], root[kept]
         live = running
         Lk = Lk @ L_live
 
@@ -227,7 +316,10 @@ def spectral_gaps(P: StochasticMatrix, k_cap: int = DEFAULT_K_CAP) -> SpectralRe
     decreasing in j, so the loop ends once they fall to the maxima at
     j = k + 1. l = 0 (the bound 1/j) until one eigensolve of L buys it: at the
     first k where the 1/j exit is open and over R = 8 skips away, or at k = R.
-    The eigensolve is values-only, plus one guarded LU of L - w I per
+    Above 40 states the eigensolve projects L on its dominant subspace and
+    keeps a refined eigenvalue only if its residual is within the backward
+    error of a full QR, and otherwise falls back to the values-only QR of the
+    whole spectrum; either way it adds one guarded LU of L - w I per
     eigenvalue w it needs a condition number for (_second_modulus_floor).
     Callers that read only gamma_ps run `_skip_loop` with `with_dps` unset,
     which applies the same test and the same rule for buying l to the gamma_ps
@@ -236,10 +328,13 @@ def spectral_gaps(P: StochasticMatrix, k_cap: int = DEFAULT_K_CAP) -> SpectralRe
     `stop_reason` is "1/k" if 1/j alone closed the loop, "weyl" if it took l.
 
     Raises:
+        ValueError: if k_cap is not an integer >= 1.
         ReducibleChainError, NoConvergenceError: from `stationary_distribution`.
         NonconvergentGapError: if P is periodic (|lambda_2| = 1, so every
             per-skip gap is zero), or if neither certificate fires by k_cap.
     """
+    if isinstance(k_cap, bool) or not isinstance(k_cap, (int, np.integer)) or k_cap < 1:
+        raise ValueError(f"k_cap must be an integer >= 1, got {k_cap!r}")
     result = _value(_skip_loop([P], k_cap, with_dps=True)[0])
     sigmas, (best_ps, k_ps), (best_dps, k_dps), stop_reason = result
     gamma_dagger_at_k = {k: 1.0 - s**2 for k, s in enumerate(sigmas, 1)}

@@ -32,8 +32,11 @@ def generic_dilation(A: np.ndarray) -> np.ndarray:
     return e
 
 
-def second_modulus_floor_two_sided(L: np.ndarray) -> float:
+def second_modulus_floor_two_sided(L: np.ndarray, root: np.ndarray | None = None) -> float:
     """The oracle's floor on |lambda_2(P)| from one two-sided dense eig.
+
+    `root`, L's Perron vector sqrt(pi), is accepted so that this route can
+    stand in for the oracle's floor, and is not read.
 
     Every eigenvalue's condition number s_i = |y_i^H x_i| is read off the
     full left and right eigenvector matrices, and the largest discounted

@@ -348,6 +348,20 @@ class TestMixingTime:
     def test_threshold_parameter(self, ex31):
         assert mixing_time(ex31, threshold=0.01) >= mixing_time(ex31, threshold=0.25)
 
+    @pytest.mark.parametrize("t_max", [0, -5])
+    def test_t_max_must_be_at_least_1(self, ex31, t_max):
+        with pytest.raises(ValueError, match="t_max"):
+            mixing_time(ex31, t_max=t_max)
+
+    @pytest.mark.parametrize("threshold", [0.0, -1.0, float("nan"), 1.5])
+    def test_threshold_must_lie_in_0_1(self, ex31, threshold):
+        with pytest.raises(ValueError, match="threshold"):
+            mixing_time(ex31, threshold=threshold)
+
+    def test_threshold_1_and_t_max_1_are_accepted(self, ex31):
+        # pi > 0 on an irreducible chain, so every row is within TV distance < 1 of it
+        assert mixing_time(ex31, threshold=1.0, t_max=1) == 1
+
     @given(
         kind=st.sampled_from(["dense", "sparse", "lazy"]),
         n=st.integers(1, 6),

@@ -368,7 +368,7 @@ class TestBatchedIntervals:
             return results
 
         monkeypatch.setattr("mixgap.confidence._skip_loop", recorded)
-        monkeypatch.setattr(oracle_module, "_second_modulus_floor", lambda L: floors.append(L) or floor(L))
+        monkeypatch.setattr(oracle_module, "_second_modulus_floor", lambda L, root: floors.append(L) or floor(L, root))
         _intervals(_simulate_batch(lazy_cycle(60), 5000, [0, 1, 2], "stationary"), 1e-2, DEFAULT_DELTA, 48.0)
         assert stops == [[9, 14, 18]] and len(floors) == 3
 

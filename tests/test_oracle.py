@@ -39,7 +39,7 @@ from mixgap.oracle import (
 )
 from mixgap.tallies import smoothed_estimates, tally
 
-from conftest import NEAR_PERIODIC_ROWS, PERIOD2_ROWS, random_ergodic, random_reversible
+from conftest import NEAR_PERIODIC_ROWS, PERIOD2_ROWS, lazy_torus, random_ergodic, random_reversible
 from reference_routes import generic_dilation, mixing_time_sandwich, second_modulus_floor_two_sided
 
 UNIFORM2 = StochasticMatrix([[0.5, 0.5], [0.5, 0.5]])
@@ -79,6 +79,11 @@ def chain_of_family(family: str, n: int, rng: np.random.Generator) -> Stochastic
     else:
         W = rng.gamma(2.0, 1.0, (n, n)) + 1e-3
     return StochasticMatrix(W / W.sum(axis=1, keepdims=True))
+
+
+def perron_root(P: StochasticMatrix) -> np.ndarray:
+    """sqrt(pi), the unit left and right Perron vector of L."""
+    return np.sqrt(stationary_distribution(P))
 
 
 def full_loop(P: StochasticMatrix):
@@ -268,6 +273,12 @@ class TestPseudoSpectralGap:
             with pytest.raises(NonconvergentGapError, match="periodic"):
                 spectral_gaps(P, k_cap=40)
 
+    @pytest.mark.parametrize("k_cap", [0, -3, 1.5, True, "8"])
+    def test_k_cap_must_be_an_integer_of_at_least_1(self, ex31, k_cap):
+        # the chain is not at fault, so no NonconvergentGapError may blame it
+        with pytest.raises(ValueError, match="k_cap"):
+            spectral_gaps(ex31, k_cap=k_cap)
+
     def test_loop_is_bounded_by_k_cap(self):
         # neither exit can fire before k ~ 1e9
         with pytest.raises(NonconvergentGapError, match="k = 50"):
@@ -285,7 +296,7 @@ class TestPseudoSpectralGap:
     def floor_calls(self, monkeypatch):
         calls = []
         floor = oracle_module._second_modulus_floor
-        monkeypatch.setattr(oracle_module, "_second_modulus_floor", lambda L: calls.append(1) or floor(L))
+        monkeypatch.setattr(oracle_module, "_second_modulus_floor", lambda L, root: calls.append(1) or floor(L, root))
         return calls
 
     def test_no_eigensolve_when_1_over_k_closes_by_the_latest_start(self, floor_calls):
@@ -313,12 +324,12 @@ class TestPseudoSpectralGap:
             return
         floor = oracle_module._second_modulus_floor
         floors = []
-        with mock.patch.object(oracle_module, "_second_modulus_floor", lambda L: floors.append(floor(L)) or floors[-1]):
+        with mock.patch.object(oracle_module, "_second_modulus_floor", lambda L, root: floors.append(floor(L, root)) or floors[-1]):
             rep = spectral_gaps(P)
         assert (rep.gamma_ps, rep.gamma_dps, rep.k_ps, rep.k_dps, rep.gamma_star) == full_loop(P)
         # one eigensolve at most, and no more skips than buying its floor at k = 8 would take
         assert len(floors) <= 1
-        assert rep.k_explored <= fixed_start_stop(rep, floors[0] if floors else floor(build_L(P)))
+        assert rep.k_explored <= fixed_start_stop(rep, floors[0] if floors else floor(build_L(P), perron_root(P)))
 
 
 def gamma_ps_only(P: StochasticMatrix, k_cap: int = oracle_module.DEFAULT_K_CAP) -> float:
@@ -419,14 +430,15 @@ class TestOneSlotPerChain:
 
 
 class TestSecondModulusFloor:
-    """The values-only floor against the two-sided eig it replaced."""
+    """The values-only floor against the two-sided eig it replaced, and its
+    subspace route above _SUBSPACE_MIN_N states against both."""
 
     @staticmethod
     def assert_floor_matches(P: StochasticMatrix) -> None:
         L = build_L(P)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            floor = oracle_module._second_modulus_floor(L)
+            floor = oracle_module._second_modulus_floor(L, perron_root(P))
         assert abs(floor - second_modulus_floor_two_sided(L)) <= 8 * np.finfo(float).eps
 
     @staticmethod
@@ -474,8 +486,66 @@ class TestSecondModulusFloor:
 
         # the floor imports the name from scipy.linalg on each call
         monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", counting)
-        oracle_module._second_modulus_floor(build_L(lazy_cycle(80, 0.5, 0.6)))
+        P = lazy_cycle(80, 0.5, 0.6)
+        oracle_module._second_modulus_floor(build_L(P), perron_root(P))
         assert factored == [(80, 80)]
+
+    @staticmethod
+    def subspace_chain(family: str, n: int, rng: np.random.Generator) -> StochasticMatrix:
+        """A chain of about n > _SUBSPACE_MIN_N states: a torus, a smoothed
+        P_hat of a trajectory of another family, or a `chain_of_family` chain."""
+        if family == "torus":
+            moves = rng.uniform(0.05, 0.5, 4)
+            return lazy_torus(max(math.isqrt(n), 7), float(rng.uniform(0.2, 0.8)), tuple(moves))
+        if family == "p_hat":
+            source = chain_of_family(str(rng.choice(["dense", "sparse", "cycle"])), n, rng)
+            tr = simulate(source, int(rng.integers(2_000, 20_000)), seed=int(rng.integers(2**31)))
+            return StochasticMatrix(smoothed_estimates(tally(tr, 1), float(rng.uniform(1e-3, 0.5))).P_hat)
+        return chain_of_family(family, n, rng)
+
+    @given(
+        family=st.sampled_from(["cycle", "torus", "dense", "sparse", "path", "sticky", "p_hat"]),
+        n=st.integers(oracle_module._SUBSPACE_MIN_N + 1, 120),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_subspace_route_matches_two_sided_reference(self, family, n, seed):
+        P = self.subspace_chain(family, n, np.random.default_rng(seed))
+        if isinstance(_stationary_batch([P])[0], MixgapError) or not is_aperiodic(P):
+            return
+        L = build_L(P)
+        floor = oracle_module._second_modulus_floor(L, perron_root(P))
+        # the reference's QR eigenvalues carry rounding of up to about n eps
+        # (a quarter of the floor's discount), which the refined ones do not;
+        # see test_subspace_floor_is_the_exact_discounted_modulus
+        assert floor <= second_modulus_floor_two_sided(L) + P.n * np.finfo(float).eps
+        self.assert_reports_match(P)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps, reason="needs extended precision")
+    @pytest.mark.parametrize("n, lazy, right", [(41, 0.5, 0.6), (60, 0.49, 0.61), (80, 0.5, 0.6), (120, 0.3, 0.9)])
+    def test_subspace_floor_is_the_exact_discounted_modulus(self, n, lazy, right):
+        # a lazy cycle is circulant and normal (s = 1 for every eigenvalue), with
+        # eigenvalues P00 + P01 w^k + P0,n-1 w^-k, w = exp(2 pi i / n)
+        P = lazy_cycle(n, lazy, right)
+        d, a, b = (np.longdouble(P.rows[0, j]) for j in (0, 1, n - 1))
+        t = 2 * np.longdouble("3.14159265358979323846264338327950288") * np.arange(1, n, dtype=np.longdouble) / n
+        top = np.sqrt(np.max((d + (a + b) * np.cos(t)) ** 2 + ((a - b) * np.sin(t)) ** 2))
+        exact = top - oracle_module._EIG_MARGIN * n * np.finfo(float).eps
+        floor = oracle_module._second_modulus_floor(build_L(P), perron_root(P))
+        assert abs(floor - exact) <= 2 * np.finfo(float).eps
+
+    def test_clustered_spectrum_falls_back_to_the_full_solve(self, monkeypatch):
+        # lazy 0.95 packs the top eigenvalues too close in modulus for 2^11
+        # powers to separate; a refined Ritz value fails the residual test
+        P = lazy_cycle(200, 0.95, 0.6)
+        L, root = build_L(P), perron_root(P)
+        solved = []
+        eigvals = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda A: solved.append(A.shape) or eigvals(A))
+        floor = oracle_module._second_modulus_floor(L, root)
+        assert solved == [(oracle_module._RITZ_DIM,) * 2, (200, 200)]
+        monkeypatch.setattr(oracle_module, "_SUBSPACE_MIN_N", 200)
+        assert oracle_module._second_modulus_floor(L, root) == floor
 
 
 class TestLemmaLedger:
@@ -508,7 +578,7 @@ class TestLemmaLedger:
     def test_stacked_powers_equal_their_own_loops(self, n, monkeypatch):
         floors, calls = [], []
         floor, skip_loop = oracle_module._second_modulus_floor, oracle_module._skip_loop
-        monkeypatch.setattr(oracle_module, "_second_modulus_floor", lambda L: floors.append(1) or floor(L))
+        monkeypatch.setattr(oracle_module, "_second_modulus_floor", lambda L, root: floors.append(1) or floor(L, root))
         monkeypatch.setattr(
             oracle_module,
             "_skip_loop",
