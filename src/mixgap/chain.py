@@ -85,7 +85,11 @@ class StochasticMatrix:
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """Observed state indices of a chain over n states; `_tallies` memoizes
-    `tallies.tally` and `_gaps` the estimators' per-skip gaps (`estimators._gap`)."""
+    `tallies.tally` and `_gaps` the estimators' per-skip gaps (`estimators._gap`).
+
+    `states` is kept as a read-only int64 array. A writeable array is copied,
+    so the caller may go on writing it; a read-only int64 array is taken as
+    already frozen, without a copy."""
 
     states: np.ndarray
     n: int
@@ -104,8 +108,9 @@ class Trajectory:
             raise ValueError("state-space size must be >= 1")
         if states.min() < 0 or states.max() >= self.n:
             raise ValueError("state index out of range [0, n)")
-        states = np.asarray(states, dtype=np.int64)
-        states.flags.writeable = False
+        if states.flags.writeable or states.dtype != np.int64:
+            states = np.array(states, dtype=np.int64)
+            states.flags.writeable = False
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "n", int(self.n))
 
@@ -426,17 +431,12 @@ def _walk_sequential(
         x = int(out[b + lo - 1])
         for first in range(b + lo, b + m, _BLOCK):
             last = min(first + _BLOCK, b + m)
-            block = []
-            append = block.append
+            # the walrus binds x in this function, so the next block continues from it
             if rows is not None:
-                for s in symbols(u[first:last]).tolist():
-                    x = rows[x][s]
-                    append(x)
+                block = [x := rows[x][s] for s in symbols(u[first:last]).tolist()]
             else:
-                for ut in u[first:last].tolist():
-                    x = cols[x][bisect_right(cuts[x], ut)]
-                    append(x)
-            out[first:last] = block
+                block = [x := cols[x][bisect_right(cuts[x], ut)] for ut in u[first:last].tolist()]
+            out[first:last] = np.fromiter(block, dtype=np.int64, count=last - first)
 
 
 def _walk_batch(
@@ -560,6 +560,7 @@ def _simulate_batch(
         out[b] = int(start) if p is None else rng.choice(n, p=p)
         rng.random(out=u[b : b + m])  # the same draws as rng.random(m)
     _walk_batch(*tables, u, out, m)
+    out.flags.writeable = False  # so each Trajectory takes its slice without a copy
     return [Trajectory(out[b : b + m], n) for b in range(0, steps, m)]
 
 

@@ -194,4 +194,5 @@ def load_trajectory(path: str | Path, n: int | None = None) -> Trajectory:
         raise ValueError("empty trajectory file")
     if n is None:
         n = int(states.max()) + 1
+    states.flags.writeable = False  # a fresh buffer, so Trajectory takes it without a copy
     return Trajectory(states, n)

@@ -9,8 +9,10 @@ eigenvalues of largest modulus. Above _SUBSPACE_MIN_N states it takes them
 from a _RITZ_DIM x _RITZ_DIM projection of L on its dominant subspace, and
 keeps each only if its refined residual is within the backward error of
 LAPACK's QR; otherwise, and on smaller chains, it takes L's whole spectrum
-from that QR. It imports scipy.linalg's LAPACK LU on first use, so importing
-the module loads no scipy.
+from that QR. The subspace comes from squarings in single precision, which
+is sound because they only choose the shifts: every candidate is refined and
+certified against L in float64. It imports scipy.linalg's LAPACK LU on first
+use, so importing the module loads no scipy.
 """
 
 from __future__ import annotations
@@ -41,22 +43,25 @@ DEFAULT_K_CAP = 1000
 # rounding allowance of every inequality the lemma ledger tests
 _SLACK = 1e-9
 # cost of the eigenvalue floor behind the Weyl stop, in sigma_2 solves of L^k
-# (in-process medians, one OpenBLAS thread): 3.3-3.6 on a 40-state lazy
-# cycle, 2.6-3.4 on 60- and 80-state ones and 1.9-2.5 on 324-state chains. A
-# chain whose subspace route falls back pays the whole spectrum's QR on top,
-# 8.8-9.7 solves at n = 80 and 4.4-6.2 at n = 324. 8, the cost of the
-# two-sided eig the floor first replaced, is kept so that no loop's
-# k_explored or stop_reason moves
+# (in-process medians, one OpenBLAS thread): 3.8-4.9 on a 40-state lazy
+# cycle, 3.0-3.8 and 2.1-2.5 on 60- and 80-state ones and 1.1-1.8 on
+# 324-state chains, whose float64 squarings took it to 2.0-3.2. A chain whose
+# subspace route falls back pays the whole spectrum's QR on top, 8.8-10.5
+# solves at n = 80 and 2.5-5.9 at n = 324. 8, the cost of the two-sided eig
+# the floor first replaced, is kept so that no loop's k_explored or
+# stop_reason moves
 _EIG_COST = 8
 # eigenvalue i of the computed L is trusted to within _EIG_MARGIN * n * eps / s_i
 _EIG_MARGIN = 4.0
 # above _SUBSPACE_MIN_N states the floor's candidates are the _RITZ_DIM Ritz
 # values of L on the subspace that _SQUARINGS squarings find, each refined by
-# _REFINE_STEPS inverse-iteration solves. The two routes cost the same near
-# n = 40 (one OpenBLAS thread; the subspace's fixed cost is about 0.2 ms).
-# Of 206 chains of 41-324 states (lazy cycles, tori, random families and
-# smoothed P_hats), 10 squarings sent 14 to the whole spectrum and 11 sent
-# 1; fewer solves sent more
+# _REFINE_STEPS inverse-iteration solves. The two routes cost the same
+# between n = 40 and 48 (one OpenBLAS thread, float32 squarings; the
+# subspace's fixed cost is about 0.2 ms). Of 206 chains of 41-324 states
+# (lazy cycles, tori, random families and smoothed P_hats), 10 float64
+# squarings sent 14 to the whole spectrum and 11 sent 1; fewer solves sent
+# more. On 236 floors of 41-324 states, float32 squarings sent the same 9
+# chains back as float64 ones
 _SUBSPACE_MIN_N = 40
 _SQUARINGS = 11
 _RITZ_DIM = 12
@@ -126,13 +131,15 @@ def _ritz_values(L: np.ndarray, root: np.ndarray) -> np.ndarray:
 
     root = sqrt(pi) is L's unit left and right Perron vector, so A has L's
     spectrum with the Perron root moved to 0. A is squared _SQUARINGS times,
-    each square rescaled to unit Frobenius norm, in two n x n buffers. The
-    _RITZ_DIM Ritz values of A on V = orth(A orth(A^(2^q) G)), G a fixed
-    uniform random block, come from one small eigvals; there are none if a
-    square vanishes.
+    each square rescaled to unit Frobenius norm, in two n x n float32
+    buffers. The _RITZ_DIM Ritz values of A on V = orth(A orth(A^(2^q) G)),
+    G a fixed uniform random block, come from one small eigvals; there are
+    none if a square vanishes. Everything from the product with G on is
+    float64. Single precision is sound because the squarings only choose
+    the shifts: `_walk` refines each candidate against L and certifies it
+    in float64.
     """
-    M = np.outer(-root, root)
-    M += L
+    M = (L - np.outer(root, root)).astype(np.float32)
     T = np.empty_like(M)
     for _ in range(_SQUARINGS):
         np.matmul(M, M, out=T)
@@ -141,7 +148,7 @@ def _ritz_values(L: np.ndarray, root: np.ndarray) -> np.ndarray:
             return np.zeros(0)
         T /= scale
         M, T = T, M
-    V = M @ (np.random.default_rng(0).random((L.shape[0], _RITZ_DIM)) - 0.5)
+    V = M.astype(float) @ (np.random.default_rng(0).random((L.shape[0], _RITZ_DIM)) - 0.5)
 
     def apply(X: np.ndarray) -> np.ndarray:  # A X without forming A
         return L @ X - np.outer(root, root @ X)

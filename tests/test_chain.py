@@ -529,8 +529,18 @@ FALLBACK_DIGESTS = {
     ("lazy_torus(6)", 7, 1000): "5142a1125812cdde2b68558d8071767a",
     ("lazy_torus(6)", 7, 5000): "f65a0b69bdcbbe1f2525eefdc53238d6",
     ("lazy_torus(6)", 7, 300000): "04d1b7f55eb1c04e3af353b07f26d30e",
+    # recorded from the symbol-table walk: 324 states, past CPython's small-int
+    # cache; m = 5,000 bisects each step and m = 300,000 looks it up
+    ("lazy_torus(18)", 0, 5000): "f21a2e029fc8e41bf627aeea30dc67d5",
+    ("lazy_torus(18)", 0, 300000): "153928f88c6dcebe381a62cc80da5643",
+    ("lazy_torus(18)", 7, 5000): "6b0b0b221bf00693847d01ef961cf552",
+    ("lazy_torus(18)", 7, 300000): "dad18da86afedd89de05dedf40ac8205",
 }
-FALLBACK_CHAINS = {"lazy_cycle(60)": lambda: lazy_cycle(60), "lazy_torus(6)": lambda: lazy_torus(6)}
+FALLBACK_CHAINS = {
+    "lazy_cycle(60)": lambda: lazy_cycle(60),
+    "lazy_torus(6)": lambda: lazy_torus(6),
+    "lazy_torus(18)": lambda: lazy_torus(18),
+}
 
 
 def bisect_walk(P, x, u):
@@ -803,6 +813,23 @@ class TestSimulate:
         tr = Trajectory(np.array([0, 1, 2], dtype=np.uint64), np.int64(3))
         assert type(tr.n) is int and tr.states.tolist() == [0, 1, 2]
         assert json.loads(json.dumps(tally(tr, 1).to_dict()))["n"] == 3
+
+    def test_trajectory_leaves_the_callers_array_writeable(self):
+        a = np.array([0, 1, 1])
+        tr = Trajectory(a, 2)
+        a[0] = 1
+        assert a.flags.writeable and tr.states.tolist() == [0, 1, 1]
+        assert not tr.states.flags.writeable
+
+    def test_trajectory_takes_a_read_only_array_as_frozen(self):
+        a = np.array([0, 1, 1])
+        a.flags.writeable = False
+        assert Trajectory(a, 2).states is a
+
+    def test_simulated_trials_are_views_of_one_buffer(self, ex31):
+        # the batch's states are frozen once, so no trial copies its slice
+        first, second = chain_module._simulate_batch(ex31, 100, [0, 1], "stationary")
+        assert first.states.base is not None and first.states.base is second.states.base
 
 
 @st.composite

@@ -172,6 +172,17 @@ def traced_peak(func, arg):
         tracemalloc.stop()
 
 
+@pytest.mark.parametrize("fmt", ["text", "binary"])
+def test_load_keeps_the_decoded_buffer(tmp_path, monkeypatch, fmt):
+    # the decoder's fresh array is frozen and taken by Trajectory without a copy
+    decoded = []
+    decode = mio._states_from_bytes
+    monkeypatch.setattr(mio, "_states_from_bytes", lambda raw: decoded.append(decode(raw)) or decoded[-1])
+    path = tmp_path / "tr"
+    path.write_bytes(encode_trajectory(simulate(example_chain(), 1000, seed=0), fmt))
+    assert load_trajectory(path).states is decoded[0]
+
+
 def test_codec_memory_budget():
     # about 2.5 bytes per state to write and 20 to read on ex31 at m = 1e6;
     # index arrays over the whole input instead of a chunk would exceed them

@@ -534,6 +534,19 @@ class TestSecondModulusFloor:
         floor = oracle_module._second_modulus_floor(build_L(P), perron_root(P))
         assert abs(floor - exact) <= 2 * np.finfo(float).eps
 
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps, reason="needs extended precision")
+    @pytest.mark.parametrize("side", range(7, 19))
+    def test_degenerate_torus_floor_is_the_exact_discounted_modulus(self, side):
+        # a symmetric lazy torus is normal, with eigenvalues
+        # lazy + (1 - lazy) (cos(2 pi j / side) + cos(2 pi k / side)) / 2; the
+        # largest non-Perron one, at (j, k) = (+-1, 0) and (0, +-1), is 4-fold
+        P = lazy_torus(side, 0.5, (0.25, 0.25, 0.25, 0.25))
+        d, a = np.longdouble(P.rows[0, 0]), np.longdouble(P.rows[0, 1])
+        c = np.cos(2 * np.longdouble("3.14159265358979323846264338327950288") / side)
+        exact = d + 2 * a * (c + 1) - oracle_module._EIG_MARGIN * P.n * np.finfo(float).eps
+        floor = oracle_module._second_modulus_floor(build_L(P), perron_root(P))
+        assert abs(floor - exact) <= 2 * np.finfo(float).eps
+
     def test_clustered_spectrum_falls_back_to_the_full_solve(self, monkeypatch):
         # lazy 0.95 packs the top eigenvalues too close in modulus for 2^11
         # powers to separate; a refined Ritz value fails the residual test
