@@ -3,10 +3,10 @@
 Each (m, seed) cell simulates one trajectory, runs the smoothed dilation
 estimator with its confidence interval, and records the error against the
 exact oracle value plus a coverage bit. The trajectories of one m are walked
-together in batches of at most `_BATCH_STEPS` steps (one trajectory when m is
-larger), each exactly as `simulate(P, m, seed=seed)` would walk it. The
-intervals of a batch are then computed together (`confidence._intervals`),
-and each equals `confidence_interval` of its trajectory alone, byte for byte.
+together, each exactly as `simulate(P, m, seed=seed)` would walk it, in
+batches of `_BATCH_STEPS` // max(m, n^2) (at least one), the one bound on what
+a cell holds at once. A batch's intervals come from one pass
+(`confidence._intervals`), each `confidence_interval` of its trajectory alone.
 Every cell is deterministic, so the output bytes depend only on the inputs.
 """
 
@@ -14,12 +14,13 @@ from __future__ import annotations
 
 from statistics import median
 
-from .chain import _BATCH_STEPS, StochasticMatrix, _simulate_batch
+from .chain import StochasticMatrix, _simulate_batch
 from .confidence import DEFAULT_C, DEFAULT_DELTA, _intervals
 from .estimators import DEFAULT_ALPHA
 from .oracle import spectral_gaps
 
 CSV_HEADER = "m,seed,point,abs_error,half_width,covered"
+_BATCH_STEPS = 1 << 17  # entries of a batch; a trial holds max(m, n^2), as K_hat = 1 once n^2 > m
 
 
 def _fmt(x: float) -> str:
@@ -51,7 +52,7 @@ def bench_convergence(
     cells = {}  # m -> (point, abs_error, half_width, covered) of each seed
     for m in sorted(m_grid):
         cell = cells[m] = []
-        per_batch = max(1, _BATCH_STEPS // m)
+        per_batch = max(1, _BATCH_STEPS // max(m, P.n**2))
         for b in range(0, seeds, per_batch):
             batch = range(b, min(b + per_batch, seeds))
             # the batch's trajectories are freed before the next batch is walked

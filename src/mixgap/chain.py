@@ -177,7 +177,10 @@ def _stationary_batch(Ps: Sequence[StochasticMatrix]) -> list:
     MixgapError it raises alone.
 
     The irreducible chains without a memoized pi are solved in one stacked
-    solve, which gives each the same bits as solving it alone.
+    solve, which gives each the same bits as solving it alone. A chain whose
+    last pi is too small for the rows' defect from 1 (`_solve_stationary`) is
+    solved again with its largest pi's equation replaced, and keeps its first
+    error if that misses too.
     """
     out: list = [P._stationary[0] if P._stationary else None for P in Ps]
     for i, P in enumerate(Ps):
@@ -185,18 +188,13 @@ def _stationary_batch(Ps: Sequence[StochasticMatrix]) -> list:
             out[i] = ReducibleChainError("support graph is not strongly connected")
     todo = [i for i, slot in enumerate(out) if slot is None]
     if todo:
-        n = Ps[0].n
         rows = _stack([Ps[i].rows for i in todo])
-        # (P^T - I) pi^T = 0 with the last equation replaced by sum(pi) = 1
-        A = np.swapaxes(rows, 1, 2) - np.eye(n)
-        A[:, -1, :] = 1.0
-        b = np.zeros((len(todo), n, 1))
-        b[:, -1] = 1.0
-        pis = np.linalg.solve(A, b)[..., 0]
-        pis /= pis.sum(axis=1, keepdims=True)
-        residuals = np.abs((pis[:, None, :] @ rows)[:, 0] - pis)
-        resolved = (residuals < STATIONARY_TOL * pis).all(axis=1).tolist()
-        for i, pi, residual, ok in zip(todo, pis, residuals, resolved):
+        pis, residuals, resolved = _solve_stationary(rows, np.full(len(todo), Ps[0].n - 1))
+        again = np.flatnonzero(~resolved)
+        if again.size:
+            redo, _, ok = _solve_stationary(rows[again], np.argmax(pis[again], axis=1))
+            pis[again[ok]], resolved[again[ok]] = redo[ok], True
+        for i, pi, residual, ok in zip(todo, pis, residuals, resolved.tolist()):
             if ok:
                 out[i] = _freeze(pi)
                 Ps[i]._stationary.append(out[i])
@@ -206,6 +204,18 @@ def _stationary_batch(Ps: Sequence[StochasticMatrix]) -> list:
                     f"{np.max(residual):.3e}, smallest entry {np.min(pi):.3e})"
                 )
     return out
+
+
+def _solve_stationary(rows: np.ndarray, replaced: np.ndarray) -> tuple:
+    """pi, |pi P - pi| and the STATIONARY_TOL test of each chain, from (P^T - I)
+    pi^T = 0 with equation `replaced` swapped for sum(pi) = 1. That equation
+    takes the rows' whole defect from 1 (within ROW_SUM_TOL) on its residual."""
+    A = np.swapaxes(rows, 1, 2) - np.eye(rows.shape[1])
+    A[np.arange(len(rows)), replaced] = 1.0
+    pis = np.linalg.solve(A, np.eye(rows.shape[1])[replaced, :, None])[..., 0]
+    pis /= pis.sum(axis=1, keepdims=True)
+    residuals = np.abs((pis[:, None, :] @ rows)[:, 0] - pis)
+    return pis, residuals, (residuals < STATIONARY_TOL * pis).all(axis=1)
 
 
 def time_reversal(P: StochasticMatrix) -> StochasticMatrix:
@@ -229,7 +239,11 @@ def matrix_power(P: StochasticMatrix, k: int) -> StochasticMatrix:
     """k-step transition matrix P^k; shares the stationary distribution of P."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    out = StochasticMatrix(np.linalg.matrix_power(P.rows, k))
+    rows = np.linalg.matrix_power(P.rows, k)
+    # P's row defects (each within ROW_SUM_TOL) compound over the k factors
+    if np.abs(rows.sum(axis=1) - 1.0).max() > ROW_SUM_TOL:
+        rows /= rows.sum(axis=1, keepdims=True)
+    out = StochasticMatrix(rows)
     out._stationary.extend(P._stationary)
     return out
 
@@ -319,7 +333,6 @@ _CHECK_STEP = 32  # lockstep step at which merging is judged
 _PROBES = 16  # chunk pairs walked from two starts up to _CHECK_STEP
 _MAX_UNMET = 0.25  # fraction of those pairs still apart that falls back
 _BLOCK = 1 << 14  # draws turned into symbols or Python floats, and states collected, at a time
-_BATCH_STEPS = 1 << 17  # steps of the trials that bench_convergence walks together
 # the sequential walk's symbol table: at most this many entries, each a list
 # slot and, past n = 256, its own int object (40 bytes in all), plus two int
 # arrays of that size while it is built, so at most about 60 MB whatever m is

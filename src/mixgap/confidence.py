@@ -11,12 +11,12 @@ smoothed visit frequency at or below T) degrades the interval to the vacuous
 [0, 1] with a flag instead of failing.
 
 `confidence_interval` is the batch of one of `_intervals`, which `bench`
-calls with the trajectories it walks together. The batch computes its
-intervals together: the dps scans share stacked SVDs, W and U run elementwise
-over stacks of count tables, and the gamma_ps of every smoothed P_hat comes
-from one stacked oracle loop. Each stacked operation gives every matrix the
-bits it gets alone and the scalar formulas run per term, so each report
-equals the single-trajectory call byte for byte.
+calls with the trajectories it walks together; the caller bounds the batch,
+and `_intervals` assesses it in one pass: the dps scans share stacked SVDs,
+W and U run elementwise over stacks of count tables, and the gamma_ps of
+every smoothed P_hat comes from one stacked oracle loop. Each stacked
+operation gives every matrix the bits it gets alone and the scalar formulas
+run per term, so each report equals the single-trajectory call byte for byte.
 """
 
 from __future__ import annotations
@@ -58,15 +58,15 @@ class ConfidenceReport:
 
 def term_W(t: SkippedTallies, alpha: float, delta: float) -> float:
     """Transition-learning term: twice the worst per-state TV bound."""
+    if not 0.0 < delta < 1.0:
+        raise ValueError("delta must be in (0, 1)")
     return _W_batch([t], alpha, [delta])[0]
 
 
 def _W_batch(ts: Sequence[SkippedTallies], alpha: float, deltas: Sequence[float]) -> list[float]:
-    """`term_W` of each table (all over one n) at its delta, elementwise over the stack."""
+    """`term_W` of each table (all over one n) at its delta (any delta > 0, see `delta_hat`)."""
     if alpha <= 0:
         raise ValueError("alpha must be > 0")
-    if not all(0.0 < delta < 1.0 for delta in deltas):
-        raise ValueError("delta must be in (0, 1)")
     n = ts[0].n
     visits = _stack([t.visits for t in ts]).astype(float)
     root_sums = np.sqrt(_stack([t.counts for t in ts])).sum(axis=2)
@@ -130,7 +130,8 @@ def _U_batch(ts: Sequence[SkippedTallies], alpha: float, Ts: Sequence[float]) ->
 
 
 def delta_hat(m: int, K_hat: int, n: int, delta: float) -> float:
-    """Per-skip confidence split sqrt(log^3 m / m) * delta / (K_hat n)."""
+    """Per-skip confidence split sqrt(log^3 m / m) * delta / (K_hat n). It tops 1 only if n = 1
+    and sqrt(log^3 m / m) > 1 / delta; then K_hat = 1 and the half-width is at least 1."""
     return math.sqrt(math.log(m) ** 3 / m) * delta / (K_hat * n)
 
 
@@ -181,13 +182,13 @@ def _intervals(
 ) -> list[ConfidenceReport]:
     """`confidence_interval(tr, alpha, delta, c)` of each trajectory, all over one n.
 
-    The trajectories go in groups of at most `size`, the number of n x n
-    tables that hold as many entries as the batch has steps, and each stack
-    below holds at most `size` matrices. A group runs one dps scan
-    (`_dps_hat_batch`), then the terms of its (trajectory, skip) cells in
-    chunks of `size`. Every stacked operation gives each matrix its own bits
-    and every scalar formula runs per cell in Python, so each report is the
-    one its trajectory gets alone.
+    One dps scan (`_dps_hat_batch`) runs over the batch, then one `_cell_terms`
+    pass over all of its (trajectory, skip) cells, so the stacks below hold
+    every cell's table at once; the caller bounds the batch (`bench` walks
+    at most `_BATCH_STEPS` // max(m, n^2) trajectories together). Every
+    stacked operation gives each matrix its own bits and every scalar formula
+    runs per cell in Python, so each report is the one its trajectory gets
+    alone.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must be in (0, 1)")
@@ -197,27 +198,13 @@ def _intervals(
         raise ValueError(f"c must be finite and >= 0, got {c}")
     if not trs:
         return []
-    size = max(1, sum(tr.m for tr in trs) // trs[0].n ** 2)
-    groups = (trs[first : first + size] for first in range(0, len(trs), size))
-    return [report for group in groups for report in _group_intervals(group, alpha, delta, c, size)]
-
-
-def _group_intervals(
-    group: Sequence[Trajectory], alpha: float, delta: float, c: float, size: int
-) -> list[ConfidenceReport]:
-    """The reports of one group of `_intervals`, its cells' terms in chunks of `size`."""
-    n = group[0].n
-    estimates = _dps_hat_batch(group, alpha)
-    d_hats = [delta_hat(tr.m, e.K_used, n, delta) for tr, e in zip(group, estimates)]
+    estimates = _dps_hat_batch(trs, alpha)
+    d_hats = [delta_hat(tr.m, e.K_used, tr.n, delta) for tr, e in zip(trs, estimates)]
     cells = [(g, k) for g, e in enumerate(estimates) for k in range(1, e.K_used + 1)]
-    terms = {}
-    for start in range(0, len(cells), size):
-        chunk = cells[start : start + size]
-        tables = [tally(group[g], k) for g, k in chunk]
-        terms.update(zip(chunk, _cell_terms(tables, alpha, [d_hats[g] for g, _ in chunk], c)))
-        del tables  # so that no two chunks' tables are held at once
+    tables = [tally(trs[g], k) for g, k in cells]
+    terms = dict(zip(cells, _cell_terms(tables, alpha, [d_hats[g] for g, _ in cells], c)))
     reports = []
-    for g, (tr, estimate, d_hat) in enumerate(zip(group, estimates, d_hats)):
+    for g, (tr, estimate, d_hat) in enumerate(zip(trs, estimates, d_hats)):
         point, K_hat = estimate.value, estimate.K_used
         per_k_terms: dict[int, dict[str, float]] = {}
         worst = 0.0

@@ -157,32 +157,29 @@ def _ritz_values(L: np.ndarray, root: np.ndarray) -> np.ndarray:
     return np.linalg.eigvals(V.T @ apply(V))
 
 
-def _walk(L: np.ndarray, w: np.ndarray, root: np.ndarray | None = None) -> float | None:
+def _walk(L: np.ndarray, w: np.ndarray, root: np.ndarray, ritz: bool) -> float | None:
     """The largest |w_i| - tol / s_i over candidates w walked in decreasing
     modulus, tol = _EIG_MARGIN n eps.
 
     Each candidate with imag >= 0 (a conjugate shares its partner's s) is
     walked until one is no larger than the floor so far. s_i = |y_i^H x_i|
-    takes one LU of L - w_i I (real when w_i is) and inverse-iteration solves
-    for x_i and y_i. A pivot below tol ||L||_1 is raised to it (LAPACK's
-    xLAEIN guard), so an exactly computed eigenvalue still gives finite
-    vectors. Without `root`, w is the whole spectrum, and x and y start from
-    ones and take two solves each. With `root`, w are Ritz values: x and y
-    start from a fixed random vector orthogonal to root, take
-    _REFINE_STEPS solves each, and w_i becomes mu = y^H L x / y^H x. The walk
-    then gives None if ||L x - mu x|| > tol, if mu lies within its discount
-    of the Perron root 1, or if the candidates run out above the floor.
+    takes one LU of L - w_i I (real when w_i is) and _REFINE_STEPS
+    inverse-iteration solves for each of x_i and y_i, both from one fixed
+    random vector orthogonal to root, which holds none of the Perron vector
+    (ones(n) is all Perron vector when pi is uniform). A pivot below
+    tol ||L||_1 is raised to it (LAPACK's xLAEIN guard), so an exactly
+    computed eigenvalue still gives finite vectors. With `ritz`, w are Ritz
+    values and w_i becomes mu = y^H L x / y^H x; the walk then gives None if
+    ||L x - mu x|| > tol, if mu lies within its discount of the Perron root
+    1, or if the candidates run out above the floor.
     """
     from scipy.linalg import get_lapack_funcs
 
     n = L.shape[0]
     tol = _EIG_MARGIN * n * np.finfo(float).eps
     guard = tol * np.linalg.norm(L, 1)
-    if root is None:
-        start, steps = np.ones(n), 2
-    else:
-        start, steps = np.random.default_rng(0).random(n), _REFINE_STEPS
-        start -= root * (root @ start)
+    start = np.random.default_rng(0).random(n)
+    start -= root * (root @ start)
     floor = 0.0
     for mu in sorted(w[w.imag >= 0], key=abs, reverse=True):
         if abs(mu) <= floor:
@@ -195,13 +192,13 @@ def _walk(L: np.ndarray, w: np.ndarray, root: np.ndarray | None = None) -> float
         tiny = np.flatnonzero(np.abs(lu.diagonal()) < guard)
         lu[tiny, tiny] = guard
         x = y = start
-        for _ in range(steps):
+        for _ in range(_REFINE_STEPS):
             x = getrs(lu, piv, x)[0]
             x /= np.linalg.norm(x)
             y = getrs(lu, piv, y, trans=2)[0]
             y /= np.linalg.norm(y)
         s = abs(np.vdot(y, x))
-        if root is not None:
+        if ritz:
             # L @ x for a complex x would cast all of L to complex
             Lx = L @ x if x.dtype.kind == "f" else L @ x.real + 1j * (L @ x.imag)
             mu = np.vdot(y, Lx) / np.vdot(y, x)
@@ -218,7 +215,8 @@ def _second_modulus_floor(L: np.ndarray, root: np.ndarray) -> float:
     sqrt(pi) is its unit Perron vector. Each eigenvalue w_i is discounted by
     tol / s_i, tol = _EIG_MARGIN n eps and s_i = |y_i^H x_i| (unit left and
     right eigenvectors) its condition number, so an ill-conditioned spectrum
-    only lowers the bound (`_walk`).
+    only lowers the bound (`_walk`). Both routes below find x_i and y_i by
+    inverse iteration from one start vector orthogonal to root.
 
     Above _SUBSPACE_MIN_N states the candidates are the Ritz values of the
     deflated L on its dominant subspace (`_ritz_values`), each refined to
@@ -231,12 +229,12 @@ def _second_modulus_floor(L: np.ndarray, root: np.ndarray) -> float:
     which ends the walk.
     """
     if L.shape[0] > _SUBSPACE_MIN_N:
-        floor = _walk(L, _ritz_values(L, root), root)
+        floor = _walk(L, _ritz_values(L, root), root, ritz=True)
         if floor is not None:
             return floor
     w = np.linalg.eigvals(L)
     w[np.argmin(np.abs(w - 1.0))] = 0.0  # the Perron root; a modulus of 0 ends the walk
-    return _walk(L, w)
+    return _walk(L, w, root, ritz=False)
 
 
 def _skip_loop(Ps: Sequence[StochasticMatrix], k_cap: int, with_dps: bool) -> list:

@@ -79,6 +79,11 @@ def simulated_chains(draw):
     return StochasticMatrix(rows)
 
 
+# rows that sum to 1 - 5e-13, inside the 1e-12 row-sum tolerance, with pi
+# = (0.5, 0.5 / 1.01, 0.005 / 1.01): the rows' defect is 1e-10 of the last entry
+DEFECT_ROWS = np.array([[0.5, 0.5, 0.0], [0.5, 0.49, 0.01], [0.5, 0.5, 0.0]]) * (1.0 - 5e-13)
+
+
 def birth_death(n: int, right: float) -> np.ndarray:
     """Rows of the walk that steps +1 w.p. `right`, else -1, holding at the two ends."""
     rows = np.zeros((n, n))

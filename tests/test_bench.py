@@ -1,11 +1,15 @@
+import hashlib
 import math
 
+import numpy as np
 import pytest
 
 import mixgap.bench as bench_module
-from mixgap.bench import CSV_HEADER, bench_convergence
-from mixgap.chain import _BATCH_STEPS
-from mixgap.fixtures import get_fixture
+from mixgap import eigensolve
+from mixgap.bench import _BATCH_STEPS, CSV_HEADER, bench_convergence
+from mixgap.fixtures import get_fixture, random_dense_chain
+
+from conftest import lazy_cycle
 
 
 def parse_rows(csv_text):
@@ -47,7 +51,15 @@ def test_half_width_tracks_log_cubed_over_m_shape():
     assert max(ratios) / min(ratios) < 4.0
 
 
-def test_batches_hold_at_most_the_cap_steps(monkeypatch):
+@pytest.mark.parametrize(
+    "P, grid, seeds, sizes",
+    [
+        (get_fixture("fast3"), [5000, 30_000, _BATCH_STEPS + 1], 5, [5, 4, 1, 1, 1, 1, 1, 1]),
+        # n^2 = 3,600 > m: each trial's count tables, not its walk, fill the batch
+        (lazy_cycle(60), [1000, 3000], 40, [36, 4, 36, 4]),
+    ],
+)
+def test_batches_hold_at_most_the_cap_steps(monkeypatch, P, grid, seeds, sizes):
     batches = []
     walk = bench_module._simulate_batch
 
@@ -56,14 +68,47 @@ def test_batches_hold_at_most_the_cap_steps(monkeypatch):
         return walk(P, m, seeds, start)
 
     monkeypatch.setattr(bench_module, "_simulate_batch", recorded)
-    grid = [5000, 30_000, _BATCH_STEPS + 1]
-    bench_convergence(get_fixture("fast3"), m_grid=grid, seeds=5)
+    bench_convergence(P, m_grid=grid, seeds=seeds)
     for m in grid:
-        seeds = [batch for bm, batch in batches if bm == m]
-        assert sum(seeds, []) == list(range(5))
-        # a trial longer than the cap is walked alone
-        assert all(len(s) * m <= _BATCH_STEPS or len(s) == 1 for s in seeds)
-    assert [len(s) for m, s in batches] == [5, 4, 1, 1, 1, 1, 1, 1]
+        cells = [batch for bm, batch in batches if bm == m]
+        assert sum(cells, []) == list(range(seeds))
+        # a trial larger than the cap is walked alone
+        assert all(len(s) * max(m, P.n**2) <= _BATCH_STEPS or len(s) == 1 for s in cells)
+    assert [len(s) for m, s in batches] == sizes
+
+
+def test_no_stack_holds_more_entries_than_the_batch_has_steps(monkeypatch):
+    # 40 trials of 1,000 steps on 60 states: bounded by m alone, one batch of
+    # 40 would stack 40 60 x 60 tables, 144,000 entries
+    stacks = []
+    svds = eigensolve.second_singular_values
+    monkeypatch.setattr(eigensolve, "second_singular_values", lambda A: stacks.append(np.shape(A)) or svds(A))
+    bench_convergence(lazy_cycle(60), m_grid=[1000], seeds=40)
+    assert max(math.prod(shape) for shape in stacks) <= _BATCH_STEPS
+    assert max(shape[0] for shape in stacks) == _BATCH_STEPS // 60**2
+
+
+# grids where n^2 exceeds some m, so that batches hold fewer trials than
+# _BATCH_STEPS // m; the digests were recorded while batches were bounded by m
+# alone, so where a batch is cut moves no byte
+BENCH_DIGESTS = {
+    "cycle60": "7de5190ce055053bbc066debebbb04104e1cd0383164d21bdee7b64c22bdabd9",
+    "cycle30": "1d97817803cad7a5d78b3d5c98ff27d07c3df927b5a095c19767e1e2c87024b7",
+    "dense40": "548550b524660c908339de5d35161dccf4f02a64df4f7084371221a5cfbf04d4",
+}
+
+
+@pytest.mark.parametrize(
+    "case, P, grid, seeds",
+    [
+        ("cycle60", lazy_cycle(60), [1000, 3000], 40),
+        ("cycle30", lazy_cycle(30), [200, 900, 5000], 30),
+        ("dense40", random_dense_chain(40, 3), [400, 2000], 50),
+    ],
+)
+def test_bench_digests_where_tables_bound_the_batch(case, P, grid, seeds):
+    csv_text = bench_convergence(P, m_grid=grid, seeds=seeds)
+    assert hashlib.sha256(csv_text.encode()).hexdigest() == BENCH_DIGESTS[case]
 
 
 @pytest.mark.parametrize("grid", [[0], [0, 100], [100, -3]])

@@ -32,7 +32,7 @@ from mixgap.fixtures import FIXTURES, get_fixture
 from mixgap.oracle import spectral_gaps
 from mixgap.tallies import tally
 
-from conftest import birth_death, lazy_cycle, lazy_torus, random_ergodic, random_reversible, simulated_chains
+from conftest import DEFECT_ROWS, birth_death, lazy_cycle, lazy_torus, random_ergodic, random_reversible, simulated_chains
 from reference_routes import generic_dilation, strongly_connected
 
 UNIFORM2 = [[0.5, 0.5], [0.5, 0.5]]
@@ -90,6 +90,14 @@ class TestStationaryDistribution:
         expected, *_ = np.linalg.lstsq(A, b, rcond=None)
         assert_allclose(expected, [0.25, 0.25, 0.5], atol=1e-12)
         assert_allclose(stationary_distribution(ex31), expected, atol=1e-12)
+
+    def test_rows_inside_the_row_sum_tolerance_resolve(self):
+        # a solve with the last equation replaced by sum(pi) = 1 puts the
+        # rows' whole defect on the last, smallest entry's residual
+        P = StochasticMatrix(DEFECT_ROWS)
+        pi = stationary_distribution(P)
+        assert np.all(np.abs(pi @ P.rows - pi) < STATIONARY_TOL * pi)
+        assert_allclose(pi, [0.5, 0.5 / 1.01, 0.005 / 1.01], rtol=1e-11)
 
     def test_identity_is_reducible(self):
         with pytest.raises(ReducibleChainError):

@@ -18,13 +18,14 @@ from hypothesis import strategies as st
 
 import mixgap
 import mixgap.chain as chain_module
+from mixgap.bench import _BATCH_STEPS
 from mixgap.chain import StochasticMatrix, is_irreducible, simulate
 from mixgap.cli import main, parse_args
 from mixgap.fixtures import FIXTURES, example_chain
 from mixgap.io import save_matrix, save_trajectory
 from mixgap.oracle import full_spectral_report
 
-from conftest import NEAR_PERIODIC_ROWS, PERIOD2_ROWS, birth_death
+from conftest import DEFECT_ROWS, NEAR_PERIODIC_ROWS, PERIOD2_ROWS, birth_death
 
 
 @pytest.fixture
@@ -235,6 +236,14 @@ class TestIntervalCommand:
         assert report["vacuous"]
         assert report["half_width"] is None
         assert report["per_k_terms"]["1"]["U"] is None
+
+    def test_valid_delta_on_one_state_gives_a_report(self, tmp_path):
+        # at m = 20 on one state the per-skip split delta_hat is 1.04
+        path = tmp_path / "zeros.txt"
+        path.write_text("0\n" * 20)
+        code, out, err = run_in_process(["interval", "--trajectory", str(path), "--delta", "0.9"])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["interval"] == [0.0, 1.0]
 
     def test_uncertifiable_empirical_gap_gives_vacuous_report(self, tmp_path):
         # with alpha = 1e-9 the smoothed P_hat of 0, 1, 0, 1, ... is within
@@ -454,6 +463,13 @@ class TestMatrixInputContract:
         assert (code, out) == (2, "")
         assert json.loads(err)["error"] == "NO_CONVERGENCE"
 
+    @pytest.mark.parametrize("command", [["oracle"], ["simulate", "--m", "20"], ["lemma-check"]])
+    def test_rows_inside_the_row_sum_tolerance_give_a_report(self, tmp_path, command):
+        # the rows' defect misses the last entry's residual test in the first
+        # stationary solve, and compounds past the tolerance in P^2 .. P^10
+        code, out, err = run_in_process([*command, "--matrix", write_matrix(tmp_path, DEFECT_ROWS.tolist())])
+        assert (code, err) == (0, "")
+
     @pytest.mark.parametrize("command", ["oracle", "lemma-check"])
     def test_periodic_chain_exits_nonconvergent(self, tmp_path, command):
         argv = [command, "--matrix", write_matrix(tmp_path, PERIOD2_ROWS)]
@@ -589,11 +605,10 @@ class TestBenchCommand:
         # memory for exactly one full batch: every batch of the 5000 and 20000
         # cells fits, and one trial above the batch cap is refused before it
         # is allocated
-        cap = chain_module._BATCH_STEPS
-        monkeypatch.setattr(chain_module, "_physical_memory", lambda: 16 * cap)
+        monkeypatch.setattr(chain_module, "_physical_memory", lambda: 16 * _BATCH_STEPS)
         argv = ["bench", "--fixture", "fast3", "--m-grid", "5000,20000", "--seeds", "30"]
         assert run_in_process(argv)[0] == 0
-        code, out, err = run_in_process(["bench", "--fixture", "fast3", "--m-grid", str(cap + 1)])
+        code, out, err = run_in_process(["bench", "--fixture", "fast3", "--m-grid", str(_BATCH_STEPS + 1)])
         assert (code, out) == (1, "")
         error = json.loads(err)
         assert error["error"] == "INVALID_INPUT"

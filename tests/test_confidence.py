@@ -10,6 +10,7 @@ import mixgap.eigensolve
 import mixgap.oracle as oracle_module
 from mixgap.chain import StochasticMatrix, Trajectory, _simulate_batch, simulate
 from mixgap.confidence import (
+    DEFAULT_C,
     DEFAULT_DELTA,
     _empirical_gamma_ps_batch,
     _intervals,
@@ -27,7 +28,7 @@ from mixgap.estimators import DEFAULT_ALPHA, gamma_dps_hat
 from mixgap.oracle import spectral_gaps
 from mixgap.tallies import SkippedTallies, smoothed_estimates, tally
 
-from conftest import lazy_cycle, simulated_chains
+from conftest import DEFECT_ROWS, lazy_cycle, simulated_chains
 
 ZIGZAG = Trajectory(np.array([0, 1, 0, 1, 1]), n=2)
 
@@ -237,6 +238,14 @@ class TestConfidenceInterval:
         assert report.point == 1.0
         assert report.vacuous and report.interval == (0.0, 1.0)
 
+    @pytest.mark.parametrize("m", [3, 7, 20, 30, 60, 93, 100])
+    @pytest.mark.parametrize("delta", [0.5, 0.9, 0.99])
+    def test_one_state_trajectory_takes_every_delta(self, m, delta):
+        # delta_hat exceeds 1 when sqrt(log^3 m / m) > 1 / delta
+        for c in (0.0, DEFAULT_C):
+            report = confidence_interval(Trajectory(np.zeros(m, dtype=np.int64), n=1), delta=delta, c=c)
+            assert report.K_hat == 1 and report.interval == (0.0, 1.0)
+
     def test_degenerate_empirical_gap_makes_interval_vacuous(self, monkeypatch):
         tr = simulate(get_fixture("fast3"), 20_000, seed=1)
         monkeypatch.setattr(
@@ -337,6 +346,8 @@ class TestBatchedIntervals:
     @example(P=StochasticMatrix([[0.0, 1.0], [1.0, 0.0]]), m=1000, seeds=[0, 1], alpha=1e-9, c=0.0)
     # one oracle stack of three P_hat whose loops buy the floor and stop at skips 9, 14 and 18
     @example(P=lazy_cycle(60), m=5000, seeds=[0, 1, 2], alpha=1e-2, c=48.0)
+    # rows inside the row-sum tolerance, as simulated_chains scales half its draws
+    @example(P=StochasticMatrix(DEFECT_ROWS), m=3, seeds=[0], alpha=1e-2, c=0.0)
     def test_each_report_is_the_trajectory_alone(self, P, m, seeds, alpha, c):
         batch = _simulate_batch(P, m, seeds, "stationary")
         alone = [
@@ -371,15 +382,3 @@ class TestBatchedIntervals:
         monkeypatch.setattr(oracle_module, "_second_modulus_floor", lambda L, root: floors.append(L) or floor(L, root))
         _intervals(_simulate_batch(lazy_cycle(60), 5000, [0, 1, 2], "stationary"), 1e-2, DEFAULT_DELTA, 48.0)
         assert stops == [[9, 14, 18]] and len(floors) == 3
-
-    def test_no_stack_holds_more_entries_than_the_batch_has_steps(self, monkeypatch):
-        # 13 trials of 1,000 steps on 60 states: 13,000 steps hold three 60 x 60 tables
-        stacks = []
-        svds = mixgap.eigensolve.second_singular_values
-        monkeypatch.setattr(
-            mixgap.eigensolve, "second_singular_values", lambda A: stacks.append(np.shape(A)) or svds(A)
-        )
-        batch = _simulate_batch(lazy_cycle(60), 1000, range(13), "stationary")
-        _intervals(batch, 1e-2, DEFAULT_DELTA, 48.0)
-        assert max(shape[0] for shape in stacks) == 3
-

@@ -521,18 +521,37 @@ class TestSecondModulusFloor:
         assert floor <= second_modulus_floor_two_sided(L) + P.n * np.finfo(float).eps
         self.assert_reports_match(P)
 
+    @staticmethod
+    def cycle_top_modulus(P: StochasticMatrix) -> np.longdouble:
+        """|lambda_2| of a lazy cycle in extended precision. A lazy cycle is
+        circulant and normal (s = 1 for every eigenvalue), with eigenvalues
+        P00 + P01 w^k + P0,n-1 w^-k, w = exp(2 pi i / n)."""
+        n = P.n
+        d, a, b = (np.longdouble(P.rows[0, j]) for j in (0, 1, n - 1))
+        t = 2 * np.longdouble("3.14159265358979323846264338327950288") * np.arange(1, n, dtype=np.longdouble) / n
+        return np.sqrt(np.max((d + (a + b) * np.cos(t)) ** 2 + ((a - b) * np.sin(t)) ** 2))
+
     @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps, reason="needs extended precision")
     @pytest.mark.parametrize("n, lazy, right", [(41, 0.5, 0.6), (60, 0.49, 0.61), (80, 0.5, 0.6), (120, 0.3, 0.9)])
     def test_subspace_floor_is_the_exact_discounted_modulus(self, n, lazy, right):
-        # a lazy cycle is circulant and normal (s = 1 for every eigenvalue), with
-        # eigenvalues P00 + P01 w^k + P0,n-1 w^-k, w = exp(2 pi i / n)
         P = lazy_cycle(n, lazy, right)
-        d, a, b = (np.longdouble(P.rows[0, j]) for j in (0, 1, n - 1))
-        t = 2 * np.longdouble("3.14159265358979323846264338327950288") * np.arange(1, n, dtype=np.longdouble) / n
-        top = np.sqrt(np.max((d + (a + b) * np.cos(t)) ** 2 + ((a - b) * np.sin(t)) ** 2))
-        exact = top - oracle_module._EIG_MARGIN * n * np.finfo(float).eps
+        exact = self.cycle_top_modulus(P) - oracle_module._EIG_MARGIN * n * np.finfo(float).eps
         floor = oracle_module._second_modulus_floor(build_L(P), perron_root(P))
         assert abs(floor - exact) <= 2 * np.finfo(float).eps
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps, reason="needs extended precision")
+    @pytest.mark.parametrize("n", range(8, oracle_module._SUBSPACE_MIN_N + 1))
+    @pytest.mark.parametrize("lazy, right", [(0.3, 0.5), (0.6, 0.5), (0.5, 0.6)])
+    def test_whole_spectrum_floor_of_uniform_pi_cycles(self, n, lazy, right):
+        # pi is uniform, so ones(n) is all Perron vector: inverse iteration from
+        # it leaves x and y to rounding noise, and on the double eigenvalues of
+        # a symmetric cycle they ended far apart (s down to 0.07). The floor
+        # must be sound, and its discount at most 4 tol, that is s >= 1/4
+        P = lazy_cycle(n, lazy, right)
+        top = self.cycle_top_modulus(P)
+        tol = oracle_module._EIG_MARGIN * n * np.finfo(float).eps
+        floor = oracle_module._second_modulus_floor(build_L(P), perron_root(P))
+        assert top - 4 * tol <= floor <= top
 
     @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps, reason="needs extended precision")
     @pytest.mark.parametrize("side", range(7, 19))
