@@ -85,7 +85,7 @@ class StochasticMatrix:
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """Observed state indices of a chain over n states; `_tallies` memoizes
-    `tallies.tally` and `_gaps` the estimators' per-skip gaps (`estimators._gap`).
+    `tallies.tally` and `_gaps` the estimators' per-skip gaps (`estimators._gaps`).
 
     `states` is kept as a read-only int64 array. A writeable array is copied,
     so the caller may go on writing it; a read-only int64 array is taken as
@@ -325,10 +325,6 @@ def mixing_time(
 # second start: on dense and sparse random rows nearly all such pairs have met
 # by then, on lazy cycles and tori almost none have, and those chains are
 # finished one step at a time.
-# at m >= _LOCKSTEP_MIN_M chunks are round(sqrt(m) / 2) >= _CHECK_STEP steps
-# long, so each trial's first chunk, walked from its true start, is right up
-# to the step where a failed merge check hands over to the sequential walk
-_LOCKSTEP_MIN_M = 4096
 _CHECK_STEP = 32  # lockstep step at which merging is judged
 _PROBES = 16  # chunk pairs walked from two starts up to _CHECK_STEP
 _MAX_UNMET = 0.25  # fraction of those pairs still apart that falls back
@@ -466,7 +462,9 @@ def _walk_batch(
     its table once for all of them.
     """
     trials = u.size // m
-    if m < _LOCKSTEP_MIN_M:
+    length = round(math.sqrt(m) / 2)
+    # each trial's first chunk, walked from its true start, must reach the merge check
+    if length < _CHECK_STEP:
         _walk_sequential(cut, col, size, u, out, m, [(trial, 1) for trial in range(trials)])
         return
     width = cut.shape[1]
@@ -481,7 +479,6 @@ def _walk_batch(
             i += h * (flat_cut[i + (h - 1)] <= ut)
         return flat_col[i]
 
-    length = round(math.sqrt(m) / 2)
     heads = np.arange(1, m, length)  # first step of each chunk of a trial
     tail = m - int(heads[-1])  # steps of the last, possibly short, chunk
     # chunk-major, so the last chunk of every trial sits at the end

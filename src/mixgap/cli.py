@@ -76,6 +76,12 @@ def _parse_start(raw: str):
         ) from None
 
 
+def _seed(seed: int) -> int:
+    if seed < 0:
+        raise ValueError(f"--seed must be a non-negative integer, got {seed}")
+    return seed
+
+
 # --method -> its estimator and the options it reads, with their defaults
 _EPSILON = 0.1
 _ESTIMATES = {
@@ -111,7 +117,7 @@ def _interval(args: argparse.Namespace):
 # subcommand -> the function from its parsed arguments to its output
 _COMMANDS = {
     "simulate": lambda args: mio.encode_trajectory(
-        simulate(_load_chain(args), args.m, start=_parse_start(args.start), seed=args.seed),
+        simulate(_load_chain(args), args.m, start=_parse_start(args.start), seed=_seed(args.seed)),
         args.fmt,
     ),
     "stats": lambda args: tally(_load_trajectory(args), args.k),

@@ -10,18 +10,18 @@ estimators differ only in the gap, the prefix length and the step:
 - each level of the amplified scan: step 2^p and the same gap, since skip j
   of the 2^p-skipped trajectory counts the pairs of skip 2^p j;
 - dps: step 1 and the smoothed gap 1 - sigma_2(L_hat), in `gamma_dps_hat`.
-The trajectory memoizes the tables and, through `_gap`, the gaps, so calls on
-one trajectory build each table and solve each gap once. `gamma_dps_hat` is
-the batch of one of `_dps_hat_batch`, whose trajectories solve the smoothed
-gaps of each skip in one stacked SVD (`_gap_batch`).
+`_gaps` solves the gaps of (trajectory, skip) cells and keeps each in its
+trajectory's memo by (k, alpha), next to the memoized tables, so calls on one
+trajectory build each table and solve each gap once. `gamma_dps_hat` is the
+batch of one of `_dps_hat_batch`, which hands every cell of its scans to one
+`_gaps` call.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
-from functools import partial
 
 from . import eigensolve
 from .chain import Trajectory, _report_dict
@@ -58,9 +58,9 @@ def pi_star_hat(tr: Trajectory) -> float:
 
 
 def _scan(
-    tr: Trajectory, K: int, gap: Callable[[int], float | None], step: int = 1
+    tr: Trajectory, K: int, step: int = 1, alpha: float | None = None
 ) -> tuple[float, dict[int, float], int, dict]:
-    """The prefix reduce every estimator shares: max_j gap(step j) / j.
+    """The prefix reduce every estimator shares: max_j gap(step j) / j, gaps by `_gaps`.
 
     j runs over 1..J, J = min(K, floor((m-1)/step)), since a skip with no
     complete pair cannot be tallied. Returns the maximum clipped to [0, 1]
@@ -70,7 +70,7 @@ def _scan(
     if K < 1:
         raise ValueError("K must be >= 1")
     J = min(K, (tr.m - 1) // step)
-    gaps = {j: gap(step * j) for j in range(1, J + 1)}
+    gaps = dict(zip(range(1, J + 1), _gaps([(tr, step * j) for j in range(1, J + 1)], alpha)))
     per_j = {j: g for j, g in gaps.items() if g is not None}
     value = max((g / j for j, g in per_j.items()), default=0.0)
     diagnostics: dict = {}
@@ -90,26 +90,27 @@ def _ps_gap(t: SkippedTallies) -> float | None:
     return 1.0 - eigensolve.second_singular_value(L_hat) ** 2
 
 
-def _gap(tr: Trajectory, k: int, alpha: float | None = None) -> float | None:
-    """Skip k's smoothed dilation gap with alpha, else its `_ps_gap`, solved once per trajectory."""
-    return _gap_batch([tr], k, alpha)[0]
+def _gaps(cells: Sequence[tuple[Trajectory, int]], alpha: float | None = None) -> list[float | None]:
+    """The gap of each (trajectory, skip k) cell over one n, kept in `tr._gaps` by (k, alpha).
 
-
-def _gap_batch(trs: Sequence[Trajectory], k: int, alpha: float | None = None) -> list[float | None]:
-    """`_gap(tr, k, alpha)` of each trajectory, all over one n.
-
-    The trajectory's `_gaps` keeps the smoothed gap by (k, alpha), the other
-    by k. The smoothed gaps not kept yet, 1 - sigma_2(L_hat), come from one
-    stacked SVD of their L_hat.
+    With alpha, 1 - sigma_2 of the alpha-smoothed L_hat, i.e. 2 - lambda_2(S(L_hat) + I) for the
+    dilation S; without, the `_ps_gap` of skip k. The cells not kept yet are solved skip by skip,
+    the smoothed ones in one stacked SVD, so a trajectory holds one table at a time here.
     """
-    key = k if alpha is None else (k, alpha)
-    miss = [tr for tr in trs if key not in tr._gaps]
-    if miss:
-        tables = [tally(tr, k) for tr in miss]
-        gaps = [_ps_gap(t) for t in tables] if alpha is None else _dps_gaps(tables, alpha)
-        for tr, g in zip(miss, gaps):
-            tr._gaps[key] = g
-    return [tr._gaps[key] for tr in trs]
+    miss: dict[int, dict[Trajectory, None]] = {}  # the trajectories of each skip, each once
+    for tr, k in cells:
+        if (k, alpha) not in tr._gaps:
+            miss.setdefault(k, {})[tr] = None
+    for k, trs in miss.items():
+        tables = [tally(tr, k) for tr in trs]
+        if alpha is None:
+            gaps = [_ps_gap(t) for t in tables]
+        else:
+            L_hats = _smoothed_batch(tables, alpha)[2]
+            gaps = (1.0 - eigensolve.second_singular_values(L_hats)).tolist()
+        for tr, g in zip(trs, gaps):
+            tr._gaps[k, alpha] = g
+    return [tr._gaps[k, alpha] for tr, k in cells]
 
 
 def _adaptive_diagnostics(n_min: int) -> dict:
@@ -126,7 +127,7 @@ def gamma_ps_prefix_hat(tr: Trajectory, K: int) -> EstimateReport:
     Raises:
         NoUsableKError: if every skip in the prefix is unusable.
     """
-    value, per_k, K_used, diagnostics = _scan(tr, K, partial(_gap, tr))
+    value, per_k, K_used, diagnostics = _scan(tr, K)
     if not per_k:
         raise NoUsableKError(f"no usable skip rate in 1..{K}")
     return EstimateReport(
@@ -160,11 +161,11 @@ def gamma_ps_amplified(tr: Trajectory) -> EstimateReport:
         NoTriggerError: if the skipped data runs out before the threshold fires.
     """
     scan: dict[int, float] = {}
-    gap = partial(_gap, tr)  # level 2k rereads the even skips of level k
     k = 1
     # the k-skipped trajectory keeps floor((m-1)/k) pairs; it needs two
     while (tr.m - 1) // k >= 2:
-        estimate, per_j, J, diagnostics = _scan(tr, AMPLIFIED_PREFIX, gap, step=k)
+        # level 2k rereads the even skips of level k from the gap memo
+        estimate, per_j, J, diagnostics = _scan(tr, AMPLIFIED_PREFIX, step=k)
         scan[k] = estimate
         if estimate > AMPLIFIED_THRESHOLD:
             return EstimateReport(
@@ -217,22 +218,13 @@ def gamma_dps_hat(
     return _dps_hat_batch([tr], alpha, K)[0]
 
 
-def _dps_gaps(ts: Sequence[SkippedTallies], alpha: float) -> list[float]:
-    """1 - sigma_2(L_hat) of each table's alpha-smoothed L_hat (one n), in one stacked SVD.
-
-    That equals 2 - lambda_2(S(L_hat) + I), since the dilation S(L_hat) has
-    eigenvalues +/- the singular values of L_hat.
-    """
-    return (1.0 - eigensolve.second_singular_values(_smoothed_batch(ts, alpha)[2])).tolist()
-
-
 def _dps_hat_batch(
     trs: Sequence[Trajectory], alpha: float, K: int | None = None
 ) -> list[EstimateReport]:
     """`gamma_dps_hat(tr, alpha, K)` of each trajectory, all over one n.
 
-    Skip by skip, the gaps of every trajectory whose prefix reaches that skip
-    are solved together (`_gap_batch`); each scan then reads them from its memo.
+    Every cell of every scan goes to one `_gaps` call, which stacks each
+    skip's smoothed gaps over the batch; each scan then reads them from its memo.
     """
     for tr in trs:
         if tr.m < 3:
@@ -245,11 +237,10 @@ def _dps_hat_batch(
     else:
         Ks = [K] * len(trs)
     prefix = [min(K, tr.m - 1) for tr, K in zip(trs, Ks)]  # the J of each scan
-    for k in range(1, max(prefix) + 1):
-        _gap_batch([tr for tr, J in zip(trs, prefix) if J >= k], k, alpha)
+    _gaps([(tr, k) for tr, J in zip(trs, prefix) for k in range(1, J + 1)], alpha)
     reports = []
     for tr, K, given in zip(trs, Ks, diagnostics):
-        value, per_k, K_used, scanned = _scan(tr, K, partial(_gap, tr, alpha=alpha))
+        value, per_k, K_used, scanned = _scan(tr, K, alpha=alpha)
         reports.append(
             EstimateReport(
                 estimator="dps",

@@ -2,7 +2,8 @@
 
 Matrices: dense CSV (one row per line) or JSON ``{"n": ..., "rows": [[...]]}``.
 Trajectories: text, or binary with the 8-byte magic header ``MXGTRJ01``
-followed by little-endian uint32 indices.
+followed by little-endian uint32 indices, so the binary writer refuses a
+state above 2^32 - 1.
 
 Text is written as one decimal state index per line. It is read as tokens
 separated by ASCII whitespace (the six bytes ``bytes.split()`` splits on),
@@ -42,14 +43,14 @@ def load_matrix(path: str | Path) -> StochasticMatrix:
     text = Path(path).read_text()
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        obj = json.loads(text)
         try:
+            obj = json.loads(text)
             rows = np.asarray(obj["rows"], dtype=float)
             if "n" in obj and (type(obj["n"]) is not int or (obj["n"],) != rows.shape[:1]):
                 raise ValueError("declared n is not an integer matching the row count")
         except KeyError as err:
             raise ValueError(f"malformed matrix JSON: no {err} key") from None
-        except (TypeError, OverflowError) as err:
+        except (TypeError, OverflowError, RecursionError) as err:
             raise ValueError(f"malformed matrix JSON: {err}") from None
     else:
         rows = np.array(
@@ -101,6 +102,9 @@ def encode_trajectory(tr: Trajectory, fmt: str = "text") -> bytes:
     if fmt == "text":
         return _text_bytes(tr.states).tobytes()
     if fmt == "binary":
+        top = int(tr.states.max())
+        if top > np.iinfo("<u4").max:
+            raise ValueError(f"the binary trajectory format holds states up to 2^32 - 1, got {top}")
         return TRAJECTORY_MAGIC + tr.states.astype("<u4").tobytes()
     raise ValueError(f"unknown trajectory format {fmt!r}")
 

@@ -521,8 +521,8 @@ SIMULATE_DIGESTS = {
 }
 
 # blake2b-128 of simulate(P, m, seed=seed).states from the stationary start on
-# chains whose paths merge slowly: below m = 4096 they are walked one step at a
-# time from the start, and above it every trial hands over at _CHECK_STEP + 1.
+# chains whose paths merge slowly: below m = 3969 they are walked one step at a
+# time from the start, and from it on every trial hands over at _CHECK_STEP + 1.
 # Recorded from the one-bisect-per-step walk before the symbol table replaced it.
 FALLBACK_DIGESTS = {
     ("lazy_cycle(60)", 0, 1000): "936908558b94bc049035d7f843d616fa",
@@ -578,17 +578,18 @@ def reference_simulate(P, m, start, seed):
     return bisect_walk(P, x, rng.random(m))
 
 
-# the sequential walk runs below m = 4096; chunks are 32 steps long near
-# m = 4096 and 50 near m = 1e4, and the last chunk is full at 4097 and 10001
-# and one step long at 4098 and 10002
+# the sequential walk runs below m = 3969, where chunks of round(sqrt(m) / 2)
+# steps would end before the merge check at step 32; chunks are 32 steps long
+# from m = 3969 to 4225 and 50 near m = 1e4, and the last chunk is full at 4097
+# and 10001 and one step long at 4098 and 10002
 LENGTHS = st.one_of(
-    st.sampled_from([1, 2, 3, 4095, 4096, 4097, 4098, 10001, 10002]),
+    st.sampled_from([1, 2, 3, 3968, 3969, 4095, 4096, 4097, 4098, 10001, 10002]),
     st.integers(4090, 12000),
 )
 # batches of up to five trials stay near the lockstep threshold; m - 1 is a
 # multiple of the 32-step chunk at 4097 and 4129
 BATCH_LENGTHS = st.one_of(
-    st.sampled_from([1, 2, 4095, 4096, 4097, 4098, 4129]),
+    st.sampled_from([1, 2, 3968, 3969, 4095, 4096, 4097, 4098, 4129]),
     st.integers(4090, 5000),
 )
 
@@ -676,7 +677,10 @@ class TestSimulate:
             assert calls == [[(0, chain_module._CHECK_STEP + 1)]]
         assert tr.states.tolist() == reference_simulate(P, 100_000, 0, 3)
 
-    @pytest.mark.parametrize("m", [1000, 5000], ids=["sequential", "lockstep-fallback"])
+    @pytest.mark.parametrize(
+        "m", [1000, 3968, 3969, 5000],
+        ids=["sequential", "sequential-edge", "lockstep-fallback-edge", "lockstep-fallback"],
+    )
     def test_symbol_table_built_once_per_batch(self, monkeypatch, m):
         # every trial of lazy_cycle(60) is walked one step at a time, in one
         # walk that builds one symbol table for all of them
@@ -695,7 +699,10 @@ class TestSimulate:
         monkeypatch.setattr(chain_module, "_walk_sequential", recorded)
         P, seeds = lazy_cycle(60), [0, 1, 2]
         batch = chain_module._simulate_batch(P, m, seeds, 0)
-        lo = 1 if m < chain_module._LOCKSTEP_MIN_M else chain_module._CHECK_STEP + 1
+        # lockstep needs each trial's first chunk to reach the merge check
+        lockstep = round(math.sqrt(m) / 2) >= chain_module._CHECK_STEP
+        lo = chain_module._CHECK_STEP + 1 if lockstep else 1
+        assert lockstep == (m >= 3969)
         assert walks == [[(0, lo), (1, lo), (2, lo)]] and len(built) == 1
         for seed, tr in zip(seeds, batch):
             assert tr.states.tolist() == reference_simulate(P, m, 0, seed)

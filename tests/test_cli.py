@@ -123,6 +123,12 @@ class TestSimulateAndStats:
         )
         assert err == json.dumps({"error": "INVALID_INPUT", "message": message}) + "\n"
 
+    def test_negative_seed_names_the_option(self):
+        code, out, err = run_in_process(["simulate", "--fixture", "ex31", "--m", "5", "--seed", "-1"])
+        assert (code, out) == (1, "")
+        message = "--seed must be a non-negative integer, got -1"
+        assert err == json.dumps({"error": "INVALID_INPUT", "message": message}) + "\n"
+
     def test_stats_counts(self, traj_file, tmp_path):
         out = tmp_path / "stats.json"
         assert main(["stats", "--trajectory", traj_file, "--k", "2", "--out", str(out)]) == 0
@@ -440,6 +446,16 @@ class TestMatrixInputContract:
         code, out, err = run_in_process(["oracle", "--matrix", str(path)])
         assert (code, out) == (1, "")
         assert json.loads(err)["error"] == "INVALID_INPUT"
+
+    def test_deeply_nested_matrix_json_exits_invalid_input(self, tmp_path):
+        # json.loads raises RecursionError here; at 500 deep numpy refuses the rows
+        path = tmp_path / "P.json"
+        path.write_text('{"rows": ' + "[" * 1000 + "]" * 1000 + "}")
+        code, out, err = run_in_process(["oracle", "--matrix", str(path)])
+        assert (code, out) == (1, "")
+        error = json.loads(err)
+        assert error["error"] == "INVALID_INPUT"
+        assert error["message"].startswith("malformed matrix JSON: maximum recursion depth exceeded")
 
     def test_missing_rows_names_the_key(self, tmp_path):
         path = tmp_path / "P.json"

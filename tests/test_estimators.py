@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from mixgap import eigensolve
 from mixgap.chain import StochasticMatrix, Trajectory, simulate
+from mixgap.eigensolve import second_singular_value
 from mixgap.errors import NoTriggerError, NoUsableKError
 from mixgap.estimators import (
-    _dps_gaps,
+    _gaps,
     adaptive_K_dps,
     adaptive_K_multiplicative,
     gamma_dps_hat,
@@ -194,7 +196,7 @@ class TestDpsEstimator:
         P = example_chain()
         k1 = make_tallies([[0, 2, 0], [0, 0, 2], [2, 0, 2]], k=1, m=9)
         k2 = make_tallies([[0, 0, 4], [2, 0, 2], [2, 4, 2]], k=2, m=33)
-        per_k = dict(zip((1, 2), _dps_gaps([k1, k2], alpha=1e-12)))
+        per_k = {t.k: 1.0 - second_singular_value(smoothed_estimates(t, 1e-12).L_hat) for t in (k1, k2)}
         value = max(per_k[k] / k for k in (1, 2))
         assert per_k[1] == pytest.approx(gamma_ddagger(P, 1), abs=1e-8)
         assert per_k[2] == pytest.approx(gamma_ddagger(P, 2), abs=1e-8)
@@ -295,3 +297,33 @@ class TestTallyReuse:
         tr = simulate(example_chain(), 2_000, seed=0)
         report = gamma_ps_adaptive_multiplicative(tr, 0.1)
         assert tally_builds == list(range(1, report.K_used + 1))
+
+    def test_gaps_of_mixed_cells_equal_each_cell_solved_alone(self, tally_builds, monkeypatch):
+        # three trajectories over n = 5 with different m, skips 1..4 and cell
+        # (a, 2) twice; state 4 of the third is visited only at position 1, so
+        # its skips 2..4 leave it unvisited and their unsmoothed gaps are None
+        P = get_fixture("rand5a")
+        third = simulate(P, 500, seed=3).states.copy()
+        third[third == 4] = 0
+        third[1] = 4
+        trs = [simulate(P, 2_000, seed=1), simulate(P, 3_001, seed=2), Trajectory(third, 5)]
+        cells = [(tr, k) for tr in trs for k in range(1, 5)] + [(trs[0], 2)]
+        alone = {
+            alpha: [_gaps([(Trajectory(tr.states, tr.n), k)], alpha)[0] for tr, k in cells]
+            for alpha in (None, 1e-2)
+        }
+        assert [g is None for g in alone[None][8:12]] == [False, True, True, True]
+        tally_builds.clear()
+        solves = []
+        stacked = eigensolve.second_singular_values
+        monkeypatch.setattr(
+            eigensolve, "second_singular_values", lambda A: solves.append(A.shape[:-2]) or stacked(A)
+        )
+        # the 9 usable unsmoothed gaps one by one, the smoothed ones in one stack per skip
+        for alpha, stacks in ((None, [()] * 9), (1e-2, [(3,)] * 4)):
+            solves.clear()
+            assert _gaps(cells, alpha) == alone[alpha]
+            assert solves == stacks
+            assert _gaps(cells, alpha) == alone[alpha]  # read back from the memo
+            assert len(solves) == len(stacks)
+        assert sorted(tally_builds) == sorted([1, 2, 3, 4] * 3)

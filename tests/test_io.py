@@ -64,6 +64,17 @@ def test_trajectory_binary_roundtrip(tmp_path):
         encode_trajectory(tr, "csv")
 
 
+def test_binary_trajectory_refuses_states_above_uint32(tmp_path):
+    # uint32 would wrap 2^32 + 5 to 5; the refusal comes before anything is written
+    path = tmp_path / "traj.bin"
+    with pytest.raises(ValueError, match=f"up to 2\\^32 - 1, got {2**32 + 5}"):
+        save_trajectory(Trajectory(np.array([0, 2**32 + 5, 3]), n=2**32 + 6), path, fmt="binary")
+    assert not path.exists()
+    top = Trajectory(np.array([0, 2**32 - 1, 3]), n=2**32)
+    save_trajectory(top, path, fmt="binary")
+    assert load_trajectory(path).states.tolist() == [0, 2**32 - 1, 3]
+
+
 def test_trajectory_n_inferred(tmp_path):
     path = tmp_path / "traj.txt"
     path.write_text("0\n4\n2\n")

@@ -136,8 +136,9 @@ class TestMemo:
 
         fresh, _ = reports(list(calls), shared=False)
         assert json.loads(fresh["interval"])["K_hat"] == 2
-        # smoothed gaps of skips 1..K_hat by (k, alpha), unsmoothed ones of both amplified levels by k
-        gap_keys = {(1, DEFAULT_ALPHA), (2, DEFAULT_ALPHA)} | set(range(1, 17)) | set(range(2, 33, 2))
+        # smoothed gaps of skips 1..K_hat by (k, alpha), unsmoothed ones of both amplified levels by (k, None)
+        amplified = set(range(1, 17)) | set(range(2, 33, 2))
+        gap_keys = {(1, DEFAULT_ALPHA), (2, DEFAULT_ALPHA)} | {(k, None) for k in amplified}
         for order in (list(calls), list(reversed(calls))):
             for keep_tables in (True, False):
                 out, tr = reports(order, shared=True, keep_tables=keep_tables)
