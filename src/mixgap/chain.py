@@ -445,7 +445,7 @@ def _walk_sequential(
                 block = [x := rows[x][s] for s in symbols(u[first:last]).tolist()]
             else:
                 block = [x := cols[x][bisect_right(cuts[x], ut)] for ut in u[first:last].tolist()]
-            out[first:last] = np.fromiter(block, dtype=np.int64, count=last - first)
+            out[first:last] = np.fromiter(block, dtype=out.dtype, count=last - first)
 
 
 def _walk_batch(
@@ -483,7 +483,9 @@ def _walk_batch(
     tail = m - int(heads[-1])  # steps of the last, possibly short, chunk
     # chunk-major, so the last chunk of every trial sits at the end
     first = (heads[:, None] + np.arange(0, u.size, m)).ravel()
-    guess = np.tile(out[::m], heads.size)  # each chunk starts from its trial's start
+    # each chunk starts from its trial's start, in intp like every state that
+    # step walks: its x * width would wrap in the buffer's compact dtype
+    guess = np.tile(out[::m].astype(np.intp), heads.size)
 
     def lockstep(x: np.ndarray, pos: np.ndarray, j0: int, j1: int, probes: int) -> None:
         # the first `probes` entries of x walk probe paths that are not recorded
@@ -513,7 +515,7 @@ def _walk_batch(
     # predecessor and u.
     t = first[trials:]
     t = np.sort(t[out[t - 1] != guess[trials:]])
-    x = out[t - 1]
+    x = out[t - 1].astype(np.intp)
     for _ in range(length):
         x = step(x, u[t])
         met = out[t] == x
@@ -535,7 +537,12 @@ def _simulate_batch(
     """``simulate(P, m, start, seed)`` for each seed, all walked together.
 
     Each trial draws its start and u from its own ``default_rng(seed)``, as
-    ``simulate`` does; only the schedule of the walk is shared.
+    ``simulate`` does; only the schedule of the walk is shared. The walk
+    writes its states into one buffer of the smallest unsigned dtype that
+    holds n - 1, and once the draws are freed that buffer is widened to the
+    read-only int64 array whose slices are the trials' states. So the peak is
+    8 bytes per step plus the buffer's itemsize, not the 16 of the draws and
+    states that the refusal below still counts.
 
     Raises:
         ValueError: for m < 1, a bad start, or a batch whose draws and states
@@ -564,14 +571,16 @@ def _simulate_batch(
             raise ValueError("start distribution must be a length-n probability vector")
         p = p / p.sum()
     tables = _support_tables(P.rows)
-    u, out = np.empty(steps), np.empty(steps, dtype=np.int64)
+    u, out = np.empty(steps), np.empty(steps, dtype=np.min_scalar_type(n - 1))
     for b, seed in zip(range(0, steps, m), seeds):
         rng = np.random.default_rng(seed)
         out[b] = int(start) if p is None else rng.choice(n, p=p)
         rng.random(out=u[b : b + m])  # the same draws as rng.random(m)
     _walk_batch(*tables, u, out, m)
-    out.flags.writeable = False  # so each Trajectory takes its slice without a copy
-    return [Trajectory(out[b : b + m], n) for b in range(0, steps, m)]
+    del u
+    states = out.astype(np.int64)
+    states.flags.writeable = False  # so each Trajectory takes its slice without a copy
+    return [Trajectory(states[b : b + m], n) for b in range(0, steps, m)]
 
 
 def simulate(
@@ -609,6 +618,11 @@ def simulate(
     fixes the column every row picks (see _walk_sequential).
     ``bench_convergence`` walks the chunks of several trials in the same
     vectors (``_simulate_batch``), with the same output per trial.
+
+    The walk's buffer holds each state in the smallest unsigned dtype that
+    holds n - 1 (one byte up to 256 states); the returned states are int64.
+    The walk therefore peaks at 8 bytes per step for the draws plus that
+    itemsize, and the widening at 8 plus that itemsize once the draws are freed.
 
     Raises:
         ValueError: for m < 1, a bad start, or an m whose draws and states

@@ -8,7 +8,9 @@ estimators differ only in the gap, the prefix length and the step:
 - ps-prefix and its additive and adaptive schedules: step 1 and the
   unsmoothed gap 1 - sigma_2(L_hat)^2;
 - each level of the amplified scan: step 2^p and the same gap, since skip j
-  of the 2^p-skipped trajectory counts the pairs of skip 2^p j;
+  of the 2^p-skipped trajectory counts the pairs of skip 2^p j; a level that
+  cannot pass its threshold stops at the first j past which no gap can raise
+  the maximum (`_quiet_level`), which then equals the reduce;
 - dps: step 1 and the smoothed gap 1 - sigma_2(L_hat), in `gamma_dps_hat`.
 `_gaps` solves the gaps of (trajectory, skip) cells and keeps each in its
 trajectory's memo by (k, alpha), next to the memoized tables, so calls on one
@@ -149,6 +151,26 @@ def gamma_ps_additive(tr: Trajectory, epsilon: float) -> EstimateReport:
     return replace(report, estimator="ps-additive", diagnostics=diagnostics)
 
 
+def _quiet_level(tr: Trajectory, k: int) -> float | None:
+    """Level k's estimate when it stays at or below the threshold, else None.
+
+    Visits j = 1, 2, ... one gap at a time, keeping best = max(0, gap / j). A
+    gap is at most 1, so once best >= 1 / j no later skip j' >= j can give more
+    than 1 / j' <= best, and the level's `_scan` value is best; comparing with
+    the rounded 1 / j keeps that true of the rounded quotients too.
+    """
+    best = 0.0
+    for j in range(1, min(AMPLIFIED_PREFIX, (tr.m - 1) // k) + 1):
+        if best >= 1 / j:
+            break
+        g = _gaps([(tr, k * j)])[0]
+        if g is not None:
+            best = max(best, g / j)
+        if best > AMPLIFIED_THRESHOLD:
+            return None
+    return best
+
+
 def gamma_ps_amplified(tr: Trajectory) -> EstimateReport:
     """Amplified estimator: scan skip powers of two until the gap exceeds 3/8.
 
@@ -156,6 +178,11 @@ def gamma_ps_amplified(tr: Trajectory) -> EstimateReport:
     k-skipped trajectory, whose skip j counts the same pairs as skip k j of
     the trajectory itself. The first k whose estimate exceeds the threshold
     stops the scan, and the output is that estimate divided by k.
+
+    A level that stays at or below the threshold stops reading skips once no
+    later one can raise its estimate (`_quiet_level`), so only the level that
+    fires reads all its skips, and every reported number is that of the full
+    scan.
 
     Raises:
         NoTriggerError: if the skipped data runs out before the threshold fires.
@@ -165,7 +192,9 @@ def gamma_ps_amplified(tr: Trajectory) -> EstimateReport:
     # the k-skipped trajectory keeps floor((m-1)/k) pairs; it needs two
     while (tr.m - 1) // k >= 2:
         # level 2k rereads the even skips of level k from the gap memo
-        estimate, per_j, J, diagnostics = _scan(tr, AMPLIFIED_PREFIX, step=k)
+        estimate = _quiet_level(tr, k)
+        if estimate is None:
+            estimate, per_j, J, diagnostics = _scan(tr, AMPLIFIED_PREFIX, step=k)
         scan[k] = estimate
         if estimate > AMPLIFIED_THRESHOLD:
             return EstimateReport(

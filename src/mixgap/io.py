@@ -5,14 +5,18 @@ Trajectories: text, or binary with the 8-byte magic header ``MXGTRJ01``
 followed by little-endian uint32 indices, so the binary writer refuses a
 state above 2^32 - 1.
 
-Text is written as one decimal state index per line. It is read as tokens
-separated by ASCII whitespace (the six bytes ``bytes.split()`` splits on),
-each read as Python ``int()`` reads it. Input made only of whitespace and
-plain ASCII digit tokens of at most 18 digits is parsed by numpy byte
-kernels, in chunks cut before whitespace (`_digit_tokens` states the rule).
-Any other byte, or a longer token, sends the whole input through ``int()``
-token by token, which then decides what is accepted and how a bad token is
-reported.
+Text is written as one decimal state index per line, from a grid of one
+column per digit whose leading zeros are then dropped (with one digit per
+state, the grid is already the text). It is read as tokens separated by ASCII
+whitespace (the six bytes ``bytes.split()`` splits on), each read as Python
+``int()`` reads it. Input made only of whitespace and plain ASCII digit
+tokens of at most 18 digits is parsed by numpy byte kernels, in chunks cut
+before whitespace (`_digit_tokens` states the rule). They class each byte by
+wrapping uint8 arithmetic, without a lookup table: b is a digit when
+b - 48 < 10, which is then its value, and whitespace when it is 32 or
+b - 9 < 5. Any other byte, or a longer token, sends the whole input through
+``int()`` token by token, which then decides what is accepted and how a bad
+token is reported.
 """
 
 from __future__ import annotations
@@ -27,11 +31,6 @@ from .chain import StochasticMatrix, Trajectory
 
 TRAJECTORY_MAGIC = b"MXGTRJ01"
 
-# byte kinds of the text reader: 0 whitespace, 1 ASCII digit, 2 anything else
-_BYTE_KIND = np.array(
-    [0 if not bytes([b]).split() else 1 if bytes([b]).isdigit() else 2 for b in range(256)],
-    dtype=np.uint8,
-)
 _MAX_DIGITS = 18  # 10**18 - 1 < 2**63, so no such token overflows int64
 _POW10 = 10 ** np.arange(_MAX_DIGITS, dtype=np.int64)
 # bytes the reader parses at a time, which bounds its temporaries
@@ -91,6 +90,8 @@ def _text_bytes(states: np.ndarray) -> np.ndarray:
         grid[:, col] = rest - 10 * quotient + ord("0")
         rest = quotient
     del rest, quotient
+    if width == 1:
+        return grid.ravel()
     # drop leading zeros; the last digit always stays, so 0 is written as "0"
     keep = np.ones(grid.shape, dtype=bool)
     np.logical_or.accumulate(grid[:, : width - 1] != ord("0"), axis=1, out=keep[:, : width - 1])
@@ -113,6 +114,12 @@ def save_trajectory(tr: Trajectory, path: str | Path, fmt: str = "text") -> None
     Path(path).write_bytes(encode_trajectory(tr, fmt))
 
 
+def _is_space(b: np.ndarray) -> np.ndarray:
+    """Which uint8 bytes are ASCII whitespace: space, or 9-13 (tab to carriage
+    return), which wrap to at most 4 below 9 once 9 is taken off."""
+    return (b == ord(" ")) | (b - 9 < 5)
+
+
 def _digit_tokens(raw: bytes) -> np.ndarray | None:
     """The values of whitespace-separated ASCII digit tokens of at most 18
     digits; None when raw holds any other byte or a longer token.
@@ -127,7 +134,7 @@ def _digit_tokens(raw: bytes) -> np.ndarray | None:
     filled = lo = 0
     while lo < buf.size:
         cut = lo + _CHUNK_BYTES
-        ahead = np.flatnonzero(_BYTE_KIND[buf[cut : cut + _MAX_DIGITS + 1]] == 0)
+        ahead = np.flatnonzero(_is_space(buf[cut : cut + _MAX_DIGITS + 1]))
         if ahead.size:
             hi = cut + int(ahead[0])
         elif cut + _MAX_DIGITS + 1 >= buf.size:
@@ -135,21 +142,23 @@ def _digit_tokens(raw: bytes) -> np.ndarray | None:
         else:
             return None
         chunk = buf[lo:hi]
-        # byte kinds of the chunk between one whitespace kind at either end
-        kind = np.zeros(chunk.size + 2, dtype=np.uint8)
-        np.take(_BYTE_KIND, chunk, out=kind[1:-1], mode="clip")
-        if kind.max() > 1:
+        # uint8 arithmetic wraps the bytes below "0", so only a digit's value is below 10
+        digits = chunk - ord("0")
+        # which bytes of the chunk are digits, between one non-digit at either end
+        is_digit = np.zeros(chunk.size + 2, dtype=bool)
+        np.less(digits, 10, out=is_digit[1:-1])
+        if np.count_nonzero(is_digit) + np.count_nonzero(_is_space(chunk)) < chunk.size:
             return None
-        edges = np.flatnonzero(kind[1:] != kind[:-1])
+        edges = np.flatnonzero(is_digit[1:] != is_digit[:-1])
         starts, ends = edges[0::2], edges[1::2]
         lengths = ends - starts
         longest = int(lengths.max(initial=0))
         if longest > _MAX_DIGITS:
             return None
         values = states[filled : filled + starts.size]
-        values[:] = chunk[ends - 1] - ord("0")
+        values[:] = digits[ends - 1]
         for j in range(1, longest):
-            digit = chunk[np.maximum(ends - 1 - j, starts)] - ord("0")
+            digit = digits[np.maximum(ends - 1 - j, starts)]
             digit[lengths <= j] = 0
             values += digit * _POW10[j]
         filled += starts.size

@@ -124,12 +124,14 @@ def tally(tr: Trajectory, k: int = 1) -> SkippedTallies:
     if codes is None:
         codes = tr.states.astype(np.min_scalar_type(n - 1))
     src, dst = codes[::k][:-1], codes[::k][1:]
-    # np.bincount casts any other dtype to intp, which costs more than uint32 codes save
+    # np.bincount casts any other dtype to intp, which costs more than uint32 codes save;
+    # the multiply writes each source's x n in the pair dtype, with no widened copy of it
     pair_dtype = np.min_scalar_type(n * n - 1) if n <= 256 else np.intp
     chunk = max(1 << 18, n * n)
     counts = np.zeros(n * n, dtype=np.int64)
     for lo in range(0, src.size, chunk):
-        pairs = src[lo : lo + chunk].astype(pair_dtype) * n + dst[lo : lo + chunk]
+        pairs = np.multiply(src[lo : lo + chunk], n, dtype=pair_dtype)
+        pairs += dst[lo : lo + chunk]
         counts += np.bincount(pairs, minlength=n * n)
     t = SkippedTallies(k=k, n=n, m=tr.m, counts=counts.reshape(n, n))
     with _MEMO_LOCK:

@@ -10,7 +10,9 @@ import scipy.linalg
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from mixgap.chain import StochasticMatrix, stationary_distribution
+from mixgap.chain import StochasticMatrix, Trajectory, stationary_distribution
+from mixgap.errors import NoTriggerError
+from mixgap.estimators import AMPLIFIED_PREFIX, AMPLIFIED_THRESHOLD, EstimateReport, _scan
 from mixgap.oracle import _EIG_MARGIN, full_spectral_report
 
 # rounding allowance of every inequality a sandwich tests
@@ -62,6 +64,28 @@ def tally_counts(states, n: int, k: int = 1) -> np.ndarray:
     """Transition counts of skip k from one int64 bincount of the pair codes x n + x'."""
     s = np.asarray(states, dtype=np.int64)[::k]
     return np.bincount(s[:-1] * n + s[1:], minlength=n * n).reshape(n, n)
+
+
+def gamma_ps_amplified_full_scan(tr: Trajectory) -> EstimateReport:
+    """`gamma_ps_amplified` with every level reading all of its skips through `_scan`."""
+    scan: dict[int, float] = {}
+    k = 1
+    while (tr.m - 1) // k >= 2:
+        estimate, per_j, J, diagnostics = _scan(tr, AMPLIFIED_PREFIX, step=k)
+        scan[k] = estimate
+        if estimate > AMPLIFIED_THRESHOLD:
+            return EstimateReport(
+                estimator="ps-amplified",
+                value=estimate / k,
+                K_used=J,
+                per_k_values=per_j,
+                K_star=k,
+                diagnostics={**diagnostics, "scan": {str(kk): v for kk, v in scan.items()}},
+            )
+        k *= 2
+    raise NoTriggerError(
+        f"skipped trajectory exhausted at skip {k} before exceeding {AMPLIFIED_THRESHOLD}"
+    )
 
 
 @dataclass(frozen=True)

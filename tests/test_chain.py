@@ -841,6 +841,33 @@ class TestSimulate:
         a.flags.writeable = False
         assert Trajectory(a, 2).states is a
 
+    # the walk's buffer holds n - 1 = 255 in uint8 and 256 in uint16. Every
+    # row of the dense chain sends a draw below 1/2 to state 0, so its paths
+    # merge fast and it is walked in lockstep with reruns; a lazy cycle hands
+    # over to the sequential walk at the merge check
+    @pytest.mark.parametrize("n", [256, 257])
+    @pytest.mark.parametrize("kind", ["dense", "lazy-cycle"])
+    def test_compact_walk_buffer_at_its_dtype_edges(self, monkeypatch, n, kind):
+        if kind == "dense":
+            rows = random_ergodic(n, n).rows / 2
+            rows[:, 0] += 0.5
+            P = StochasticMatrix(rows)
+        else:
+            P = lazy_cycle(n)
+        m, seeds = 5_000, [0, 1, 2]
+        assert np.min_scalar_type(n - 1) == (np.uint8 if n == 256 else np.uint16)
+        walks = []
+        walk = chain_module._walk_sequential
+        monkeypatch.setattr(chain_module, "_walk_sequential", lambda *args: walks.append(args[-1]) or walk(*args))
+        single = simulate(P, m, start=0, seed=7)
+        batch = chain_module._simulate_batch(P, m, seeds, 0)
+        lo = chain_module._CHECK_STEP + 1
+        assert walks == ([] if kind == "dense" else [[(0, lo)], [(0, lo), (1, lo), (2, lo)]])
+        for seed, tr in zip([7, *seeds], [single, *batch]):
+            assert tr.states.dtype == np.int64 and not tr.states.flags.writeable
+            assert tr.states.tolist() == reference_simulate(P, m, 0, seed)
+        assert all(tr.states.base is batch[0].states.base for tr in batch)
+
     def test_simulated_trials_are_views_of_one_buffer(self, ex31):
         # the batch's states are frozen once, so no trial copies its slice
         first, second = chain_module._simulate_batch(ex31, 100, [0, 1], "stationary")

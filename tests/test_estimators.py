@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mixgap import eigensolve
 from mixgap.chain import StochasticMatrix, Trajectory, simulate
@@ -21,6 +23,9 @@ from mixgap.estimators import (
 from mixgap.fixtures import example_chain, get_fixture
 from mixgap.oracle import gamma_ddagger, spectral_gaps
 from mixgap.tallies import SkippedTallies, smoothed_estimates, tally
+
+from conftest import lazy_cycle
+from reference_routes import gamma_ps_amplified_full_scan
 
 ZIGZAG = Trajectory(np.array([0, 1, 0, 1, 1]), n=2)
 PERIODIC = Trajectory(np.array([0, 1, 0, 1, 0]), n=2)
@@ -261,6 +266,38 @@ class TestAmplifiedScanLevels:
                     assert report.K_used == inner.K_used
                     assert report.diagnostics.get("skipped_k") == inner.diagnostics.get("skipped_k")
 
+    @given(
+        states=st.one_of(
+            # runs of one state: slow, often unvisited states at some skips
+            st.lists(st.tuples(st.integers(0, 4), st.integers(1, 12)), min_size=1, max_size=300).map(
+                lambda runs: np.repeat(*zip(*runs))
+            ),
+            # ex31, whose first level stays below 3/8 and stops early, and lazy cycles
+            st.builds(
+                lambda P, m, seed: simulate(P, m, seed=seed).states,
+                st.one_of(
+                    st.just(example_chain()),
+                    st.builds(lazy_cycle, st.integers(2, 5), st.sampled_from([0.3, 0.6, 0.9, 0.99])),
+                ),
+                st.integers(2, 5_000),
+                st.integers(0, 99),
+            ),
+        ),
+        extra=st.integers(0, 2),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_report_equals_the_full_scan(self, states, extra):
+        # `extra` states are never visited, so every gap of such a trajectory is None
+        n = int(states.max()) + 1 + extra
+
+        def outcome(report):
+            try:
+                return report(Trajectory(states, n)).to_dict()
+            except NoTriggerError as err:
+                return str(err)
+
+        assert outcome(gamma_ps_amplified) == outcome(gamma_ps_amplified_full_scan)
+
     def test_K_used_is_the_skips_read_at_the_triggering_level(self):
         # skip 1 has 9 pairs, so level 1 reads skips 1..9; skips 2..9 leave a state unvisited
         report = gamma_ps_amplified(simulate(get_fixture("fast3"), 10, seed=1))
@@ -287,11 +324,14 @@ class TestTallyReuse:
         return builds
 
     def test_amplified_tallies_each_skip_once(self, tally_builds):
-        # level 1 reads skips 1..16 and level 2 skips 2, 4, ..., 32: 24 distinct
+        # level 1 stays below 3/8 with gap(1) / 1 = 0.283 >= 1/4, so it stops
+        # before skip 4, whose gap / 4 cannot pass that; level 2 fires and
+        # reads skips 2, 4, ..., 32: 18 distinct tables, each built once
         tr = simulate(example_chain(), 2_000, seed=0)
         report = gamma_ps_amplified(tr)
         assert report.K_star == 2
-        assert sorted(tally_builds) == sorted(set(range(1, 17)) | set(range(2, 33, 2)))
+        assert report.diagnostics["scan"]["1"] == pytest.approx(0.2832, abs=1e-4)
+        assert sorted(tally_builds) == sorted({1, 2, 3} | set(range(2, 33, 2)))
 
     def test_adaptive_prefix_tallies_skip_one_once(self, tally_builds):
         tr = simulate(example_chain(), 2_000, seed=0)

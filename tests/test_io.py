@@ -175,6 +175,17 @@ def test_vectorized_and_per_token_decoders_agree(raw, chunk):
         assert fast.dtype == np.int64 and fast.tolist() == outcome
 
 
+@pytest.mark.parametrize("b", range(256))
+def test_every_byte_value_decodes_as_int_tokens(b):
+    # the reader classifies digits and whitespace by uint8 arithmetic that
+    # wraps below "0" and below tab; each byte, inside a token and alone,
+    # must land in the class `bytes.split()` and `int()` give it
+    for raw in (b"1" + bytes([b]) + b"2\n", bytes([b]) + b"\n"):
+        assert decode_outcome(mio._states_from_bytes, raw) == decode_outcome(mio._int_tokens, raw)
+        plain = all(tok.isdigit() for tok in raw.split())
+        assert (mio._digit_tokens(raw) is not None) == plain
+
+
 def traced_peak(func, arg):
     tracemalloc.start()
     try:

@@ -136,8 +136,10 @@ class TestMemo:
 
         fresh, _ = reports(list(calls), shared=False)
         assert json.loads(fresh["interval"])["K_hat"] == 2
-        # smoothed gaps of skips 1..K_hat by (k, alpha), unsmoothed ones of both amplified levels by (k, None)
-        amplified = set(range(1, 17)) | set(range(2, 33, 2))
+        # smoothed gaps of skips 1..K_hat by (k, alpha), unsmoothed ones of both
+        # amplified levels by (k, None): level 1 stays below 3/8 and stops
+        # after skip 3, level 2 fires and reads its 16 skips
+        amplified = {1, 2, 3} | set(range(2, 33, 2))
         gap_keys = {(1, DEFAULT_ALPHA), (2, DEFAULT_ALPHA)} | {(k, None) for k in amplified}
         for order in (list(calls), list(reversed(calls))):
             for keep_tables in (True, False):
