@@ -27,8 +27,8 @@ from dataclasses import dataclass, field, replace
 
 from . import eigensolve
 from .chain import Trajectory, _report_dict
-from .errors import NoTriggerError, NoUsableKError, TrajectoryTooShortError, UnvisitedStateError
-from .tallies import SkippedTallies, _smoothed_batch, tally, unsmoothed_L_hat
+from .errors import NoTriggerError, NoUsableKError, TrajectoryTooShortError
+from .tallies import _smoothed_batch, tally, unsmoothed_L_hat
 
 DEFAULT_ALPHA = 1e-2
 AMPLIFIED_PREFIX = 16
@@ -83,21 +83,13 @@ def _scan(
     return float(min(max(value, 0.0), 1.0)), per_j, J, diagnostics
 
 
-def _ps_gap(t: SkippedTallies) -> float | None:
-    """1 - sigma_2(L_hat)^2 of unsmoothed tallies; None when a state is unvisited."""
-    try:
-        L_hat = unsmoothed_L_hat(t)
-    except UnvisitedStateError:
-        return None
-    return 1.0 - eigensolve.second_singular_value(L_hat) ** 2
-
-
 def _gaps(cells: Sequence[tuple[Trajectory, int]], alpha: float | None = None) -> list[float | None]:
     """The gap of each (trajectory, skip k) cell over one n, kept in `tr._gaps` by (k, alpha).
 
     With alpha, 1 - sigma_2 of the alpha-smoothed L_hat, i.e. 2 - lambda_2(S(L_hat) + I) for the
-    dilation S; without, the `_ps_gap` of skip k. The cells not kept yet are solved skip by skip,
-    the smoothed ones in one stacked SVD, so a trajectory holds one table at a time here.
+    dilation S; without, 1 - sigma_2(L_hat)^2 of the unsmoothed L_hat, None when N_min = 0. The
+    cells not kept yet are solved skip by skip, the smoothed ones in one stacked SVD, so a
+    trajectory holds one table at a time here.
     """
     miss: dict[int, dict[Trajectory, None]] = {}  # the trajectories of each skip, each once
     for tr, k in cells:
@@ -106,7 +98,10 @@ def _gaps(cells: Sequence[tuple[Trajectory, int]], alpha: float | None = None) -
     for k, trs in miss.items():
         tables = [tally(tr, k) for tr in trs]
         if alpha is None:
-            gaps = [_ps_gap(t) for t in tables]
+            gaps = [
+                None if t.n_min == 0 else 1.0 - eigensolve.second_singular_value(unsmoothed_L_hat(t)) ** 2
+                for t in tables
+            ]
         else:
             L_hats = _smoothed_batch(tables, alpha)[2]
             gaps = (1.0 - eigensolve.second_singular_values(L_hats)).tolist()

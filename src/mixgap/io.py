@@ -9,19 +9,21 @@ Text is written as one decimal state index per line, from a grid of one
 column per digit whose leading zeros are then dropped (with one digit per
 state, the grid is already the text). It is read as tokens separated by ASCII
 whitespace (the six bytes ``bytes.split()`` splits on), each read as Python
-``int()`` reads it. Input made only of whitespace and plain ASCII digit
-tokens of at most 18 digits is parsed by numpy byte kernels, in chunks cut
-before whitespace (`_digit_tokens` states the rule). They class each byte by
-wrapping uint8 arithmetic, without a lookup table: b is a digit when
-b - 48 < 10, which is then its value, and whitespace when it is 32 or
-b - 9 < 5. Any other byte, or a longer token, sends the whole input through
-``int()`` token by token, which then decides what is accepted and how a bad
-token is reported.
+``int()`` reads it, in chunks that end before the first whitespace byte at or
+past _CHUNK_BYTES from their start. A chunk made only of whitespace and plain
+ASCII digit tokens of at most 18 digits is parsed by numpy byte kernels. They
+class each byte by wrapping uint8 arithmetic, without a lookup table: b is a
+digit when b - 48 < 10, which is then its value, and whitespace when it is 32
+or b - 9 < 5. Any other chunk is read through ``int()`` token by token, which
+then decides what is accepted and how a bad token is reported; chunks are read
+in order, so the first bad token is named, and a value outside int64 is
+reported only after the last chunk.
 """
 
 from __future__ import annotations
 
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -35,6 +37,8 @@ _MAX_DIGITS = 18  # 10**18 - 1 < 2**63, so no such token overflows int64
 _POW10 = 10 ** np.arange(_MAX_DIGITS, dtype=np.int64)
 # bytes the reader parses at a time, which bounds its temporaries
 _CHUNK_BYTES = 1 << 18
+# for a bytes pattern, \s is the six bytes `bytes.split()` splits on
+_SPACE = re.compile(rb"\s")
 
 
 def load_matrix(path: str | Path) -> StochasticMatrix:
@@ -120,65 +124,52 @@ def _is_space(b: np.ndarray) -> np.ndarray:
     return (b == ord(" ")) | (b - 9 < 5)
 
 
-def _digit_tokens(raw: bytes) -> np.ndarray | None:
-    """The values of whitespace-separated ASCII digit tokens of at most 18
-    digits; None when raw holds any other byte or a longer token.
+def _int_chunk(chunk: bytes) -> list[int]:
+    """Each token of a chunk the byte kernels cannot read, as ``int()`` reads it."""
+    return [int(tok) for tok in chunk.split()]
 
-    A chunk ends before the first whitespace byte of the 19 from _CHUNK_BYTES
-    past its start, so no token straddles a cut; with none there, it ends at
-    the end of raw if those 19 bytes reach it, else they make a token too long.
-    """
+
+def _text_states(raw: bytes) -> np.ndarray:
+    """The values of raw's whitespace-separated tokens, each chunk parsed once
+    (the module docstring states the cut rule and the order of errors)."""
     buf = np.frombuffer(raw, dtype=np.uint8)
     # room for the most tokens raw can hold; pages never written never become resident
     states = np.empty(buf.size // 2 + 1, dtype=np.int64)
     filled = lo = 0
+    overflow = None
     while lo < buf.size:
-        cut = lo + _CHUNK_BYTES
-        ahead = np.flatnonzero(_is_space(buf[cut : cut + _MAX_DIGITS + 1]))
-        if ahead.size:
-            hi = cut + int(ahead[0])
-        elif cut + _MAX_DIGITS + 1 >= buf.size:
-            hi = buf.size
-        else:
-            return None
+        space = _SPACE.search(raw, lo + _CHUNK_BYTES)
+        hi = space.start() if space else buf.size
         chunk = buf[lo:hi]
         # uint8 arithmetic wraps the bytes below "0", so only a digit's value is below 10
         digits = chunk - ord("0")
         # which bytes of the chunk are digits, between one non-digit at either end
         is_digit = np.zeros(chunk.size + 2, dtype=bool)
         np.less(digits, 10, out=is_digit[1:-1])
-        if np.count_nonzero(is_digit) + np.count_nonzero(_is_space(chunk)) < chunk.size:
-            return None
         edges = np.flatnonzero(is_digit[1:] != is_digit[:-1])
         starts, ends = edges[0::2], edges[1::2]
         lengths = ends - starts
         longest = int(lengths.max(initial=0))
-        if longest > _MAX_DIGITS:
-            return None
-        values = states[filled : filled + starts.size]
-        values[:] = digits[ends - 1]
-        for j in range(1, longest):
-            digit = digits[np.maximum(ends - 1 - j, starts)]
-            digit[lengths <= j] = 0
-            values += digit * _POW10[j]
-        filled += starts.size
+        plain = np.count_nonzero(is_digit) + np.count_nonzero(_is_space(chunk)) == chunk.size
+        if plain and longest <= _MAX_DIGITS:
+            values = states[filled : filled + starts.size]
+            values[:] = digits[ends - 1]
+            for j in range(1, longest):
+                digit = digits[np.maximum(ends - 1 - j, starts)]
+                digit[lengths <= j] = 0
+                values += digit * _POW10[j]
+        else:
+            tokens = _int_chunk(raw[lo:hi])
+            values = states[filled : filled + len(tokens)]
+            try:
+                values[:] = tokens
+            except OverflowError as err:
+                overflow = err
+        filled += values.size
         lo = hi
+    if overflow is not None:
+        raise ValueError("state index outside the 64-bit integer range") from overflow
     return states[:filled]
-
-
-def _int_tokens(raw: bytes) -> np.ndarray:
-    tokens = raw.split()
-    # parse each distinct token once; int() decides which tokens are valid
-    try:
-        values = {tok: int(tok) for tok in set(tokens)}
-    except ValueError:
-        for tok in tokens:  # name the first bad token in input order, not in set order
-            int(tok)
-        raise
-    try:
-        return np.array(list(map(values.__getitem__, tokens)), dtype=np.int64)
-    except OverflowError as err:
-        raise ValueError("state index outside the 64-bit integer range") from err
 
 
 def _states_from_bytes(raw: bytes) -> np.ndarray:
@@ -187,8 +178,7 @@ def _states_from_bytes(raw: bytes) -> np.ndarray:
         if size % 4:
             raise ValueError(f"binary trajectory payload of {size} bytes is not a multiple of 4 (uint32)")
         return np.frombuffer(raw, dtype="<u4", offset=len(TRAJECTORY_MAGIC)).astype(np.int64)
-    states = _digit_tokens(raw)
-    return _int_tokens(raw) if states is None else states
+    return _text_states(raw)
 
 
 def load_trajectory(path: str | Path, n: int | None = None) -> Trajectory:

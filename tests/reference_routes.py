@@ -66,6 +66,25 @@ def tally_counts(states, n: int, k: int = 1) -> np.ndarray:
     return np.bincount(s[:-1] * n + s[1:], minlength=n * n).reshape(n, n)
 
 
+def int_tokens(raw: bytes) -> np.ndarray:
+    """Text trajectory states from `int()` of every whitespace-separated token of the whole input.
+
+    Each distinct token is parsed once; a bad token is named in input order,
+    and a value outside int64 is reported after every token has parsed.
+    """
+    tokens = raw.split()
+    try:
+        values = {tok: int(tok) for tok in set(tokens)}
+    except ValueError:
+        for tok in tokens:  # name the first bad token in input order, not in set order
+            int(tok)
+        raise
+    try:
+        return np.array(list(map(values.__getitem__, tokens)), dtype=np.int64)
+    except OverflowError as err:
+        raise ValueError("state index outside the 64-bit integer range") from err
+
+
 def gamma_ps_amplified_full_scan(tr: Trajectory) -> EstimateReport:
     """`gamma_ps_amplified` with every level reading all of its skips through `_scan`."""
     scan: dict[int, float] = {}

@@ -19,11 +19,14 @@ from hypothesis import strategies as st
 import mixgap
 import mixgap.chain as chain_module
 from mixgap.bench import _BATCH_STEPS
-from mixgap.chain import StochasticMatrix, is_irreducible, simulate
+from mixgap.chain import StochasticMatrix, Trajectory, is_irreducible, matrix_power, simulate
 from mixgap.cli import main, parse_args
+from mixgap.confidence import confidence_interval, term_U, term_V, term_W
+from mixgap.estimators import adaptive_K_dps
 from mixgap.fixtures import FIXTURES, example_chain
 from mixgap.io import save_matrix, save_trajectory
-from mixgap.oracle import full_spectral_report
+from mixgap.oracle import full_spectral_report, gamma_dagger
+from mixgap.tallies import SkippedTallies, tally
 
 from conftest import DEFECT_ROWS, NEAR_PERIODIC_ROWS, PERIOD2_ROWS, birth_death
 
@@ -593,6 +596,58 @@ class TestValueRanges:
         code, out, err = run_in_process([*command, "--trajectory", traj_file, "--alpha", "1e307"])
         assert (code, err) == (0, "")
         assert '"alpha": 1e+307' in out
+
+
+EX31_TRAJ = simulate(example_chain(), 100, seed=0)
+
+
+class TestValidationMessages:
+    # each public call's input check raises ValueError with its own message,
+    # which the CLI turns into INVALID_INPUT
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: StochasticMatrix(np.ones((2, 3)) / 3), "expected a square matrix, got shape (2, 3)"),
+            (lambda: Trajectory(np.array([0]), 0), "state-space size must be >= 1"),
+            (lambda: matrix_power(example_chain(), 0), "k must be >= 1"),
+            (lambda: gamma_dagger(example_chain(), 0), "k must be >= 1"),
+            (lambda: simulate(example_chain(), 0), "m must be >= 1"),
+            (lambda: simulate(example_chain(), 10, start="uniform"), "unknown start value 'uniform'"),
+            (lambda: adaptive_K_dps(1, 2), "m must be >= 3"),
+            (lambda: term_W(tally(EX31_TRAJ, 1), 0.01, 1.5), "delta must be in (0, 1)"),
+            (lambda: term_W(tally(EX31_TRAJ, 1), 0.0, 0.05), "alpha must be > 0"),
+            (lambda: term_V(tally(EX31_TRAJ, 1), 0.01, -1.0), "W must be >= 0"),
+            (lambda: term_U(tally(EX31_TRAJ, 1), 0.01, -1.0), "T must be >= 0"),
+            (lambda: confidence_interval(EX31_TRAJ, delta=1.5), "delta must be in (0, 1)"),
+            (lambda: save_matrix(example_chain(), os.devnull, fmt="xml"), "unknown matrix format 'xml'"),
+            (lambda: SkippedTallies(k=0, n=2, m=3, counts=np.zeros((2, 2))), "skip rate must be >= 1"),
+            (
+                lambda: SkippedTallies(k=1, n=3, m=3, counts=np.zeros((2, 2))),
+                "transition counts must be an n x n table",
+            ),
+            (
+                lambda: SkippedTallies(k=1, n=2, m=4, counts=np.eye(2, dtype=int)),
+                "transition counts must sum to floor((m-1)/k)",
+            ),
+            (lambda: tally(EX31_TRAJ, 0), "skip rate must be >= 1"),
+        ],
+    )
+    def test_library_check_raises_its_message(self, call, message):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["oracle"], "need --matrix FILE or --fixture NAME"),
+            (["estimate"], "need --trajectory FILE (or '-' for stdin)"),
+        ],
+    )
+    def test_missing_source_exits_invalid_input(self, argv, message):
+        code, out, err = run_in_process(argv)
+        assert (code, out) == (1, "")
+        assert err == json.dumps({"error": "INVALID_INPUT", "message": message}) + "\n"
 
 
 class TestLemmaCheckCommand:

@@ -19,6 +19,7 @@ from mixgap.io import (
     save_matrix,
     save_trajectory,
 )
+from reference_routes import int_tokens
 
 
 def test_matrix_json_roundtrip(tmp_path):
@@ -151,28 +152,48 @@ def decode_outcome(decode, raw):
         return type(err), str(err)
 
 
+def is_plain(tok: bytes) -> bool:
+    """Whether the byte kernels read tok: ASCII digits only, at most 18 of them."""
+    return tok.isdigit() and len(tok) <= 18
+
+
+def spy_int_chunks(patch) -> list[bytes]:
+    """The chunks the reader hands to `_int_chunk`, in order, recorded before each parses."""
+    calls = []
+    parse = mio._int_chunk
+    patch.setattr(mio, "_int_chunk", lambda chunk: calls.append(chunk) or parse(chunk))
+    return calls
+
+
 @given(raw=token_texts(), chunk=st.integers(1, 8))
 @settings(max_examples=300, deadline=None)
-# the cut rule's branches: a token ending exactly at a cut; a 19-digit token
-# across a cut, then starting at one with 19 digits ahead; a last token with
-# no whitespace in the 19 bytes at the last cut; empty and blank input
+# the cut rule: a token ending exactly at a cut; a 19-digit token across a
+# cut, then starting at one; a last token with no whitespace after the last
+# cut; an out-of-int64 token in an earlier chunk than a bad token, and in a
+# later one (the bad token is named either way); empty and blank input
 @example(raw=b"12 345\n", chunk=2)
 @example(raw=b"5 1234567890123456789\n6", chunk=3)
 @example(raw=b"5 1234567890123456789\n6", chunk=2)
 @example(raw=b"7 123456789012345678", chunk=2)
+@example(raw=b"99999999999999999999 1 x", chunk=1)
+@example(raw=b"x 99999999999999999999", chunk=1)
 @example(raw=b"", chunk=1)
 @example(raw=b" \t\n\r\x0b\x0c", chunk=2)
 def test_vectorized_and_per_token_decoders_agree(raw, chunk):
     # small chunks make tokens straddle chunk cuts
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(mio, "_CHUNK_BYTES", chunk)
-        fast = mio._digit_tokens(raw)
+        calls = spy_int_chunks(patch)
         outcome = decode_outcome(mio._states_from_bytes, raw)
-    assert outcome == decode_outcome(mio._int_tokens, raw)
-    plain = all(tok.isdigit() and len(tok) <= 18 for tok in raw.split())
-    assert (fast is not None) == plain
-    if plain:
-        assert fast.dtype == np.int64 and fast.tolist() == outcome
+    assert outcome == decode_outcome(int_tokens, raw)
+    # only chunks holding a token the kernels cannot read go through int(),
+    # every such chunk up to the first bad token, and all of them on success
+    assert all(not all(map(is_plain, c.split())) for c in calls)
+    foreign = [tok for tok in raw.split() if not is_plain(tok)]
+    seen = [tok for c in calls for tok in c.split() if not is_plain(tok)]
+    assert seen == foreign[: len(seen)]
+    if isinstance(outcome, list):
+        assert seen == foreign
 
 
 @pytest.mark.parametrize("b", range(256))
@@ -181,9 +202,27 @@ def test_every_byte_value_decodes_as_int_tokens(b):
     # wraps below "0" and below tab; each byte, inside a token and alone,
     # must land in the class `bytes.split()` and `int()` give it
     for raw in (b"1" + bytes([b]) + b"2\n", bytes([b]) + b"\n"):
-        assert decode_outcome(mio._states_from_bytes, raw) == decode_outcome(mio._int_tokens, raw)
-        plain = all(tok.isdigit() for tok in raw.split())
-        assert (mio._digit_tokens(raw) is not None) == plain
+        with pytest.MonkeyPatch.context() as patch:
+            calls = spy_int_chunks(patch)
+            assert decode_outcome(mio._states_from_bytes, raw) == decode_outcome(int_tokens, raw)
+        assert calls == ([] if all(map(is_plain, raw.split())) else [raw])
+
+
+def test_cuts_find_the_whitespace_the_kernels_class():
+    # the cut search and the kernels' byte classes agree on every byte value
+    every = np.arange(256, dtype=np.uint8)
+    cuts = [mio._SPACE.match(bytes([b])) is not None for b in range(256)]
+    assert cuts == mio._is_space(every).tolist()
+    assert cuts == [bytes([b]).split() == [] for b in range(256)]
+
+
+def test_only_the_chunk_with_a_foreign_token_goes_through_int(monkeypatch):
+    # cuts at 4 bytes: b"12 34", b" +5 67", b" 89\n"
+    monkeypatch.setattr(mio, "_CHUNK_BYTES", 4)
+    calls = spy_int_chunks(monkeypatch)
+    states = mio._states_from_bytes(b"12 34 +5 67 89\n")
+    assert states.dtype == np.int64 and states.tolist() == [12, 34, 5, 67, 89]
+    assert calls == [b" +5 67"]
 
 
 def traced_peak(func, arg):
@@ -214,3 +253,14 @@ def test_codec_memory_budget():
     assert np.array_equal(states, tr.states)
     assert encode_peak <= 8 * 2**20
     assert decode_peak <= 20 * 2**20
+
+
+def test_one_foreign_token_costs_one_chunk_of_int():
+    # a "+1" in front sends only the first chunk through int(); a second pass
+    # over the whole input with a bytes object and an int per token would
+    # peak at about 58 MiB on these 1e6 three-digit states
+    cycle = np.arange(10**6) % 1000
+    raw = b"+1\n" + encode_trajectory(Trajectory(cycle, n=1000))
+    states, decode_peak = traced_peak(mio._states_from_bytes, raw)
+    assert states[0] == 1 and np.array_equal(states[1:], cycle)
+    assert decode_peak <= 28 * 2**20

@@ -141,6 +141,11 @@ class TestAbsoluteSpectralGap:
         with pytest.raises(ReducibleChainError):
             absolute_spectral_gap(StochasticMatrix(np.eye(2)))
 
+    def test_non_reversible_reads_the_complex_spectrum(self, ex31):
+        # ex31's non-Perron eigenvalues are -1/4 +- i sqrt(7)/4, of modulus 2^(-1/2)
+        assert not is_reversible(ex31) and spectral_gaps(ex31).gamma_star is None
+        assert absolute_spectral_gap(ex31) == pytest.approx(1 - 2**-0.5, abs=1e-12)
+
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12))
     @settings(max_examples=60, deadline=None)
     def test_oracle_gamma_star_is_the_absolute_gap(self, seed, n):
