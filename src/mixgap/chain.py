@@ -27,7 +27,7 @@ from .errors import NoConvergenceError, NotMixedByCapError, ReducibleChainError,
 
 ROW_SUM_TOL = 1e-12
 STATIONARY_TOL = 1e-10
-DETAILED_BALANCE_TOL = 1e-12
+DETAILED_BALANCE_TOL = 1e-9  # on |L - L^T|, see is_reversible
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -134,27 +134,21 @@ def is_aperiodic(P: StochasticMatrix) -> bool:
     """True when the gcd of cycle lengths through state 0 is 1.
 
     Assumes irreducibility, so a self-loop anywhere (a cycle of length 1)
-    settles it at once. Otherwise labels states by search depth on the support
-    digraph, where the period equals gcd over edges (u, v) of
-    (level(u) + 1 - level(v)).
+    settles it at once. Otherwise a breadth-first level search labels each
+    state with its distance from state 0 on the support digraph, and the
+    period is gcd over edges (u, v) of level(u) + 1 - level(v).
     """
     if (P.rows.diagonal() > 0).any():
         return True
-    n = P.n
-    adj = [np.nonzero(P.rows[x] > 0)[0] for x in range(n)]
-    level = np.full(n, -1, dtype=np.int64)
-    level[0] = 0
-    queue = [0]
-    g = 0
-    while queue:
-        u = queue.pop()
-        for v in adj[u]:
-            if level[v] < 0:
-                level[v] = level[u] + 1
-                queue.append(v)
-            else:
-                g = math.gcd(g, level[u] + 1 - level[v])
-    return g == 1
+    support = P.rows > 0
+    level = np.full(P.n, -1)
+    frontier, depth = np.zeros(1, dtype=np.intp), 0
+    while frontier.size:
+        level[frontier] = depth
+        frontier = np.flatnonzero(support[frontier].any(axis=0) & (level < 0))
+        depth += 1
+    u, v = np.nonzero(support)
+    return bool(np.gcd.reduce(level[u] + 1 - level[v]) == 1)
 
 
 def stationary_distribution(P: StochasticMatrix) -> np.ndarray:
@@ -219,33 +213,31 @@ def _solve_stationary(rows: np.ndarray, replaced: np.ndarray) -> tuple:
 
 
 def time_reversal(P: StochasticMatrix) -> StochasticMatrix:
-    """Adjoint of P in l2(pi): P*(x, x') = pi(x') P(x', x) / pi(x)."""
+    """Adjoint of P in l2(pi): P*(x, x') = pi(x') P(x', x) / pi(x); P* solves
+    for its own pi from its rows, as every chain does."""
     pi = stationary_distribution(P)
     rows = (P.rows.T * pi[None, :]) / pi[:, None]
     # row x sums to (pi P)(x) / pi(x), which is 1 only to within STATIONARY_TOL
-    rev = StochasticMatrix(rows / rows.sum(axis=1, keepdims=True))
-    rev._stationary.append(pi)
-    return rev
+    return StochasticMatrix(rows / rows.sum(axis=1, keepdims=True))
 
 
 def is_reversible(P: StochasticMatrix) -> bool:
-    """Detailed-balance check pi(x) P(x,x') = pi(x') P(x',x)."""
-    pi = stationary_distribution(P)
-    flow = pi[:, None] * P.rows
-    return bool(np.max(np.abs(flow - flow.T)) <= DETAILED_BALANCE_TOL)
+    """True when L = D_pi^{1/2} P D_pi^{-1/2} is symmetric within DETAILED_BALANCE_TOL,
+    so that sigma_2(L) is the largest non-Perron eigenvalue modulus. That is
+    detailed balance pi(x) P(x,x') = pi(x') P(x',x) relative to sqrt(pi(x) pi(x'))."""
+    L = build_L(P)
+    return bool(np.abs(L - L.T).max() <= DETAILED_BALANCE_TOL)
 
 
 def matrix_power(P: StochasticMatrix, k: int) -> StochasticMatrix:
-    """k-step transition matrix P^k; shares the stationary distribution of P."""
+    """k-step transition matrix P^k."""
     if k < 1:
         raise ValueError("k must be >= 1")
     rows = np.linalg.matrix_power(P.rows, k)
     # P's row defects (each within ROW_SUM_TOL) compound over the k factors
     if np.abs(rows.sum(axis=1) - 1.0).max() > ROW_SUM_TOL:
         rows /= rows.sum(axis=1, keepdims=True)
-    out = StochasticMatrix(rows)
-    out._stationary.extend(P._stationary)
-    return out
+    return StochasticMatrix(rows)
 
 
 def build_L(P: StochasticMatrix) -> np.ndarray:

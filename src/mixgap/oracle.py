@@ -434,8 +434,11 @@ def verify_lemma_properties(P: StochasticMatrix, k_max: int = 10) -> LemmaLedger
 
     base = spectral_gaps(P)
     gps, k_ps = base.gamma_ps, base.k_ps
-    # P^2..P^k_max in one gamma_ps-only loop; each power carries the pi of P
+    # P^2..P^k_max in one gamma_ps-only loop. spectral_gaps(P) has shown P
+    # ergodic, so each power is irreducible with stationary law pi: seed it
     powers = [matrix_power(P, p) for p in range(2, k_max + 1)]
+    for Pp in powers:
+        Pp._stationary.append(pi)
     skipped = {1: gps}
     for p, slot in enumerate(_skip_loop(powers, DEFAULT_K_CAP, with_dps=False), 2):
         skipped[p] = _value(slot)[1][0]

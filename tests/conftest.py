@@ -106,3 +106,19 @@ PERIOD2_ROWS = [
 # PERIOD2_ROWS with 1e-9 of state 0's mass moved onto a self-loop: aperiodic,
 # but |lambda_2| = 1 - O(1e-9)
 NEAR_PERIODIC_ROWS = [[1e-9, 1.0 - 1e-9, 0, 0, 0, 0], *PERIOD2_ROWS[1:]]
+
+
+def rare_cycle_rows(eps: float = 1e-12) -> np.ndarray:
+    """States 0-2 mix uniformly and leak eps into the one-way cycle 3 -> 4 -> 5 -> 3,
+    whose states each also fall back to one of 0-2.
+
+    pi is about eps on 3-5, so detailed balance fails there only by flows of
+    order eps, while L = D^{1/2} P D^{-1/2} is far from symmetric. The absolute
+    gap is 1/2: the other eigenvalues lie near 0, 0 and the cube roots of 1/8.
+    """
+    rows = np.zeros((6, 6))
+    rows[:3, :3] = (1.0 - eps) / 3.0
+    rows[:3, 3] = eps
+    for x, (nxt, back) in zip((3, 4, 5), ((4, 0), (5, 1), (3, 2))):
+        rows[x, [nxt, back]] = 0.5
+    return rows

@@ -60,6 +60,26 @@ def strongly_connected(rows) -> bool:
     return connected_components(graph, directed=True, connection="strong")[0] == 1
 
 
+def boolean_power_positive(rows, p: int) -> bool:
+    """Whether every entry of S^p is positive for the positive support S, by
+    boolean binary exponentiation."""
+    base = (np.asarray(rows) > 0).astype(float)
+    out = np.eye(base.shape[0])
+    while p:
+        if p & 1:
+            out = ((out @ base) > 0).astype(float)
+        base = ((base @ base) > 0).astype(float)
+        p >>= 1
+    return bool(out.all())
+
+
+def reaches_everywhere(rows) -> bool:
+    """Irreducibility as a reachability closure, (I + S)^(n-1) > 0 for the
+    positive support S; no graph search."""
+    n = len(rows)
+    return boolean_power_positive(np.asarray(rows) + np.eye(n), n - 1)
+
+
 def tally_counts(states, n: int, k: int = 1) -> np.ndarray:
     """Transition counts of skip k from one int64 bincount of the pair codes x n + x'."""
     s = np.asarray(states, dtype=np.int64)[::k]

@@ -28,12 +28,21 @@ from mixgap.chain import (
     time_reversal,
 )
 from mixgap.errors import NoConvergenceError, NotMixedByCapError, ReducibleChainError
-from mixgap.fixtures import FIXTURES, get_fixture
+from mixgap.fixtures import FIXTURES, get_fixture, random_dense_chain, random_reversible_chain
 from mixgap.oracle import spectral_gaps
 from mixgap.tallies import tally
 
-from conftest import DEFECT_ROWS, birth_death, lazy_cycle, lazy_torus, random_ergodic, random_reversible, simulated_chains
-from reference_routes import generic_dilation, strongly_connected
+from conftest import (
+    DEFECT_ROWS,
+    birth_death,
+    lazy_cycle,
+    lazy_torus,
+    random_ergodic,
+    random_reversible,
+    rare_cycle_rows,
+    simulated_chains,
+)
+from reference_routes import boolean_power_positive, generic_dilation, reaches_everywhere, strongly_connected
 
 UNIFORM2 = [[0.5, 0.5], [0.5, 0.5]]
 FLIP = [[0.0, 1.0], [1.0, 0.0]]
@@ -168,6 +177,35 @@ class TestTimeReversal:
         assert np.max(np.abs(time_reversal(time_reversal(P)).rows - P.rows)) <= 1e-12
 
 
+class TestReversibility:
+    def test_rare_cycle_is_not_reversible(self):
+        # its flows miss detailed balance by about 1e-12, on states of pi about 1e-12
+        P = StochasticMatrix(rare_cycle_rows())
+        assert not is_reversible(P)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 40, 100])
+    def test_random_reversible_chains(self, n):
+        for seed in range(5):
+            assert is_reversible(random_reversible_chain(n, seed))
+
+    @pytest.mark.parametrize("n, right", [(10, 0.8), (20, 0.7), (30, 0.6), (40, 0.55), (60, 0.55)])
+    @pytest.mark.parametrize("lazy", [0.0, 0.2])
+    def test_birth_death_chains_that_resolve(self, n, right, lazy):
+        # their L is symmetric to within 3e-11, against DETAILED_BALANCE_TOL = 1e-9
+        P = StochasticMatrix((1.0 - lazy) * birth_death(n, right) + lazy * np.eye(n))
+        stationary_distribution(P)  # resolves
+        assert is_reversible(P)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [random_dense_chain(n, seed).rows for n in (2, 5, 9) for seed in range(3)] + [rare_cycle_rows()],
+    )
+    def test_irreducible_dilations_are_reversible_and_periodic(self, rows):
+        S = StochasticMatrix(reversible_dilation(StochasticMatrix(rows)))
+        assert is_irreducible(S)
+        assert is_reversible(S) and not is_aperiodic(S)
+
+
 class TestMatrixPower:
     def test_k_one_is_identity_map(self, ex31):
         assert_allclose(matrix_power(ex31, 1).rows, ex31.rows)
@@ -185,6 +223,22 @@ class TestMatrixPower:
             pi = stationary_distribution(P)
             Pk = matrix_power(P, 3)
             assert np.max(np.abs(pi @ Pk.rows - pi)) < 1e-10
+
+    def test_power_solves_its_own_pi_whatever_the_call_order(self):
+        # P^k does not inherit P's pi, so a prior solve on P changes no bit
+        for seed in range(200):
+            alone = spectral_gaps(matrix_power(random_dense_chain(6, seed), 3)).to_dict()
+            P = random_dense_chain(6, seed)
+            stationary_distribution(P)
+            assert spectral_gaps(matrix_power(P, 3)).to_dict() == alone
+
+    @pytest.mark.parametrize("solve_base_first", [False, True])
+    def test_square_of_flip_is_reducible_in_either_order(self, solve_base_first):
+        P = StochasticMatrix(FLIP)
+        if solve_base_first:
+            stationary_distribution(P)
+        with pytest.raises(ReducibleChainError):
+            spectral_gaps(matrix_power(P, 2))
 
 
 class TestBuildL:
@@ -300,7 +354,7 @@ class TestErgodicityChecks:
         W = (rng.random((n, n)) + 1e-3) * (rng.random((n, n)) < density)
         W[W.sum(axis=1) == 0, 0] = 1.0
         P = StochasticMatrix(W / W.sum(axis=1, keepdims=True))
-        assert is_irreducible(P) == strongly_connected(P.rows)
+        assert is_irreducible(P) == strongly_connected(P.rows) == reaches_everywhere(P.rows)
         if density == 1.0:
             assert P.rows.all() and is_irreducible(P)
 
@@ -327,11 +381,23 @@ class TestErgodicityChecks:
         P = StochasticMatrix(W / W.sum(axis=1, keepdims=True))
         if not is_irreducible(P):
             return
-        support = (P.rows > 0).astype(np.int64)
-        reach = np.eye(n, dtype=np.int64)
-        for _ in range((n - 1) ** 2 + 1):
-            reach = np.minimum(reach @ support, 1)
-        assert is_aperiodic(P) == bool(reach.all())
+        assert is_aperiodic(P) == boolean_power_positive(P.rows, (n - 1) ** 2 + 1)
+
+    @pytest.mark.parametrize(
+        "n, parts, chord, aperiodic",
+        [(80, 2, False, False), (300, 300, False, False), (300, 300, True, True), (60, 3, False, False)],
+    )
+    def test_aperiodicity_matches_wielandt_power_at_scale(self, n, parts, chord, aperiodic):
+        # each state steps to every state of the next of `parts` cyclic
+        # classes: complete bipartite, a pure 300-cycle (with the chord 0 -> 2
+        # it has cycles of 300 and 299 states) and complete 3-partite. The
+        # diagonals are zero, so the level search decides each
+        cls = np.arange(n) % parts
+        W = ((cls[:, None] + 1) % parts == cls[None, :]).astype(float)
+        W[0, 2] += chord
+        P = StochasticMatrix(W / W.sum(axis=1, keepdims=True))
+        assert is_irreducible(P) and not P.rows.diagonal().any()
+        assert is_aperiodic(P) == aperiodic == boolean_power_positive(P.rows, (n - 1) ** 2 + 1)
 
 
 class TestMixingTime:

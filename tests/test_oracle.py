@@ -39,7 +39,7 @@ from mixgap.oracle import (
 )
 from mixgap.tallies import smoothed_estimates, tally
 
-from conftest import NEAR_PERIODIC_ROWS, PERIOD2_ROWS, lazy_torus, random_ergodic, random_reversible
+from conftest import NEAR_PERIODIC_ROWS, PERIOD2_ROWS, lazy_torus, random_ergodic, random_reversible, rare_cycle_rows
 from reference_routes import generic_dilation, mixing_time_sandwich, second_modulus_floor_two_sided
 
 UNIFORM2 = StochasticMatrix([[0.5, 0.5], [0.5, 0.5]])
@@ -145,6 +145,13 @@ class TestAbsoluteSpectralGap:
         # ex31's non-Perron eigenvalues are -1/4 +- i sqrt(7)/4, of modulus 2^(-1/2)
         assert not is_reversible(ex31) and spectral_gaps(ex31).gamma_star is None
         assert absolute_spectral_gap(ex31) == pytest.approx(1 - 2**-0.5, abs=1e-12)
+
+    def test_rare_cycle_reads_the_complex_spectrum(self):
+        # detailed balance fails only by flows of about 1e-12 there; read as
+        # reversible, sigma_2(L) would give 1 - 2^(-1/2) for a gap of 1/2
+        P = StochasticMatrix(rare_cycle_rows())
+        assert not is_reversible(P) and spectral_gaps(P).gamma_star is None
+        assert absolute_spectral_gap(P) == pytest.approx(0.5, abs=1e-12)
 
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12))
     @settings(max_examples=60, deadline=None)
