@@ -28,7 +28,6 @@ from .errors import (
     NoUsableKError,
     ReducibleChainError,
     TrajectoryTooShortError,
-    UnvisitedStateError,
 )
 from .estimators import (
     EstimateReport,
@@ -48,7 +47,7 @@ from .oracle import (
     spectral_gaps,
     verify_lemma_properties,
 )
-from .tallies import SkippedTallies, SmoothedEstimates, smoothed_estimates, tally, unsmoothed_L_hat
+from .tallies import SkippedTallies, SmoothedEstimates, smoothed_estimates, tally
 
 __version__ = "0.1.0"
 
@@ -68,7 +67,6 @@ __all__ = [
     "StochasticMatrix",
     "Trajectory",
     "TrajectoryTooShortError",
-    "UnvisitedStateError",
     "absolute_spectral_gap",
     "build_L",
     "confidence_interval",
@@ -92,6 +90,5 @@ __all__ = [
     "stationary_distribution",
     "tally",
     "time_reversal",
-    "unsmoothed_L_hat",
     "verify_lemma_properties",
 ]

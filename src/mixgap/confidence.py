@@ -196,8 +196,6 @@ def _intervals(
         raise ValueError(f"alpha must be finite and > 0, got {alpha}")
     if not 0.0 <= c < math.inf:
         raise ValueError(f"c must be finite and >= 0, got {c}")
-    if not trs:
-        return []
     estimates = _dps_hat_batch(trs, alpha)
     d_hats = [delta_hat(tr.m, e.K_used, tr.n, delta) for tr, e in zip(trs, estimates)]
     cells = [(g, k) for g, e in enumerate(estimates) for k in range(1, e.K_used + 1)]

@@ -55,16 +55,6 @@ class TrajectoryTooShortError(MixgapError):
     code = "TRAJECTORY_TOO_SHORT"
 
 
-class UnvisitedStateError(MixgapError):
-    """Some states have zero visits, so the unsmoothed estimator is undefined."""
-
-    code = "UNVISITED_STATE"
-
-    def __init__(self, states):
-        self.states = sorted(int(s) for s in states)
-        super().__init__(f"states never visited: {self.states}")
-
-
 class NoUsableKError(MixgapError):
     """Every skip rate in the prefix hit unvisited states."""
 

@@ -25,10 +25,12 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 from . import eigensolve
 from .chain import Trajectory, _report_dict
 from .errors import NoTriggerError, NoUsableKError, TrajectoryTooShortError
-from .tallies import _smoothed_batch, tally, unsmoothed_L_hat
+from .tallies import _smoothed_batch, tally
 
 DEFAULT_ALPHA = 1e-2
 AMPLIFIED_PREFIX = 16
@@ -87,9 +89,9 @@ def _gaps(cells: Sequence[tuple[Trajectory, int]], alpha: float | None = None) -
     """The gap of each (trajectory, skip k) cell over one n, kept in `tr._gaps` by (k, alpha).
 
     With alpha, 1 - sigma_2 of the alpha-smoothed L_hat, i.e. 2 - lambda_2(S(L_hat) + I) for the
-    dilation S; without, 1 - sigma_2(L_hat)^2 of the unsmoothed L_hat, None when N_min = 0. The
-    cells not kept yet are solved skip by skip, the smoothed ones in one stacked SVD, so a
-    trajectory holds one table at a time here.
+    dilation S; without, 1 - sigma_2(L_hat)^2 of the unsmoothed L_hat = N_{xx'} / sqrt(N_x N_{x'}),
+    None when N_min = 0 leaves it undefined. The cells not kept yet are solved skip by skip, the
+    smoothed ones in one stacked SVD, so a trajectory holds one table at a time here.
     """
     miss: dict[int, dict[Trajectory, None]] = {}  # the trajectories of each skip, each once
     for tr, k in cells:
@@ -98,9 +100,10 @@ def _gaps(cells: Sequence[tuple[Trajectory, int]], alpha: float | None = None) -
     for k, trs in miss.items():
         tables = [tally(tr, k) for tr in trs]
         if alpha is None:
+            roots = [np.sqrt(t.visits.astype(float)) for t in tables]
             gaps = [
-                None if t.n_min == 0 else 1.0 - eigensolve.second_singular_value(unsmoothed_L_hat(t)) ** 2
-                for t in tables
+                None if t.n_min == 0 else 1.0 - eigensolve.second_singular_value(t.counts / np.outer(r, r)) ** 2
+                for t, r in zip(tables, roots)
             ]
         else:
             L_hats = _smoothed_batch(tables, alpha)[2]

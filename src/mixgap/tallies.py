@@ -8,7 +8,8 @@ smallest unsigned dtype that holds n - 1 and codes in the smallest that holds
 n^2 - 1 up to 16 bits, past that in the intp that np.bincount reads. A
 trajectory memoizes its compact states and each skip's table within the bytes
 of its int64 states; a table past that limit is returned uncached.
-On the counts sit N_{xx'}/sqrt(N_x N_{x'}) and the alpha-smoothed estimates.
+On the counts sit the alpha-smoothed estimates; `estimators._gaps` forms the
+unsmoothed N_{xx'}/sqrt(N_x N_{x'}) itself.
 Everything here runs on numpy; only `SkippedTallies.transitions` imports
 scipy.sparse, on first use.
 """
@@ -24,7 +25,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .chain import Trajectory, _physical_memory, _stack
-from .errors import TrajectoryTooShortError, UnvisitedStateError
+from .errors import TrajectoryTooShortError
 
 if TYPE_CHECKING:
     from scipy.sparse import csr_matrix
@@ -140,19 +141,6 @@ def tally(tr: Trajectory, k: int = 1) -> SkippedTallies:
         if held + counts.nbytes <= tr.states.nbytes:
             memo[k] = t
     return t
-
-
-def unsmoothed_L_hat(t: SkippedTallies) -> np.ndarray:
-    """Entrywise N_{xx'} / sqrt(N_x N_{x'}).
-
-    Raises:
-        UnvisitedStateError: when some state has zero visits, listing them.
-    """
-    zero = np.nonzero(t.visits == 0)[0]
-    if zero.size:
-        raise UnvisitedStateError(zero)
-    root = np.sqrt(t.visits.astype(float))
-    return t.counts / np.outer(root, root)
 
 
 def smoothed_estimates(t: SkippedTallies, alpha: float) -> SmoothedEstimates:

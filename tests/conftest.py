@@ -93,6 +93,17 @@ def birth_death(n: int, right: float) -> np.ndarray:
     return rows
 
 
+# (n, right) of birth-death chains whose pi resolves, held w.p. 0 or 0.2 at every
+# state; their L is symmetric to within 3e-11, against DETAILED_BALANCE_TOL = 1e-9
+RESOLVING_BIRTH_DEATH = [(10, 0.8), (20, 0.7), (30, 0.6), (40, 0.55), (60, 0.55)]
+RESOLVING_BIRTH_DEATH_HOLDS = [0.0, 0.2]
+
+
+def lazy_birth_death(n: int, right: float, lazy: float) -> StochasticMatrix:
+    """`birth_death` held in place w.p. `lazy` at every state."""
+    return StochasticMatrix((1.0 - lazy) * birth_death(n, right) + lazy * np.eye(n))
+
+
 # period 2: classes {0, 2, 4} and {1, 3, 5}
 PERIOD2_ROWS = [
     [0, 1, 0, 0, 0, 0],

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from mpmath import mp
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
@@ -52,6 +53,41 @@ def second_modulus_floor_two_sided(L: np.ndarray, root: np.ndarray | None = None
         lower = np.abs(w) - _EIG_MARGIN * n * np.finfo(float).eps / s
     lower = np.delete(lower, np.argmin(np.abs(w - 1.0)))
     return float(np.clip(lower.max(), 0.0, 1.0))
+
+
+def mp_spectral_gaps(P: StochasticMatrix, k_max: int) -> tuple[float, float]:
+    """max_k (1 - sigma_2(L^k)^2) / k and max_k (1 - sigma_2(L^k)) / k over k <= k_max, at 40 digits.
+
+    pi comes from Grassmann-Taksar-Heyman elimination, which subtracts
+    nothing, then L = D_pi^{1/2} P D_pi^{-1/2} and the singular values of each
+    L^k from mpmath's SVD; only the two maxima are rounded to float. P needs
+    at least two states.
+    """
+    n = P.n
+    with mp.workdps(40):
+        A = mp.matrix(P.rows.tolist())
+        for k in range(n - 1, 0, -1):  # fold state k into states 0..k-1
+            out = mp.fsum(A[k, j] for j in range(k))
+            for i in range(k):
+                A[i, k] /= out
+                for j in range(k):
+                    A[i, j] += A[i, k] * A[k, j]
+        pi = [mp.mpf(1)]
+        for k in range(1, n):
+            pi.append(mp.fsum(pi[i] * A[i, k] for i in range(k)))
+        root = [mp.sqrt(p / mp.fsum(pi)) for p in pi]
+        L = mp.matrix(n, n)
+        for i in range(n):
+            for j in range(n):
+                L[i, j] = root[i] * mp.mpf(P.rows[i, j]) / root[j]
+        best_ps = best_dps = mp.mpf(0)
+        Lk = mp.eye(n)
+        for k in range(1, k_max + 1):
+            Lk = Lk * L
+            sigma2 = sorted(mp.svd_r(Lk, compute_uv=False), reverse=True)[1]
+            best_ps = max(best_ps, (1 - sigma2**2) / k)
+            best_dps = max(best_dps, (1 - sigma2) / k)
+        return float(best_ps), float(best_dps)
 
 
 def strongly_connected(rows) -> bool:

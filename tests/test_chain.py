@@ -34,7 +34,10 @@ from mixgap.tallies import tally
 
 from conftest import (
     DEFECT_ROWS,
+    RESOLVING_BIRTH_DEATH,
+    RESOLVING_BIRTH_DEATH_HOLDS,
     birth_death,
+    lazy_birth_death,
     lazy_cycle,
     lazy_torus,
     random_ergodic,
@@ -188,11 +191,10 @@ class TestReversibility:
         for seed in range(5):
             assert is_reversible(random_reversible_chain(n, seed))
 
-    @pytest.mark.parametrize("n, right", [(10, 0.8), (20, 0.7), (30, 0.6), (40, 0.55), (60, 0.55)])
-    @pytest.mark.parametrize("lazy", [0.0, 0.2])
+    @pytest.mark.parametrize("n, right", RESOLVING_BIRTH_DEATH)
+    @pytest.mark.parametrize("lazy", RESOLVING_BIRTH_DEATH_HOLDS)
     def test_birth_death_chains_that_resolve(self, n, right, lazy):
-        # their L is symmetric to within 3e-11, against DETAILED_BALANCE_TOL = 1e-9
-        P = StochasticMatrix((1.0 - lazy) * birth_death(n, right) + lazy * np.eye(n))
+        P = lazy_birth_death(n, right, lazy)
         stationary_distribution(P)  # resolves
         assert is_reversible(P)
 

@@ -21,7 +21,7 @@ from mixgap.estimators import (
     pi_star_hat,
 )
 from mixgap.fixtures import example_chain, get_fixture
-from mixgap.oracle import gamma_ddagger, spectral_gaps
+from mixgap.oracle import gamma_dagger, gamma_ddagger, spectral_gaps
 from mixgap.tallies import SkippedTallies, smoothed_estimates, tally
 
 from conftest import lazy_cycle
@@ -79,6 +79,16 @@ class TestPrefixEstimator:
         report = gamma_ps_prefix_hat(ZIGZAG, K=2)
         assert report.diagnostics["skipped_k"] == [2]
         assert 2 not in report.per_k_values
+
+    def test_skip_two_converges_to_gamma_dagger(self):
+        # ex31's gamma_dagger at skip 1 is 0, so only skip 2 can show the unsmoothed L_hat converging
+        P = example_chain()
+        target = gamma_dagger(P, 2)
+        errors = [
+            abs(gamma_ps_prefix_hat(simulate(P, m, seed=3), 2).per_k_values[2] - target) for m in (2_000, 50_000)
+        ]
+        assert errors[1] < errors[0]
+        assert errors[1] < 0.01
 
     def test_no_usable_k(self):
         tr = Trajectory(np.zeros(6, dtype=int), n=2)

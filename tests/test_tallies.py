@@ -9,12 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from mixgap.chain import Trajectory, build_L, simulate
+from mixgap.chain import Trajectory, simulate
 from mixgap.confidence import confidence_interval
-from mixgap.errors import NoTriggerError, TrajectoryTooShortError, UnvisitedStateError
+from mixgap.errors import NoTriggerError, TrajectoryTooShortError
 from mixgap.estimators import DEFAULT_ALPHA, gamma_dps_hat, gamma_ps_amplified
 from mixgap.fixtures import example_chain
-from mixgap.tallies import smoothed_estimates, tally, unsmoothed_L_hat
+from mixgap.tallies import smoothed_estimates, tally
 from reference_routes import tally_counts
 
 ZIGZAG = Trajectory(np.array([0, 1, 0, 1, 1]), n=2)
@@ -188,27 +188,6 @@ class TestMemo:
             assert memo_bytes(tr) <= tr.states.nbytes
             for k in skips:
                 assert np.array_equal(tally(tr, k).counts, tally_counts(tr.states, 40, k))
-
-
-class TestUnsmoothedLHat:
-    def test_zigzag_matrix(self):
-        L = unsmoothed_L_hat(tally(ZIGZAG, 1))
-        assert_allclose(L, [[0.0, 1.0], [0.5, 0.5]])
-
-    def test_unvisited_state_error_lists_states(self):
-        with pytest.raises(UnvisitedStateError) as err:
-            unsmoothed_L_hat(tally(ZIGZAG, 2))
-        assert err.value.states == [1]
-
-    def test_converges_to_L_with_data(self):
-        P = example_chain()
-        L = build_L(P)
-        errors = []
-        for m in (2_000, 50_000):
-            t = tally(simulate(P, m, seed=3), 1)
-            errors.append(np.linalg.norm(unsmoothed_L_hat(t) - L, 2))
-        assert errors[1] < errors[0]
-        assert errors[1] < 0.05
 
 
 class TestSmoothedEstimates:
