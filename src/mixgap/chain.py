@@ -310,13 +310,13 @@ def mixing_time(
 
 
 # `simulate` walks long trajectories as chunks advanced in lockstep. One vector
-# step costs about 10-50 us against 0.1 us for one sequential step by table
-# lookup (0.15-0.2 us by bisect; 2-core host), so lockstep pays only with many
-# chunks. Whether paths merge under common random numbers is judged during the
-# first _CHECK_STEP lockstep steps, from _PROBES chunks also walked from a
-# second start: on dense and sparse random rows nearly all such pairs have met
-# by then, on lazy cycles and tori almost none have, and those chains are
-# finished one step at a time.
+# step over 600-6,000 chunks costs about 15-160 us, more for wider rows of cuts,
+# against 0.05 us for one sequential step by table lookup (0.2 us by bisect;
+# 2-core host), so lockstep pays only with many chunks. Whether paths merge
+# under common random numbers is judged during the first _CHECK_STEP lockstep
+# steps, from _PROBES chunks also walked from a second start: on dense and
+# sparse random rows nearly all such pairs have met by then, on lazy cycles and
+# tori almost none have, and those chains are finished one step at a time.
 _CHECK_STEP = 32  # lockstep step at which merging is judged
 _PROBES = 16  # chunk pairs walked from two starts up to _CHECK_STEP
 _MAX_UNMET = 0.25  # fraction of those pairs still apart that falls back
@@ -446,12 +446,17 @@ def _walk_batch(
     """Fill trials of m states held end to end in out, each from its first state.
 
     The chunks of every trial run in lockstep, then rerun until consistent.
-    Every trial hands over to _walk_sequential at step _CHECK_STEP + 1 when
-    the probe pairs show that paths merge slowly (see _MAX_UNMET), and a
-    trial whose reruns have not all met its recorded path within one chunk
-    length hands over at its earliest state not yet known to be right. The
-    trials handed over are walked in one _walk_sequential call, which builds
-    its table once for all of them.
+    Lockstep step j reads the draws and writes the states of every chunk's
+    step j through strided views of the (trial, position) grid, with no index
+    arrays; on ex31 at m = 1e6 the walk takes about 13 ms, against 18 ms when
+    each step gathered and scattered through positions (2-core host). The
+    _PROBES probe paths take their own short walk. Every trial hands over to
+    _walk_sequential at step _CHECK_STEP + 1 when the probe pairs show that
+    paths merge slowly (see _MAX_UNMET), and a trial whose reruns have not
+    all met its recorded path within one chunk length hands over at its
+    earliest state not yet known to be right. The trials handed over are
+    walked in one _walk_sequential call, which builds its table once for all
+    of them.
     """
     trials = u.size // m
     length = round(math.sqrt(m) / 2)
@@ -461,44 +466,52 @@ def _walk_batch(
         return
     width = cut.shape[1]
     flat_cut, flat_col = cut.ravel(), col.ravel()
-    halves = [width >> i for i in range(1, width.bit_length())]
+    halves = [width >> i for i in range(1, width.bit_length() - 1)]
 
     def step(x: np.ndarray, ut: np.ndarray) -> np.ndarray:
         # branchless binary search: the searched prefix of width - 1 cuts
-        # ends in +inf, so i - x * width ends as the count of cuts <= ut
+        # ends in +inf, so i - x * width ends as the count of cuts <= ut;
+        # the last halving, h = 1, compares at i itself
         i = x * width
         for h in halves:
             i += h * (flat_cut[i + (h - 1)] <= ut)
+        i += flat_cut[i] <= ut
         return flat_col[i]
 
     heads = np.arange(1, m, length)  # first step of each chunk of a trial
-    tail = m - int(heads[-1])  # steps of the last, possibly short, chunk
     # chunk-major, so the last chunk of every trial sits at the end
     first = (heads[:, None] + np.arange(0, u.size, m)).ravel()
     # each chunk starts from its trial's start, in intp like every state that
     # step walks: its x * width would wrap in the buffer's compact dtype
     guess = np.tile(out[::m].astype(np.intp), heads.size)
+    # column 1 + j :: length of a trial's row holds step j of each of its
+    # chunks that is that long, so the short last chunk drops out by itself
+    u_rows, out_rows = u.reshape(trials, m), out.reshape(trials, m)
 
-    def lockstep(x: np.ndarray, pos: np.ndarray, j0: int, j1: int, probes: int) -> None:
-        # the first `probes` entries of x walk probe paths that are not recorded
+    def lockstep(x: np.ndarray, j0: int, j1: int) -> None:
+        # x holds the chunks' states as (chunk, trial), like guess
         for j in range(j0, j1):
-            live = x.size if j < tail else x.size - trials
-            t = pos[:live] + j
-            x[:live] = step(x[:live], u[t])
-            out[t[probes:]] = x[probes:live]
+            ut = u_rows[:, 1 + j :: length].T
+            if halves:  # the search reads ut more than once, faster when contiguous
+                ut = ut.copy()
+            live = ut.shape[0]
+            x[:live] = step(x[:live], ut)
+            out_rows[:, 1 + j :: length] = x[:live].T
 
+    x = guess.reshape(heads.size, trials).copy()
+    lockstep(x, 0, _CHECK_STEP)
     # each probe walks the draws of one of the first chunks from a state other
     # than that chunk's guess; the pairs still apart at _CHECK_STEP judge merging
     n = cut.shape[0]
-    second = (guess[:_PROBES] + 1 + np.arange(_PROBES) * (n - 1) // _PROBES) % n
-    x = np.concatenate([second, guess])
-    lockstep(x, np.concatenate([first[:_PROBES], first]), 0, _CHECK_STEP, _PROBES)
-    if np.count_nonzero(x[:_PROBES] != x[_PROBES : 2 * _PROBES]) > _MAX_UNMET * _PROBES:
+    probe = (guess[:_PROBES] + 1 + np.arange(_PROBES) * (n - 1) // _PROBES) % n
+    for j in range(_CHECK_STEP):
+        probe = step(probe, u[first[:_PROBES] + j])
+    if np.count_nonzero(probe != x.ravel()[:_PROBES]) > _MAX_UNMET * _PROBES:
         # each trial's first chunk started from its true start
         walks = [(trial, _CHECK_STEP + 1) for trial in range(trials)]
         _walk_sequential(cut, col, size, u, out, m, walks)
         return
-    lockstep(x[_PROBES:], first, _CHECK_STEP, length, 0)
+    lockstep(x, _CHECK_STEP, length)
     # rerun each chunk whose guessed start was not its predecessor's end, in
     # lockstep; a rerun stops where it meets the recorded path or at the end
     # of its trial, and one that leaves its chunk carries on into the next.

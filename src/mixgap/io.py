@@ -6,17 +6,21 @@ followed by little-endian uint32 indices, so the binary writer refuses a
 state above 2^32 - 1.
 
 Text is written as one decimal state index per line, from a grid of one
-column per digit whose leading zeros are then dropped (with one digit per
-state, the grid is already the text). It is read as tokens separated by ASCII
-whitespace (the six bytes ``bytes.split()`` splits on), each read as Python
-``int()`` reads it, in chunks that end before the first whitespace byte at or
-past _CHUNK_BYTES from their start. A chunk made only of whitespace and plain
-ASCII digit tokens of at most 18 digits is parsed by numpy byte kernels. They
-class each byte by wrapping uint8 arithmetic, without a lookup table: b is a
-digit when b - 48 < 10, which is then its value, and whitespace when it is 32
-or b - 9 < 5. Any other chunk is read through ``int()`` token by token, which
-then decides what is accepted and how a bad token is reported; chunks are read
-in order, so the first bad token is named, and a value outside int64 is
+column per digit whose leading zeros are then dropped; when every state is
+below 10, each line is one little-endian uint16 of the digit and "\n". It is
+read as tokens separated by ASCII whitespace (the six bytes ``bytes.split()``
+splits on), each read as Python ``int()`` reads it. Text of even length whose
+even bytes are all digits and odd bytes all whitespace, the writer's layout
+when every state is below 10, holds only one-digit tokens and is read whole
+by a few passes over the bytes. Any other text is read in chunks that
+end before the first whitespace byte at or past _CHUNK_BYTES from their
+start. A chunk made only of whitespace and plain ASCII digit tokens of at
+most 18 digits is parsed by numpy byte kernels. They class each byte by
+wrapping uint8 arithmetic, without a lookup table: b is a digit when
+b - 48 < 10, which is then its value, and whitespace when it is 32 or
+b - 9 < 5. Any other chunk is read through ``int()`` token by token, which
+then decides what is accepted and how a bad token is reported; chunks are
+read in order, so the first bad token is named, and a value outside int64 is
 reported only after the last chunk.
 """
 
@@ -85,17 +89,21 @@ def _text_bytes(states: np.ndarray) -> np.ndarray:
     """ASCII bytes of one decimal index per line, for non-negative states."""
     top = int(states.max())
     width = len(str(top))
-    rest = states.astype(np.min_scalar_type(top))
+    if width == 1:
+        # the layout `_text_states` reads whole: each state's line is one
+        # little-endian uint16, its digit in the low byte and "\n" in the high
+        lines = states.astype("<u2")
+        lines += ord("0") | ord("\n") << 8
+        return lines.view(np.uint8)
     grid = np.empty((states.size, width + 1), dtype=np.uint8)
     grid[:, width] = ord("\n")
+    rest = states.astype(np.min_scalar_type(top))
     for col in range(width - 1, -1, -1):
         # rest - 10 * (rest // 10) is rest % 10, and much faster for integers
         quotient = rest // 10
         grid[:, col] = rest - 10 * quotient + ord("0")
         rest = quotient
     del rest, quotient
-    if width == 1:
-        return grid.ravel()
     # drop leading zeros; the last digit always stays, so 0 is written as "0"
     keep = np.ones(grid.shape, dtype=bool)
     np.logical_or.accumulate(grid[:, : width - 1] != ord("0"), axis=1, out=keep[:, : width - 1])
@@ -115,7 +123,8 @@ def encode_trajectory(tr: Trajectory, fmt: str = "text") -> bytes:
 
 
 def save_trajectory(tr: Trajectory, path: str | Path, fmt: str = "text") -> None:
-    Path(path).write_bytes(encode_trajectory(tr, fmt))
+    # text is written from the encoded array itself, without a bytes copy
+    Path(path).write_bytes(_text_bytes(tr.states) if fmt == "text" else encode_trajectory(tr, fmt))
 
 
 def _is_space(b: np.ndarray) -> np.ndarray:
@@ -130,9 +139,23 @@ def _int_chunk(chunk: bytes) -> list[int]:
 
 
 def _text_states(raw: bytes) -> np.ndarray:
-    """The values of raw's whitespace-separated tokens, each chunk parsed once
-    (the module docstring states the cut rule and the order of errors)."""
+    """The values of raw's whitespace-separated tokens: read whole for text in
+    the writer's one-digit layout, otherwise each chunk parsed once (the
+    module docstring states the layout, the cut rule and the order of errors)."""
     buf = np.frombuffer(raw, dtype=np.uint8)
+    # the writer's layout when every state is below 10, a digit then one
+    # whitespace byte per state; a second byte that is not whitespace, as in
+    # most other texts, rules it out before the copy that splits the columns
+    if buf.size % 2 == 0 and raw[1:2].isspace():
+        digits, spaces = buf.reshape(-1, 2).T.copy()
+        digits -= ord("0")
+        layout = digits.max() < 10 and np.count_nonzero(_is_space(spaces)) == spaces.size
+        # freed before the states are made, so the peak stays the chunked route's
+        del digits, spaces
+        if layout:
+            states = buf[0::2].astype(np.int64)
+            states -= ord("0")
+            return states
     # room for the most tokens raw can hold; pages never written never become resident
     states = np.empty(buf.size // 2 + 1, dtype=np.int64)
     filled = lo = 0

@@ -17,8 +17,9 @@ use, so importing the module loads no scipy.
 
 from __future__ import annotations
 
+import functools
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -237,7 +238,9 @@ def _second_modulus_floor(L: np.ndarray, root: np.ndarray) -> float:
     return _walk(L, w, root, ritz=False)
 
 
-def _skip_loop(Ps: Sequence[StochasticMatrix], k_cap: int, with_dps: bool) -> list:
+def _skip_loop(
+    Ps: Sequence[StochasticMatrix], k_cap: int, with_dps: bool, floors: Callable[[int], float] | None = None
+) -> list:
     """For each chain (all of one size): sigma_2(L^k) for k = 1..K, the (gap, k)
     maxima of both gaps and the stop reason, or the MixgapError that ends its
     loop alone.
@@ -247,7 +250,9 @@ def _skip_loop(Ps: Sequence[StochasticMatrix], k_cap: int, with_dps: bool) -> li
     K is the first k where no skip j > k can beat the running gamma_ps, nor
     gamma_dps when `with_dps` is set (see `spectral_gaps`). The chains still
     running share one stacked SVD and one stacked product per k, which give
-    each chain the bits of its own loop; each buys its floor by itself.
+    each chain the bits of its own loop. Each buys its floor by itself when it
+    needs one, or takes `floors(i)` then, which must be at most |lambda_2| of
+    chain i.
     """
     out = _stationary_batch(Ps)
     for i, P in enumerate(Ps):
@@ -282,7 +287,7 @@ def _skip_loop(Ps: Sequence[StochasticMatrix], k_cap: int, with_dps: bool) -> li
             if lam2_floor[i] is None and j * best < 1.0 and (
                 best * (j + _EIG_COST) < 1.0 or k == _EIG_COST
             ):
-                lam2_floor[i] = _second_modulus_floor(L_live[slot], root[slot])
+                lam2_floor[i] = _second_modulus_floor(L_live[slot], root[slot]) if floors is None else floors(i)
             floor = lam2_floor[i] or 0.0
             if (1.0 - floor ** (2 * j)) / j <= best_ps[i] and (
                 not with_dps or (1.0 - floor**j) / j <= best_dps[i]
@@ -435,12 +440,17 @@ def verify_lemma_properties(P: StochasticMatrix, k_max: int = 10) -> LemmaLedger
     base = spectral_gaps(P)
     gps, k_ps = base.gamma_ps, base.k_ps
     # P^2..P^k_max in one gamma_ps-only loop. spectral_gaps(P) has shown P
-    # ergodic, so each power is irreducible with stationary law pi: seed it
+    # ergodic, so each power is irreducible with stationary law pi: seed it.
+    # The eigenvalues of P^p are those of P to the p, so a floor l on
+    # |lambda_2(P)| gives P^p the floor l^p <= |lambda_2(P^p)|: l is bought
+    # once, when the first power's loop needs a floor
     powers = [matrix_power(P, p) for p in range(2, k_max + 1)]
     for Pp in powers:
         Pp._stationary.append(pi)
+    floor = functools.cache(lambda: _second_modulus_floor(build_L(P), np.sqrt(pi)))
     skipped = {1: gps}
-    for p, slot in enumerate(_skip_loop(powers, DEFAULT_K_CAP, with_dps=False), 2):
+    slots = _skip_loop(powers, DEFAULT_K_CAP, with_dps=False, floors=lambda i: floor() ** (i + 2))
+    for p, slot in enumerate(slots, 2):
         skipped[p] = _value(slot)[1][0]
 
     for p in range(1, k_max + 1):

@@ -55,31 +55,59 @@ def second_modulus_floor_two_sided(L: np.ndarray, root: np.ndarray | None = None
     return float(np.clip(lower.max(), 0.0, 1.0))
 
 
+def _mp_L(P: StochasticMatrix) -> tuple[list, "mp.matrix"]:
+    """pi and L = D_pi^{1/2} P D_pi^{-1/2} at the working precision.
+
+    pi comes from Grassmann-Taksar-Heyman elimination, which subtracts
+    nothing, so it is exact entry by entry to that precision. P needs at
+    least two states.
+    """
+    n = P.n
+    A = mp.matrix(P.rows.tolist())
+    for k in range(n - 1, 0, -1):  # fold state k into states 0..k-1
+        out = mp.fsum(A[k, j] for j in range(k))
+        for i in range(k):
+            A[i, k] /= out
+            for j in range(k):
+                A[i, j] += A[i, k] * A[k, j]
+    pi = [mp.mpf(1)]
+    for k in range(1, n):
+        pi.append(mp.fsum(pi[i] * A[i, k] for i in range(k)))
+    pi = [p / mp.fsum(pi) for p in pi]
+    root = [mp.sqrt(p) for p in pi]
+    L = mp.matrix(n, n)
+    for i in range(n):
+        for j in range(n):
+            L[i, j] = root[i] * mp.mpf(P.rows[i, j]) / root[j]
+    return pi, L
+
+
+def mp_stationary_and_modulus(P: StochasticMatrix) -> tuple[np.ndarray, float]:
+    """pi and |lambda_2(P)|, the largest non-Perron eigenvalue modulus, at 40
+    digits, each rounded to float: pi by `_mp_L`, |lambda_2| from mpmath's
+    eigenvalues of L, which are those of P. A symmetric L goes to the
+    symmetric solver, on whose repeated eigenvalues the general QR can stall.
+    P needs at least two states."""
+    with mp.workdps(40):
+        pi, L = _mp_L(P)
+        if L == L.T:
+            eigenvalues = mp.eigsy(L, eigvals_only=True)
+        else:
+            eigenvalues = mp.eig(L, left=False, right=False)
+        moduli = sorted((abs(w) for w in eigenvalues), reverse=True)
+        return np.array([float(p) for p in pi]), float(moduli[1])
+
+
 def mp_spectral_gaps(P: StochasticMatrix, k_max: int) -> tuple[float, float]:
     """max_k (1 - sigma_2(L^k)^2) / k and max_k (1 - sigma_2(L^k)) / k over k <= k_max, at 40 digits.
 
-    pi comes from Grassmann-Taksar-Heyman elimination, which subtracts
-    nothing, then L = D_pi^{1/2} P D_pi^{-1/2} and the singular values of each
-    L^k from mpmath's SVD; only the two maxima are rounded to float. P needs
-    at least two states.
+    pi and L come from `_mp_L`, the singular values of each L^k from
+    mpmath's SVD; only the two maxima are rounded to float. P needs at least
+    two states.
     """
     n = P.n
     with mp.workdps(40):
-        A = mp.matrix(P.rows.tolist())
-        for k in range(n - 1, 0, -1):  # fold state k into states 0..k-1
-            out = mp.fsum(A[k, j] for j in range(k))
-            for i in range(k):
-                A[i, k] /= out
-                for j in range(k):
-                    A[i, j] += A[i, k] * A[k, j]
-        pi = [mp.mpf(1)]
-        for k in range(1, n):
-            pi.append(mp.fsum(pi[i] * A[i, k] for i in range(k)))
-        root = [mp.sqrt(p / mp.fsum(pi)) for p in pi]
-        L = mp.matrix(n, n)
-        for i in range(n):
-            for j in range(n):
-                L[i, j] = root[i] * mp.mpf(P.rows[i, j]) / root[j]
+        _, L = _mp_L(P)
         best_ps = best_dps = mp.mpf(0)
         Lk = mp.eye(n)
         for k in range(1, k_max + 1):

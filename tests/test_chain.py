@@ -808,6 +808,18 @@ class TestSimulate:
         assert first.states.tolist() == expected
         assert second.states.tolist() == reference_simulate(P, m, 0, 1)
 
+    def test_lockstep_batch_at_the_bench_shape(self, monkeypatch):
+        # a bench batch at m = 10,002 holds 2^17 // m = 13 trials, whose last
+        # chunk is the one step 10,001, so from step 1 on the lockstep views
+        # must leave it out; a state written past it lands on the next trial's start
+        P, m, seeds = random_dense_chain(5, 3), 10_002, list(range(13))
+        calls = []
+        monkeypatch.setattr(chain_module, "_walk_sequential", lambda *args: calls.append(args))
+        batch = chain_module._simulate_batch(P, m, seeds, "stationary")
+        assert calls == []
+        for seed, tr in zip(seeds, batch):
+            assert tr.states.tolist() == reference_simulate(P, m, "stationary", seed)
+
     def test_draw_near_one_on_the_coupled_path(self, monkeypatch):
         # rows 0 and 2 sum to 1 - 5e-13 and have fewer positive columns than
         # row 1, so their clamped cut sits inside the searched, padded table

@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -89,15 +90,17 @@ def test_empty_trajectory_rejected(tmp_path):
         load_trajectory(path)
 
 
-def test_text_encoding_matches_per_state_formatting(tmp_path):
-    # multi-digit indices, so a lookup-table encoder must not mix up labels
-    tr = Trajectory(np.random.default_rng(7).integers(0, 300, size=10**5), n=300)
+@pytest.mark.parametrize("n", [*range(1, 12), 300])
+def test_text_encoding_matches_per_state_formatting(tmp_path, n):
+    # up to 10 states a line is one uint16 of digit and newline, from 11 on
+    # a digit grid; multi-digit indices, so an encoder must not mix up labels
+    tr = Trajectory(np.random.default_rng(7).integers(0, n, size=10**5), n=n)
     expected = "\n".join(str(int(s)) for s in tr.states) + "\n"
     assert encode_trajectory(tr) == expected.encode()
     path = tmp_path / "traj.txt"
     save_trajectory(tr, path, fmt="text")
     assert path.read_bytes() == expected.encode()
-    assert np.array_equal(load_trajectory(path, n=300).states, tr.states)
+    assert np.array_equal(load_trajectory(path, n=n).states, tr.states)
 
 
 def test_text_tokens_follow_python_int(tmp_path):
@@ -206,6 +209,45 @@ def test_every_byte_value_decodes_as_int_tokens(b):
             calls = spy_int_chunks(patch)
             assert decode_outcome(mio._states_from_bytes, raw) == decode_outcome(int_tokens, raw)
         assert calls == ([] if all(map(is_plain, raw.split())) else [raw])
+
+
+def spy_chunk_cuts(patch) -> list[int]:
+    """The offsets from which the chunked route searches for its next cut."""
+    cuts = []
+    space = mio._SPACE
+    patch.setattr(mio, "_SPACE", SimpleNamespace(search=lambda raw, pos: cuts.append(pos) or space.search(raw, pos)))
+    return cuts
+
+
+@st.composite
+def one_digit_texts(draw):
+    """The writer's layout when every state is below 10, any whitespace byte after each digit."""
+    digits = draw(st.lists(st.sampled_from("0123456789"), min_size=1, max_size=40))
+    return "".join(d + draw(st.sampled_from(WHITESPACE)) for d in digits).encode()
+
+
+@given(raw=one_digit_texts(), chunk=st.integers(1, 8))
+@settings(max_examples=200, deadline=None)
+# near misses of that layout, each read by the chunked route: a two-digit
+# token, an empty line, no last separator, a leading separator, a non-digit
+# token and a two-byte line end
+@example(raw=b"1\n10\n", chunk=1)
+@example(raw=b"1\n\n2\n", chunk=1)
+@example(raw=b"1\n2", chunk=1)
+@example(raw=b"\n1\n", chunk=1)
+@example(raw=b"+\n", chunk=1)
+@example(raw=b"1\r\n", chunk=1)
+def test_one_digit_text_is_read_whole(raw, chunk):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mio, "_CHUNK_BYTES", chunk)
+        calls, cuts = spy_int_chunks(patch), spy_chunk_cuts(patch)
+        outcome = decode_outcome(mio._states_from_bytes, raw)
+    assert outcome == decode_outcome(int_tokens, raw)
+    pairs = raw[0::2], raw[1::2]
+    if len(raw) % 2 == 0 and pairs[0].isdigit() and not pairs[1].strip():
+        assert calls == [] and cuts == []
+    else:
+        assert cuts
 
 
 def test_cuts_find_the_whitespace_the_kernels_class():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import mixgap.oracle as oracle_module
 from mixgap.chain import (
+    STATIONARY_TOL,
     StochasticMatrix,
     Trajectory,
     _stationary_batch,
@@ -50,7 +51,13 @@ from conftest import (
     random_reversible,
     rare_cycle_rows,
 )
-from reference_routes import generic_dilation, mixing_time_sandwich, mp_spectral_gaps, second_modulus_floor_two_sided
+from reference_routes import (
+    generic_dilation,
+    mixing_time_sandwich,
+    mp_spectral_gaps,
+    mp_stationary_and_modulus,
+    second_modulus_floor_two_sided,
+)
 
 UNIFORM2 = StochasticMatrix([[0.5, 0.5], [0.5, 0.5]])
 
@@ -63,6 +70,13 @@ def lazy_cycle(n: int, lazy: float, right: float) -> StochasticMatrix:
     P[i, (i + 1) % n] += (1.0 - lazy) * right
     P[i, (i - 1) % n] += (1.0 - lazy) * (1.0 - right)
     return StochasticMatrix(P)
+
+
+# the chains checked against the 40-digit reference of tests/reference_routes.py
+REFERENCE_CHAINS = st.one_of(
+    st.builds(random_dense_chain, st.integers(2, 6), st.integers(0, 2**31 - 1)),
+    st.builds(lazy_cycle, st.integers(5, 9), st.floats(0.1, 0.9), st.floats(0.1, 0.9)),
+)
 
 
 @st.composite
@@ -271,12 +285,7 @@ class TestPseudoSpectralGap:
         assert abs(rep.gamma_ps - rep.gamma_star * (2 - rep.gamma_star)) <= 1e-12
         assert abs(absolute_spectral_gap(P) - rep.gamma_star) <= 1e-12
 
-    @given(
-        P=st.one_of(
-            st.builds(random_dense_chain, st.integers(2, 6), st.integers(0, 2**31 - 1)),
-            st.builds(lazy_cycle, st.integers(5, 9), st.floats(0.1, 0.9), st.floats(0.1, 0.9)),
-        )
-    )
+    @given(P=REFERENCE_CHAINS)
     @settings(max_examples=20, deadline=None)
     def test_matches_40_digit_reference(self, P):
         # the loop's certificate means no skip past k_explored beats its maxima
@@ -284,6 +293,14 @@ class TestPseudoSpectralGap:
         ref_ps, ref_dps = mp_spectral_gaps(P, rep.k_explored + 5)
         assert abs(rep.gamma_ps - ref_ps) <= 1e-12
         assert abs(rep.gamma_dps - ref_dps) <= 1e-12
+
+    @given(P=REFERENCE_CHAINS)
+    @settings(max_examples=20, deadline=None)
+    def test_pi_and_floor_match_40_digit_reference(self, P):
+        ref_pi, ref_modulus = mp_stationary_and_modulus(P)
+        pi = stationary_distribution(P)
+        assert np.all(np.abs(pi - ref_pi) <= STATIONARY_TOL * ref_pi)
+        assert oracle_module._second_modulus_floor(build_L(P), np.sqrt(pi)) <= ref_modulus
 
     def test_example_chain_against_brute_force(self, ex31):
         rep = spectral_gaps(ex31)
@@ -684,24 +701,31 @@ class TestLemmaLedger:
 
     @pytest.mark.parametrize("n", [20, 40])
     def test_stacked_powers_equal_their_own_loops(self, n, monkeypatch):
-        floors, calls = [], []
+        bought, calls = [], []
         floor, skip_loop = oracle_module._second_modulus_floor, oracle_module._skip_loop
-        monkeypatch.setattr(oracle_module, "_second_modulus_floor", lambda L, root: floors.append(1) or floor(L, root))
-        monkeypatch.setattr(
-            oracle_module,
-            "_skip_loop",
-            lambda Ps, k_cap, with_dps: calls.append((Ps, skip_loop(Ps, k_cap, with_dps))) or calls[-1][1],
-        )
+        monkeypatch.setattr(oracle_module, "_second_modulus_floor", lambda L, root: bought.append(1) or floor(L, root))
+
+        def recorded(Ps, k_cap, with_dps, floors=None):
+            before = len(bought)
+            slots = skip_loop(Ps, k_cap, with_dps, floors)
+            calls.append((Ps, floors, slots, len(bought) - before))
+            return slots
+
+        monkeypatch.setattr(oracle_module, "_skip_loop", recorded)
         stacked = verify_lemma_properties(lazy_cycle(n, 0.5, 0.6), 10).to_dict()
-        # spectral_gaps buys at most one floor, so the powers' stacked loop bought the rest
-        assert len(floors) > 1
-        [_, (powers, slots)] = calls
+        # spectral_gaps buys at most one floor, and the powers' stacked loop
+        # buys P's floor once and shares it
+        [(_, unseeded, _, first), (powers, shared, slots, stacked_bought)] = calls
+        assert unseeded is None and first <= 1 and stacked_bought == 1 and len(bought) == first + 1
         assert len(powers) == 9 and max(len(slot[0]) for slot in slots) > 1
-        assert slots == [skip_loop([Q], oracle_module.DEFAULT_K_CAP, False)[0] for Q in powers]
+        K = oracle_module.DEFAULT_K_CAP
+        assert slots == [skip_loop([Q], K, False, lambda _, i=i: shared(i))[0] for i, Q in enumerate(powers)]
+        # the ledger reads only each power's gamma_ps, so a power's own loop,
+        # buying its own floor, gives the same ledger
         monkeypatch.setattr(
             oracle_module,
             "_skip_loop",
-            lambda Ps, k_cap, with_dps: [r for Q in Ps for r in skip_loop([Q], k_cap, with_dps)],
+            lambda Ps, k_cap, with_dps, floors=None: [r for Q in Ps for r in skip_loop([Q], k_cap, with_dps)],
         )
         assert verify_lemma_properties(lazy_cycle(n, 0.5, 0.6), 10).to_dict() == stacked
 
