@@ -5,8 +5,8 @@ operations everything else builds on: stationary distributions, time
 reversal, matrix powers, the rescaled matrix L = D^{1/2} P D^{-1/2}, the
 reversible dilation, brute-force mixing time, and seeded simulation. Also
 holds the serializer behind the `to_dict` of the report dataclasses.
-Importing the module loads numpy only: `is_irreducible` imports the
-scipy.sparse strong components on first use, on a matrix with a zero entry.
+The module uses numpy only: `is_irreducible` squares a reachability matrix
+on small chains and runs level searches on large ones, with no graph library.
 
 All containers are immutable after construction and safe to share across
 threads. Their private memos (`_stationary`, `_tallies`, `_gaps`) cache derived
@@ -119,34 +119,67 @@ class Trajectory:
         return self.states.size
 
 
+# at or below this many states `is_irreducible` squares the reachability
+# matrix, above it runs two level searches. Medians of repeated calls (one
+# OpenBLAS thread, 2-core host): squaring took 0.06-0.26 ms against 0.42-0.92
+# ms for the searches on lazy cycles of 40-96 states, and 0.06-0.20 against
+# 0.21-0.27 ms on tori of 64-100 states; at 121-256 states the searches won
+# on tori and sparse random chains, and on the 324-state torus took 0.33 ms
+# against 3.2 ms
+_CLOSURE_MAX_N = 100
+
+
+def _levels(support: np.ndarray) -> np.ndarray:
+    """Each state's distance from state 0 on the digraph `support`, by a
+    breadth-first level search; -1 for a state it cannot reach."""
+    level = np.full(support.shape[0], -1)
+    frontier, depth = np.zeros(1, dtype=np.intp), 0
+    while frontier.size:
+        level[frontier] = depth
+        frontier = np.flatnonzero(support[frontier].any(axis=0) & (level < 0))
+        depth += 1
+    return level
+
+
 def is_irreducible(P: StochasticMatrix) -> bool:
-    """True when the positive-support digraph is strongly connected."""
+    """True when the positive-support digraph is strongly connected.
+
+    Up to _CLOSURE_MAX_N states, (I + S)^(2^j) for the support S is squared
+    in float32, each product clipped back to 0/1, until it is all positive or
+    2^j >= n - 1 covers every shortest path; its entries count at most n
+    paths, so float32 is exact. Above it, state 0 must reach every state on
+    S and on S^T (`_levels`).
+    """
     if P.rows.all():  # a complete digraph, as every smoothed P_hat is
         return True
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import connected_components
-
-    graph = csr_matrix((P.rows > 0).astype(np.int8))
-    return connected_components(graph, directed=True, connection="strong")[0] == 1
+    n = P.n
+    support = P.rows > 0
+    if n > _CLOSURE_MAX_N:
+        return bool((_levels(support) >= 0).all() and (_levels(support.T) >= 0).all())
+    reach = support.astype(np.float32)
+    reach.flat[:: n + 1] = 1.0
+    span = 1  # reach covers the paths of at most span steps
+    while not reach.all():
+        if span >= n - 1:
+            return False
+        reach = reach @ reach
+        np.minimum(reach, 1.0, out=reach)
+        span *= 2
+    return True
 
 
 def is_aperiodic(P: StochasticMatrix) -> bool:
     """True when the gcd of cycle lengths through state 0 is 1.
 
     Assumes irreducibility, so a self-loop anywhere (a cycle of length 1)
-    settles it at once. Otherwise a breadth-first level search labels each
-    state with its distance from state 0 on the support digraph, and the
-    period is gcd over edges (u, v) of level(u) + 1 - level(v).
+    settles it at once. Otherwise each state's distance from state 0 on the
+    support digraph labels it (`_levels`), and the period is gcd over edges
+    (u, v) of level(u) + 1 - level(v).
     """
     if (P.rows.diagonal() > 0).any():
         return True
     support = P.rows > 0
-    level = np.full(P.n, -1)
-    frontier, depth = np.zeros(1, dtype=np.intp), 0
-    while frontier.size:
-        level[frontier] = depth
-        frontier = np.flatnonzero(support[frontier].any(axis=0) & (level < 0))
-        depth += 1
+    level = _levels(support)
     u, v = np.nonzero(support)
     return bool(np.gcd.reduce(level[u] + 1 - level[v]) == 1)
 

@@ -12,11 +12,13 @@ read as tokens separated by ASCII whitespace (the six bytes ``bytes.split()``
 splits on), each read as Python ``int()`` reads it. Text of even length whose
 even bytes are all digits and odd bytes all whitespace, the writer's layout
 when every state is below 10, holds only one-digit tokens and is read whole
-by a few passes over the bytes. Any other text is read in chunks that
-end before the first whitespace byte at or past _CHUNK_BYTES from their
-start. A chunk made only of whitespace and plain ASCII digit tokens of at
-most 18 digits is parsed by numpy byte kernels. They class each byte by
-wrapping uint8 arithmetic, without a lookup table: b is a digit when
+by one pass once it is checked. The check reads blocks of _CHUNK_BYTES in
+order and stops at the first block off the layout, so most other text whose
+second byte is whitespace pays for one block. Any other text is read in
+chunks that end before the first whitespace byte at or past _CHUNK_BYTES
+from their start. A chunk made only of whitespace and plain ASCII digit
+tokens of at most 18 digits is parsed by numpy byte kernels. They class each
+byte by wrapping uint8 arithmetic, without a lookup table: b is a digit when
 b - 48 < 10, which is then its value, and whitespace when it is 32 or
 b - 9 < 5. Any other chunk is read through ``int()`` token by token, which
 then decides what is accepted and how a bad token is reported; chunks are
@@ -138,6 +140,13 @@ def _int_chunk(chunk: bytes) -> list[int]:
     return [int(tok) for tok in chunk.split()]
 
 
+def _is_one_digit_block(pairs: np.ndarray) -> bool:
+    """Whether an even-length block of bytes alternates digit, whitespace."""
+    digits, spaces = pairs.reshape(-1, 2).T.copy()
+    digits -= ord("0")
+    return bool(digits.max() < 10) and np.count_nonzero(_is_space(spaces)) == spaces.size
+
+
 def _text_states(raw: bytes) -> np.ndarray:
     """The values of raw's whitespace-separated tokens: read whole for text in
     the writer's one-digit layout, otherwise each chunk parsed once (the
@@ -145,17 +154,17 @@ def _text_states(raw: bytes) -> np.ndarray:
     buf = np.frombuffer(raw, dtype=np.uint8)
     # the writer's layout when every state is below 10, a digit then one
     # whitespace byte per state; a second byte that is not whitespace, as in
-    # most other texts, rules it out before the copy that splits the columns
-    if buf.size % 2 == 0 and raw[1:2].isspace():
-        digits, spaces = buf.reshape(-1, 2).T.copy()
-        digits -= ord("0")
-        layout = digits.max() < 10 and np.count_nonzero(_is_space(spaces)) == spaces.size
-        # freed before the states are made, so the peak stays the chunked route's
-        del digits, spaces
-        if layout:
-            states = buf[0::2].astype(np.int64)
-            states -= ord("0")
-            return states
+    # most other texts, rules it out at once, and the blocks are checked in
+    # order, so a text that leaves the layout early pays for one block
+    step = _CHUNK_BYTES + _CHUNK_BYTES % 2
+    if (
+        buf.size % 2 == 0
+        and raw[1:2].isspace()
+        and all(_is_one_digit_block(buf[lo : lo + step]) for lo in range(0, buf.size, step))
+    ):
+        states = buf[0::2].astype(np.int64)
+        states -= ord("0")
+        return states
     # room for the most tokens raw can hold; pages never written never become resident
     states = np.empty(buf.size // 2 + 1, dtype=np.int64)
     filled = lo = 0

@@ -127,6 +127,16 @@ def absolute_spectral_gap(P: StochasticMatrix) -> float:
     return float(min(max(1.0 - rho, 0.0), 1.0))
 
 
+@functools.lru_cache(maxsize=16)
+def _fixed_draws(shape: tuple[int, ...]) -> np.ndarray:
+    """np.random.default_rng(0).random(shape), drawn once per shape and read-only:
+    the floor's fixed random start vector and block. The 16 shapes last used
+    are kept, so a process over many sizes holds few."""
+    draws = np.random.default_rng(0).random(shape)
+    draws.flags.writeable = False  # shared by every later call of this shape
+    return draws
+
+
 def _ritz_values(L: np.ndarray, root: np.ndarray) -> np.ndarray:
     """Eigenvalue estimates of A = L - root root^T from its dominant subspace.
 
@@ -149,7 +159,7 @@ def _ritz_values(L: np.ndarray, root: np.ndarray) -> np.ndarray:
             return np.zeros(0)
         T /= scale
         M, T = T, M
-    V = M.astype(float) @ (np.random.default_rng(0).random((L.shape[0], _RITZ_DIM)) - 0.5)
+    V = M.astype(float) @ (_fixed_draws((L.shape[0], _RITZ_DIM)) - 0.5)
 
     def apply(X: np.ndarray) -> np.ndarray:  # A X without forming A
         return L @ X - np.outer(root, root @ X)
@@ -179,8 +189,8 @@ def _walk(L: np.ndarray, w: np.ndarray, root: np.ndarray, ritz: bool) -> float |
     n = L.shape[0]
     tol = _EIG_MARGIN * n * np.finfo(float).eps
     guard = tol * np.linalg.norm(L, 1)
-    start = np.random.default_rng(0).random(n)
-    start -= root * (root @ start)
+    draws = _fixed_draws((n,))
+    start = draws - root * (root @ draws)
     floor = 0.0
     for mu in sorted(w[w.imag >= 0], key=abs, reverse=True):
         if abs(mu) <= floor:
@@ -437,17 +447,18 @@ def verify_lemma_properties(P: StochasticMatrix, k_max: int = 10) -> LemmaLedger
         for s in range(r, k_max - r + 1):
             check("sub_multiplicativity", {"r": r, "s": s}, norms[r + s], norms[r] * norms[s])
 
-    base = spectral_gaps(P)
-    gps, k_ps = base.gamma_ps, base.k_ps
-    # P^2..P^k_max in one gamma_ps-only loop. spectral_gaps(P) has shown P
+    # P's floor l is bought at most once, when the first loop needs it. P's
+    # own loop reads it where spectral_gaps(P) would buy it; its L is
+    # build_L(P) bit for bit, so its gaps are spectral_gaps(P)'s.
+    # P^2..P^k_max then run in one gamma_ps-only loop. P's loop has shown P
     # ergodic, so each power is irreducible with stationary law pi: seed it.
-    # The eigenvalues of P^p are those of P to the p, so a floor l on
-    # |lambda_2(P)| gives P^p the floor l^p <= |lambda_2(P^p)|: l is bought
-    # once, when the first power's loop needs a floor
+    # The eigenvalues of P^p are those of P to the p, so P^p takes the floor
+    # l^p <= |lambda_2(P^p)|
+    floor = functools.cache(lambda: _second_modulus_floor(build_L(P), np.sqrt(pi)))
+    _, (gps, k_ps), _, _ = _value(_skip_loop([P], DEFAULT_K_CAP, with_dps=True, floors=lambda i: floor())[0])
     powers = [matrix_power(P, p) for p in range(2, k_max + 1)]
     for Pp in powers:
         Pp._stationary.append(pi)
-    floor = functools.cache(lambda: _second_modulus_floor(build_L(P), np.sqrt(pi)))
     skipped = {1: gps}
     slots = _skip_loop(powers, DEFAULT_K_CAP, with_dps=False, floors=lambda i: floor() ** (i + 2))
     for p, slot in enumerate(slots, 2):

@@ -337,6 +337,64 @@ class TestStationaryProjector:
                 assert np.max(np.abs(other @ Pi - Pi)) <= 1e-12
 
 
+# sizes on both sides of the crossover between `is_irreducible`'s squared
+# closure and its level searches
+SUPPORT_SIZES = [chain_module._CLOSURE_MAX_N, chain_module._CLOSURE_MAX_N + 1, 2 * chain_module._CLOSURE_MAX_N]
+
+
+def one_way_cycle(n, rng):
+    """Lazy weights on the directed cycle x -> x + 1, with a few random chords."""
+    W = np.eye(n) + np.roll(np.eye(n), 1, axis=1)
+    W[rng.integers(n, size=n // 10), rng.integers(n, size=n // 10)] = 1.0
+    return W * (rng.random((n, n)) + 0.1)
+
+
+def with_transient_state(n, rng):
+    # no other state steps into state 0, which still steps out
+    W = one_way_cycle(n, rng)
+    W[1:, 0] = 0.0
+    return W, False
+
+
+def with_two_closed_classes(n, rng):
+    W = np.zeros((n, n))
+    half = n // 2
+    W[:half, :half] = one_way_cycle(half, rng)
+    W[half:, half:] = one_way_cycle(n - half, rng)
+    return W, False
+
+
+def with_absorbing_state(n, rng):
+    W = one_way_cycle(n, rng)
+    W[n // 3] = 0.0
+    W[n // 3, n // 3] = 1.0
+    return W, False
+
+
+def cycle_without_an_edge(n, rng):
+    # the lazy directed cycle n - 1 -> 0 cut leaves a path
+    W = np.eye(n) + np.roll(np.eye(n), 1, axis=1)
+    W[n - 1, 0] = 0.0
+    return W, False
+
+
+def two_way_cycle_without_an_edge(n, rng):
+    # every state still reaches every other the other way round
+    W = np.eye(n) + np.roll(np.eye(n), 1, axis=1) + np.roll(np.eye(n), -1, axis=1)
+    W[n - 1, 0] = 0.0
+    return W, True
+
+
+SUPPORT_FAMILIES = {
+    "transient state": with_transient_state,
+    "two closed classes": with_two_closed_classes,
+    "absorbing state": with_absorbing_state,
+    "cycle without an edge": cycle_without_an_edge,
+    "two-way cycle without an edge": two_way_cycle_without_an_edge,
+    "one-way cycle with chords": lambda n, rng: (one_way_cycle(n, rng), True),
+}
+
+
 class TestErgodicityChecks:
     def test_flip_is_irreducible_but_periodic(self):
         P = StochasticMatrix(FLIP)
@@ -348,10 +406,16 @@ class TestErgodicityChecks:
         P = random_ergodic(0)
         assert is_irreducible(P) and is_aperiodic(P)
 
-    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 9), density=st.sampled_from([0.1, 0.3, 0.6, 0.9, 1.0]))
-    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 9) | st.sampled_from(SUPPORT_SIZES),
+        density=st.sampled_from([0.01, 0.03, 0.1, 0.3, 0.6, 0.9, 1.0]),
+    )
+    @settings(max_examples=300, deadline=None)
     def test_irreducibility_matches_strong_components(self, seed, n, density):
-        # density 1 gives the all-positive rows that skip the graph search
+        # density 1 gives the all-positive rows that skip the graph test; at
+        # 100-200 states densities up to 0.03 leave most chains reducible and
+        # 0.1 leaves nearly all irreducible
         rng = np.random.default_rng(seed)
         W = (rng.random((n, n)) + 1e-3) * (rng.random((n, n)) < density)
         W[W.sum(axis=1) == 0, 0] = 1.0
@@ -359,6 +423,21 @@ class TestErgodicityChecks:
         assert is_irreducible(P) == strongly_connected(P.rows) == reaches_everywhere(P.rows)
         if density == 1.0:
             assert P.rows.all() and is_irreducible(P)
+
+    @pytest.mark.parametrize("shuffle", [False, True])
+    @pytest.mark.parametrize("n", SUPPORT_SIZES)
+    @pytest.mark.parametrize("family", sorted(SUPPORT_FAMILIES))
+    def test_irreducibility_of_support_families(self, family, n, shuffle):
+        # each family on both sides of the route crossover. As built, state
+        # 0, where the level searches start, reaches every state of the
+        # transient and cut-cycle families but not every state reaches it;
+        # shuffled, the special states fall anywhere
+        rng = np.random.default_rng(n)
+        W, irreducible = SUPPORT_FAMILIES[family](n, rng)
+        order = rng.permutation(n) if shuffle else np.arange(n)
+        P = StochasticMatrix((W / W.sum(axis=1, keepdims=True))[np.ix_(order, order)])
+        assert not P.rows.all()
+        assert is_irreducible(P) == irreducible == strongly_connected(P.rows) == reaches_everywhere(P.rows)
 
     @given(
         seed=st.integers(0, 2**32 - 1),

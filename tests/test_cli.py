@@ -28,7 +28,7 @@ from mixgap.io import save_matrix, save_trajectory
 from mixgap.oracle import full_spectral_report, gamma_dagger
 from mixgap.tallies import SkippedTallies, tally
 
-from conftest import DEFECT_ROWS, NEAR_PERIODIC_ROWS, PERIOD2_ROWS, birth_death
+from conftest import DEFECT_ROWS, NEAR_PERIODIC_ROWS, PERIOD2_ROWS, birth_death, lazy_cycle
 
 
 @pytest.fixture
@@ -906,6 +906,18 @@ class TestArgumentParsing:
         code, expected, err = run_in_process(["oracle", "--fixture", "ex31"])
         assert (code, err) == (0, "")
         assert out == expected.encode()
+
+    def test_sparse_chain_loads_no_scipy_sparse(self, tmp_path):
+        # a 60-state lazy cycle has zero entries, so the stationary start of
+        # simulate and the oracle test its support graph, which needs no scipy;
+        # the oracle's floor loads scipy.linalg alone
+        path = tmp_path / "cycle60.json"
+        save_matrix(lazy_cycle(60, 0.5, 0.6), path)
+        _, _, loaded = run_fresh(["simulate", "--matrix", str(path), "--m", "2000"])
+        assert loaded == []
+        out, _, loaded = run_fresh(["oracle", "--matrix", str(path)])
+        assert "scipy.linalg" in loaded and not [m for m in loaded if m.startswith("scipy.sparse")]
+        assert out == run_in_process(["oracle", "--matrix", str(path)])[1].encode()
 
 
 def child_env():

@@ -250,6 +250,49 @@ def test_one_digit_text_is_read_whole(raw, chunk):
         assert cuts
 
 
+def spy_layout_blocks(patch) -> list[int]:
+    """The sizes of the blocks the one-digit layout check reads, in order."""
+    sizes = []
+    check = mio._is_one_digit_block
+    patch.setattr(mio, "_is_one_digit_block", lambda block: sizes.append(block.size) or check(block))
+    return sizes
+
+
+@given(prefix=one_digit_texts(), rest=token_texts(), chunk=st.integers(1, 8))
+@settings(max_examples=200, deadline=None)
+@example(prefix=b"5\n", rest=b"10\n7\n", chunk=8)
+def test_layout_check_stops_at_the_first_block_off_the_layout(prefix, rest, chunk):
+    # a text that leaves the one-digit layout pays its check only up to the
+    # block, of chunk bytes rounded up to even, where it leaves
+    raw = prefix + rest
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mio, "_CHUNK_BYTES", chunk)
+        sizes = spy_layout_blocks(patch)
+        outcome = decode_outcome(mio._states_from_bytes, raw)
+    assert outcome == decode_outcome(int_tokens, raw)
+    step = chunk + chunk % 2
+    if len(raw) % 2 or not raw[1:2].isspace():
+        assert sizes == []
+        return
+    off = next((i for i in range(0, len(raw), 2) if not (raw[i : i + 1].isdigit() and raw[i + 1 : i + 2].isspace())), None)
+    assert len(sizes) == (-(-len(raw) // step) if off is None else off // step + 1)
+    assert all(size == step for size in sizes[:-1])
+
+
+def test_multi_digit_text_reads_one_chunk_of_layout_check(monkeypatch):
+    # 1e6 states of a 300-state chain from state 5: the second byte is
+    # whitespace and the length even, but a two-digit state comes within
+    # the first chunk, so the check reads that chunk alone
+    states = np.random.default_rng(0).integers(300, size=10**6)
+    states[0] = 5
+    raw = encode_trajectory(Trajectory(states, 300))
+    if len(raw) % 2:
+        raw += b"17\n"
+    sizes, calls = spy_layout_blocks(monkeypatch), spy_int_chunks(monkeypatch)
+    assert mio._states_from_bytes(raw).tolist() == int_tokens(raw).tolist()
+    assert sizes == [mio._CHUNK_BYTES] and calls == []
+
+
 def test_cuts_find_the_whitespace_the_kernels_class():
     # the cut search and the kernels' byte classes agree on every byte value
     every = np.arange(256, dtype=np.uint8)

@@ -712,13 +712,16 @@ class TestLemmaLedger:
             return slots
 
         monkeypatch.setattr(oracle_module, "_skip_loop", recorded)
-        stacked = verify_lemma_properties(lazy_cycle(n, 0.5, 0.6), 10).to_dict()
-        # spectral_gaps buys at most one floor, and the powers' stacked loop
-        # buys P's floor once and shares it
-        [(_, unseeded, _, first), (powers, shared, slots, stacked_bought)] = calls
-        assert unseeded is None and first <= 1 and stacked_bought == 1 and len(bought) == first + 1
+        P = lazy_cycle(n, 0.5, 0.6)
+        stacked = verify_lemma_properties(P, 10).to_dict()
+        # P's own loop and the powers' stacked loop share P's floor, so the
+        # ledger buys at most one
+        [([base], base_floor, base_slots, _), (powers, shared, slots, _)] = calls
+        assert base is P and len(bought) <= 1
         assert len(powers) == 9 and max(len(slot[0]) for slot in slots) > 1
         K = oracle_module.DEFAULT_K_CAP
+        # P's loop with the shared floor is spectral_gaps(P)'s, which buys its own
+        assert base_slots == skip_loop([P], K, True, base_floor) == skip_loop([P], K, True)
         assert slots == [skip_loop([Q], K, False, lambda _, i=i: shared(i))[0] for i, Q in enumerate(powers)]
         # the ledger reads only each power's gamma_ps, so a power's own loop,
         # buying its own floor, gives the same ledger
