@@ -10,7 +10,7 @@ estimators differ only in the gap, the prefix length and the step:
 - each level of the amplified scan: step 2^p and the same gap, since skip j
   of the 2^p-skipped trajectory counts the pairs of skip 2^p j; a level that
   cannot pass its threshold stops at the first j past which no gap can raise
-  the maximum (`_quiet_level`), which then equals the reduce;
+  the maximum (`_scan`'s quiet bound), which then equals the reduce;
 - dps: step 1 and the smoothed gap 1 - sigma_2(L_hat), in `gamma_dps_hat`.
 `_gaps` solves the gaps of (trajectory, skip) cells and keeps each in its
 trajectory's memo by (k, alpha), next to the memoized tables, so calls on one
@@ -62,27 +62,44 @@ def pi_star_hat(tr: Trajectory) -> float:
 
 
 def _scan(
-    tr: Trajectory, K: int, step: int = 1, alpha: float | None = None
+    tr: Trajectory, K: int, step: int = 1, alpha: float | None = None, quiet: float | None = None
 ) -> tuple[float, dict[int, float], int, dict]:
     """The prefix reduce every estimator shares: max_j gap(step j) / j, gaps by `_gaps`.
 
     j runs over 1..J, J = min(K, floor((m-1)/step)), since a skip with no
-    complete pair cannot be tallied. Returns the maximum clipped to [0, 1]
-    (0 when no gap is usable), the usable gaps by j, J, and the diagnostics
-    `skipped_k` (the js whose gap is None) and `K_requested` (when J < K).
+    complete pair cannot be tallied, and the gaps are asked for one j at a
+    time. Returns the maximum clipped to [0, 1] (0 when no gap is usable),
+    the usable gaps by j, J, and the diagnostics `skipped_k` (the js whose
+    gap is None) and `K_requested` (when J < K).
+
+    With `quiet`, a scan whose maximum best = max(0, gap / j) so far is still
+    at most quiet ends at the first j with best >= 1 / j. A gap is at most 1,
+    so no later skip j' >= j can give more than 1 / j' <= best, and the
+    maximum is that of the whole scan; comparing with the rounded 1 / j keeps
+    that true of the rounded quotients too. Only the maximum is then the
+    whole scan's; a scan whose maximum passes quiet reads every skip.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
     J = min(K, (tr.m - 1) // step)
-    gaps = dict(zip(range(1, J + 1), _gaps([(tr, step * j) for j in range(1, J + 1)], alpha)))
-    per_j = {j: g for j, g in gaps.items() if g is not None}
-    value = max((g / j for j, g in per_j.items()), default=0.0)
+    per_j: dict[int, float] = {}
+    skipped = []
+    best = 0.0
+    for j in range(1, J + 1):
+        if quiet is not None and 1 / j <= best <= quiet:
+            break
+        g = _gaps([(tr, step * j)], alpha)[0]
+        if g is None:
+            skipped.append(j)
+        else:
+            per_j[j] = g
+            best = max(best, g / j)
     diagnostics: dict = {}
-    if len(per_j) < J:
-        diagnostics["skipped_k"] = [j for j, g in gaps.items() if g is None]
+    if skipped:
+        diagnostics["skipped_k"] = skipped
     if J < K:
         diagnostics["K_requested"] = K
-    return float(min(max(value, 0.0), 1.0)), per_j, J, diagnostics
+    return float(min(best, 1.0)), per_j, J, diagnostics
 
 
 def _gaps(cells: Sequence[tuple[Trajectory, int]], alpha: float | None = None) -> list[float | None]:
@@ -149,26 +166,6 @@ def gamma_ps_additive(tr: Trajectory, epsilon: float) -> EstimateReport:
     return replace(report, estimator="ps-additive", diagnostics=diagnostics)
 
 
-def _quiet_level(tr: Trajectory, k: int) -> float | None:
-    """Level k's estimate when it stays at or below the threshold, else None.
-
-    Visits j = 1, 2, ... one gap at a time, keeping best = max(0, gap / j). A
-    gap is at most 1, so once best >= 1 / j no later skip j' >= j can give more
-    than 1 / j' <= best, and the level's `_scan` value is best; comparing with
-    the rounded 1 / j keeps that true of the rounded quotients too.
-    """
-    best = 0.0
-    for j in range(1, min(AMPLIFIED_PREFIX, (tr.m - 1) // k) + 1):
-        if best >= 1 / j:
-            break
-        g = _gaps([(tr, k * j)])[0]
-        if g is not None:
-            best = max(best, g / j)
-        if best > AMPLIFIED_THRESHOLD:
-            return None
-    return best
-
-
 def gamma_ps_amplified(tr: Trajectory) -> EstimateReport:
     """Amplified estimator: scan skip powers of two until the gap exceeds 3/8.
 
@@ -177,10 +174,10 @@ def gamma_ps_amplified(tr: Trajectory) -> EstimateReport:
     the trajectory itself. The first k whose estimate exceeds the threshold
     stops the scan, and the output is that estimate divided by k.
 
-    A level that stays at or below the threshold stops reading skips once no
-    later one can raise its estimate (`_quiet_level`), so only the level that
-    fires reads all its skips, and every reported number is that of the full
-    scan.
+    Each level is one `_scan` with the threshold as its quiet bound: a level
+    that stays at or below it stops reading skips once no later one can raise
+    its estimate, so only the level that fires reads all its skips, once
+    each, and every reported number is that of the full scan.
 
     Raises:
         NoTriggerError: if the skipped data runs out before the threshold fires.
@@ -190,9 +187,7 @@ def gamma_ps_amplified(tr: Trajectory) -> EstimateReport:
     # the k-skipped trajectory keeps floor((m-1)/k) pairs; it needs two
     while (tr.m - 1) // k >= 2:
         # level 2k rereads the even skips of level k from the gap memo
-        estimate = _quiet_level(tr, k)
-        if estimate is None:
-            estimate, per_j, J, diagnostics = _scan(tr, AMPLIFIED_PREFIX, step=k)
+        estimate, per_j, J, diagnostics = _scan(tr, AMPLIFIED_PREFIX, step=k, quiet=AMPLIFIED_THRESHOLD)
         scan[k] = estimate
         if estimate > AMPLIFIED_THRESHOLD:
             return EstimateReport(

@@ -9,14 +9,13 @@ Text is written as one decimal state index per line, from a grid of one
 column per digit whose leading zeros are then dropped; when every state is
 below 10, each line is one little-endian uint16 of the digit and "\n". It is
 read as tokens separated by ASCII whitespace (the six bytes ``bytes.split()``
-splits on), each read as Python ``int()`` reads it. Text of even length whose
-even bytes are all digits and odd bytes all whitespace, the writer's layout
-when every state is below 10, holds only one-digit tokens and is read whole
-by one pass once it is checked. The check reads blocks of _CHUNK_BYTES in
-order and stops at the first block off the layout, so most other text whose
-second byte is whitespace pays for one block. Any other text is read in
-chunks that end before the first whitespace byte at or past _CHUNK_BYTES
-from their start. A chunk made only of whitespace and plain ASCII digit
+splits on), each read as Python ``int()`` reads it, in chunks that end just
+after the first whitespace byte at or past _CHUNK_BYTES from their start; so
+no token straddles a cut, and a chunk of the writer's one-digit layout
+starts at a digit. A chunk of even length whose even bytes are all digits
+and odd bytes all whitespace holds only one-digit tokens and is read by one
+slice; a chunk whose length is odd or whose second byte is not whitespace is
+ruled out at once. A chunk made only of whitespace and plain ASCII digit
 tokens of at most 18 digits is parsed by numpy byte kernels. They class each
 byte by wrapping uint8 arithmetic, without a lookup table: b is a digit when
 b - 48 < 10, which is then its value, and whitespace when it is 32 or
@@ -92,7 +91,7 @@ def _text_bytes(states: np.ndarray) -> np.ndarray:
     top = int(states.max())
     width = len(str(top))
     if width == 1:
-        # the layout `_text_states` reads whole: each state's line is one
+        # the layout `_text_states` reads by slices: each state's line is one
         # little-endian uint16, its digit in the low byte and "\n" in the high
         lines = states.astype("<u2")
         lines += ord("0") | ord("\n") << 8
@@ -140,63 +139,57 @@ def _int_chunk(chunk: bytes) -> list[int]:
     return [int(tok) for tok in chunk.split()]
 
 
-def _is_one_digit_block(pairs: np.ndarray) -> bool:
-    """Whether an even-length block of bytes alternates digit, whitespace."""
-    digits, spaces = pairs.reshape(-1, 2).T.copy()
+def _is_one_digit_block(chunk: np.ndarray) -> bool:
+    """Whether a chunk of bytes alternates digit, whitespace from its first byte."""
+    if chunk.size % 2 or not _is_space(chunk[1:2]).all():
+        return False
+    digits, spaces = chunk.reshape(-1, 2).T.copy()
     digits -= ord("0")
     return bool(digits.max() < 10) and np.count_nonzero(_is_space(spaces)) == spaces.size
 
 
 def _text_states(raw: bytes) -> np.ndarray:
-    """The values of raw's whitespace-separated tokens: read whole for text in
-    the writer's one-digit layout, otherwise each chunk parsed once (the
-    module docstring states the layout, the cut rule and the order of errors)."""
+    """The values of raw's whitespace-separated tokens, each chunk read once
+    (the module docstring states the cut rule, the one-digit layout and the
+    order of errors)."""
     buf = np.frombuffer(raw, dtype=np.uint8)
-    # the writer's layout when every state is below 10, a digit then one
-    # whitespace byte per state; a second byte that is not whitespace, as in
-    # most other texts, rules it out at once, and the blocks are checked in
-    # order, so a text that leaves the layout early pays for one block
-    step = _CHUNK_BYTES + _CHUNK_BYTES % 2
-    if (
-        buf.size % 2 == 0
-        and raw[1:2].isspace()
-        and all(_is_one_digit_block(buf[lo : lo + step]) for lo in range(0, buf.size, step))
-    ):
-        states = buf[0::2].astype(np.int64)
-        states -= ord("0")
-        return states
     # room for the most tokens raw can hold; pages never written never become resident
     states = np.empty(buf.size // 2 + 1, dtype=np.int64)
     filled = lo = 0
     overflow = None
     while lo < buf.size:
         space = _SPACE.search(raw, lo + _CHUNK_BYTES)
-        hi = space.start() if space else buf.size
+        hi = space.end() if space else buf.size
         chunk = buf[lo:hi]
-        # uint8 arithmetic wraps the bytes below "0", so only a digit's value is below 10
-        digits = chunk - ord("0")
-        # which bytes of the chunk are digits, between one non-digit at either end
-        is_digit = np.zeros(chunk.size + 2, dtype=bool)
-        np.less(digits, 10, out=is_digit[1:-1])
-        edges = np.flatnonzero(is_digit[1:] != is_digit[:-1])
-        starts, ends = edges[0::2], edges[1::2]
-        lengths = ends - starts
-        longest = int(lengths.max(initial=0))
-        plain = np.count_nonzero(is_digit) + np.count_nonzero(_is_space(chunk)) == chunk.size
-        if plain and longest <= _MAX_DIGITS:
-            values = states[filled : filled + starts.size]
-            values[:] = digits[ends - 1]
-            for j in range(1, longest):
-                digit = digits[np.maximum(ends - 1 - j, starts)]
-                digit[lengths <= j] = 0
-                values += digit * _POW10[j]
+        if _is_one_digit_block(chunk):
+            values = states[filled : filled + chunk.size // 2]
+            values[:] = chunk[0::2]
+            values -= ord("0")
         else:
-            tokens = _int_chunk(raw[lo:hi])
-            values = states[filled : filled + len(tokens)]
-            try:
-                values[:] = tokens
-            except OverflowError as err:
-                overflow = err
+            # uint8 arithmetic wraps the bytes below "0", so only a digit's value is below 10
+            digits = chunk - ord("0")
+            # which bytes of the chunk are digits, between one non-digit at either end
+            is_digit = np.zeros(chunk.size + 2, dtype=bool)
+            np.less(digits, 10, out=is_digit[1:-1])
+            edges = np.flatnonzero(is_digit[1:] != is_digit[:-1])
+            starts, ends = edges[0::2], edges[1::2]
+            lengths = ends - starts
+            longest = int(lengths.max(initial=0))
+            plain = np.count_nonzero(is_digit) + np.count_nonzero(_is_space(chunk)) == chunk.size
+            if plain and longest <= _MAX_DIGITS:
+                values = states[filled : filled + starts.size]
+                values[:] = digits[ends - 1]
+                for j in range(1, longest):
+                    digit = digits[np.maximum(ends - 1 - j, starts)]
+                    digit[lengths <= j] = 0
+                    values += digit * _POW10[j]
+            else:
+                tokens = _int_chunk(raw[lo:hi])
+                values = states[filled : filled + len(tokens)]
+                try:
+                    values[:] = tokens
+                except OverflowError as err:
+                    overflow = err
         filled += values.size
         lo = hi
     if overflow is not None:

@@ -106,7 +106,8 @@ def tally(tr: Trajectory, k: int = 1) -> SkippedTallies:
 
     Raises:
         TrajectoryTooShortError: if the trajectory has no pair at skip k.
-        ValueError: if the n x n table would not fit in physical memory.
+        ValueError: if two int64 n x n tables, the counts and one chunk's
+            bincount (16 n^2 bytes), would not fit in physical memory.
     """
     if k < 1:
         raise ValueError("skip rate must be >= 1")
@@ -118,9 +119,10 @@ def tally(tr: Trajectory, k: int = 1) -> SkippedTallies:
     if k in memo:
         return memo[k]
     n = tr.n
-    # refuse before allocating, so a huge state index is an input error, not a crash
-    if 8 * n * n > _physical_memory():
-        raise ValueError(f"an n x n count table for n = {n} exceeds physical memory")
+    # refuse before allocating, so a huge state index is an input error, not a
+    # crash; the counts and each chunk's bincount are two int64 n x n tables
+    if 16 * n * n > _physical_memory():
+        raise ValueError(f"two n x n count tables for n = {n} exceed physical memory")
     codes = memo.get("codes")
     if codes is None:
         codes = tr.states.astype(np.min_scalar_type(n - 1))

@@ -133,3 +133,22 @@ def rare_cycle_rows(eps: float = 1e-12) -> np.ndarray:
     for x, (nxt, back) in zip((3, 4, 5), ((4, 0), (5, 1), (3, 2))):
         rows[x, [nxt, back]] = 0.5
     return rows
+
+
+def rare_state_chain(eps: float, q: float) -> StochasticMatrix:
+    """A lazy walk on the 4-clique 0-3 whose states each enter the rare state 4
+    w.p. eps; 4 is left w.p. q, to a uniform clique state.
+
+    A clique state holds w.p. 1/2 and otherwise moves to one of the other
+    three. The chain is reversible, with pi_star = pi_4 = eps / (eps + q). At
+    eps = 1e-2 the oracle's gamma_ps is 0.652 at q = 0.4 and 0.116 at q = 0.05,
+    so 1/(gamma_ps pi_star) is 63 against 52: thresholds that agree within
+    1.22x for gaps 5.6x apart.
+    """
+    rows = np.zeros((5, 5))
+    rows[:4, :4] = (0.5 - eps) / 3.0
+    np.fill_diagonal(rows[:4, :4], 0.5)
+    rows[:4, 4] = eps
+    rows[4, :4] = q / 4.0
+    rows[4, 4] = 1.0 - q
+    return StochasticMatrix(rows)

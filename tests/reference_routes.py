@@ -85,13 +85,15 @@ def _mp_L(P: StochasticMatrix) -> tuple[list, "mp.matrix"]:
 def mp_stationary_and_modulus(P: StochasticMatrix) -> tuple[np.ndarray, float]:
     """pi and |lambda_2(P)|, the largest non-Perron eigenvalue modulus, at 40
     digits, each rounded to float: pi by `_mp_L`, |lambda_2| from mpmath's
-    eigenvalues of L, which are those of P. A symmetric L goes to the
-    symmetric solver, on whose repeated eigenvalues the general QR can stall.
-    P needs at least two states."""
+    eigenvalues of L, which are those of P. An L symmetric to within 1e-35
+    (a symmetric P, whose pi is uniform to the working precision) goes, as
+    its symmetric part, to the symmetric solver: on its repeated eigenvalues
+    the general QR can stall, and the symmetric part moves each eigenvalue
+    by at most that 1e-35 (Bauer-Fike). P needs at least two states."""
     with mp.workdps(40):
         pi, L = _mp_L(P)
-        if L == L.T:
-            eigenvalues = mp.eigsy(L, eigvals_only=True)
+        if mp.mnorm(L - L.T, 1) <= mp.mpf("1e-35"):
+            eigenvalues = mp.eigsy((L + L.T) / 2, eigvals_only=True)
         else:
             eigenvalues = mp.eig(L, left=False, right=False)
         moduli = sorted((abs(w) for w in eigenvalues), reverse=True)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mixgap import eigensolve
+from mixgap import eigensolve, estimators
 from mixgap.chain import StochasticMatrix, Trajectory, simulate
 from mixgap.eigensolve import second_singular_value
 from mixgap.errors import NoTriggerError, NoUsableKError
@@ -315,6 +315,22 @@ class TestAmplifiedScanLevels:
         assert report.K_used == 9
         assert report.diagnostics["K_requested"] == 16
         assert report.diagnostics["skipped_k"] == list(range(2, 10))
+
+    def test_each_level_asks_for_each_of_its_skips_once(self, monkeypatch):
+        # ex31 at m = 1e6: level 1 stays at or below 3/8 with gap(1) / 1 = 0.295
+        # >= 1/4, so it stops before skip 4; level 2 fires at its first skip and
+        # asks for each of its 16 skips once, one cell at a time
+        asked = []
+        gaps = estimators._gaps
+
+        def recorded(cells, alpha=None):
+            asked.append([k for _, k in cells])
+            return gaps(cells, alpha)
+
+        monkeypatch.setattr(estimators, "_gaps", recorded)
+        report = gamma_ps_amplified(simulate(example_chain(), 10**6, seed=7))
+        assert report.K_star == 2 and report.K_used == 16
+        assert asked == [[1], [2], [3]] + [[2 * j] for j in range(1, 17)]
 
 
 class TestTallyReuse:

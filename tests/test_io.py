@@ -1,6 +1,5 @@
 import json
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -211,14 +210,6 @@ def test_every_byte_value_decodes_as_int_tokens(b):
         assert calls == ([] if all(map(is_plain, raw.split())) else [raw])
 
 
-def spy_chunk_cuts(patch) -> list[int]:
-    """The offsets from which the chunked route searches for its next cut."""
-    cuts = []
-    space = mio._SPACE
-    patch.setattr(mio, "_SPACE", SimpleNamespace(search=lambda raw, pos: cuts.append(pos) or space.search(raw, pos)))
-    return cuts
-
-
 @st.composite
 def one_digit_texts(draw):
     """The writer's layout when every state is below 10, any whitespace byte after each digit."""
@@ -226,71 +217,57 @@ def one_digit_texts(draw):
     return "".join(d + draw(st.sampled_from(WHITESPACE)) for d in digits).encode()
 
 
-@given(raw=one_digit_texts(), chunk=st.integers(1, 8))
-@settings(max_examples=200, deadline=None)
-# near misses of that layout, each read by the chunked route: a two-digit
-# token, an empty line, no last separator, a leading separator, a non-digit
-# token and a two-byte line end
+@st.composite
+def mixed_texts(draw):
+    """One-digit runs in the writer's layout and `token_texts()`, in any order."""
+    return b"".join(draw(st.lists(st.one_of(one_digit_texts(), token_texts()), min_size=1, max_size=4)))
+
+
+def alternates(chunk: bytes) -> bool:
+    """Whether chunk is digit, whitespace, digit, whitespace, ... to its end."""
+    return len(chunk) % 2 == 0 and chunk[0::2].isdigit() and chunk[1::2].isspace()
+
+
+def spy_layout_checks(patch) -> list[tuple[bytes, bool]]:
+    """Each chunk the one-digit layout check reads, in order, with its verdict."""
+    checks = []
+    check = mio._is_one_digit_block
+
+    def recorded(chunk):
+        checks.append((chunk.tobytes(), check(chunk)))
+        return checks[-1][1]
+
+    patch.setattr(mio, "_is_one_digit_block", recorded)
+    return checks
+
+
+@given(raw=mixed_texts(), chunk=st.integers(1, 8))
+@settings(max_examples=300, deadline=None)
+# near misses of the one-digit layout, each read by the kernels or int(): a
+# two-digit token, an empty line, no last separator, a leading separator, a
+# non-digit token and a two-byte line end; a one-digit line then others; and
+# a three-digit token whose middle digit sits where the layout has whitespace
 @example(raw=b"1\n10\n", chunk=1)
 @example(raw=b"1\n\n2\n", chunk=1)
 @example(raw=b"1\n2", chunk=1)
 @example(raw=b"\n1\n", chunk=1)
 @example(raw=b"+\n", chunk=1)
 @example(raw=b"1\r\n", chunk=1)
-def test_one_digit_text_is_read_whole(raw, chunk):
+@example(raw=b"5\n10\n7\n", chunk=8)
+@example(raw=b"1 234 ", chunk=8)
+def test_one_digit_chunks_are_read_by_one_slice(raw, chunk):
+    # the layout check sees every chunk once, in order, up to a bad token, and
+    # accepts exactly the chunks that alternate digit and whitespace; those are
+    # read by the slice it guards, so none goes to the kernels or to int()
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(mio, "_CHUNK_BYTES", chunk)
-        calls, cuts = spy_int_chunks(patch), spy_chunk_cuts(patch)
+        calls, checks = spy_int_chunks(patch), spy_layout_checks(patch)
         outcome = decode_outcome(mio._states_from_bytes, raw)
     assert outcome == decode_outcome(int_tokens, raw)
-    pairs = raw[0::2], raw[1::2]
-    if len(raw) % 2 == 0 and pairs[0].isdigit() and not pairs[1].strip():
-        assert calls == [] and cuts == []
-    else:
-        assert cuts
-
-
-def spy_layout_blocks(patch) -> list[int]:
-    """The sizes of the blocks the one-digit layout check reads, in order."""
-    sizes = []
-    check = mio._is_one_digit_block
-    patch.setattr(mio, "_is_one_digit_block", lambda block: sizes.append(block.size) or check(block))
-    return sizes
-
-
-@given(prefix=one_digit_texts(), rest=token_texts(), chunk=st.integers(1, 8))
-@settings(max_examples=200, deadline=None)
-@example(prefix=b"5\n", rest=b"10\n7\n", chunk=8)
-def test_layout_check_stops_at_the_first_block_off_the_layout(prefix, rest, chunk):
-    # a text that leaves the one-digit layout pays its check only up to the
-    # block, of chunk bytes rounded up to even, where it leaves
-    raw = prefix + rest
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(mio, "_CHUNK_BYTES", chunk)
-        sizes = spy_layout_blocks(patch)
-        outcome = decode_outcome(mio._states_from_bytes, raw)
-    assert outcome == decode_outcome(int_tokens, raw)
-    step = chunk + chunk % 2
-    if len(raw) % 2 or not raw[1:2].isspace():
-        assert sizes == []
-        return
-    off = next((i for i in range(0, len(raw), 2) if not (raw[i : i + 1].isdigit() and raw[i + 1 : i + 2].isspace())), None)
-    assert len(sizes) == (-(-len(raw) // step) if off is None else off // step + 1)
-    assert all(size == step for size in sizes[:-1])
-
-
-def test_multi_digit_text_reads_one_chunk_of_layout_check(monkeypatch):
-    # 1e6 states of a 300-state chain from state 5: the second byte is
-    # whitespace and the length even, but a two-digit state comes within
-    # the first chunk, so the check reads that chunk alone
-    states = np.random.default_rng(0).integers(300, size=10**6)
-    states[0] = 5
-    raw = encode_trajectory(Trajectory(states, 300))
-    if len(raw) % 2:
-        raw += b"17\n"
-    sizes, calls = spy_layout_blocks(monkeypatch), spy_int_chunks(monkeypatch)
-    assert mio._states_from_bytes(raw).tolist() == int_tokens(raw).tolist()
-    assert sizes == [mio._CHUNK_BYTES] and calls == []
+    read = b"".join(c for c, _ in checks)
+    assert read == raw if isinstance(outcome, list) else raw.startswith(read)
+    assert all(verdict == alternates(c) for c, verdict in checks)
+    assert not any(map(alternates, calls))
 
 
 def test_cuts_find_the_whitespace_the_kernels_class():
@@ -302,12 +279,12 @@ def test_cuts_find_the_whitespace_the_kernels_class():
 
 
 def test_only_the_chunk_with_a_foreign_token_goes_through_int(monkeypatch):
-    # cuts at 4 bytes: b"12 34", b" +5 67", b" 89\n"
+    # cuts after the first whitespace at or past 4 bytes: b"12 34 ", b"+5 67 ", b"89\n"
     monkeypatch.setattr(mio, "_CHUNK_BYTES", 4)
     calls = spy_int_chunks(monkeypatch)
     states = mio._states_from_bytes(b"12 34 +5 67 89\n")
     assert states.dtype == np.int64 and states.tolist() == [12, 34, 5, 67, 89]
-    assert calls == [b" +5 67"]
+    assert calls == [b"+5 67 "]
 
 
 def traced_peak(func, arg):

@@ -5,7 +5,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mixgap.oracle as oracle_module
@@ -50,6 +50,7 @@ from conftest import (
     random_ergodic,
     random_reversible,
     rare_cycle_rows,
+    rare_state_chain,
 )
 from reference_routes import (
     generic_dilation,
@@ -77,6 +78,21 @@ REFERENCE_CHAINS = st.one_of(
     st.builds(random_dense_chain, st.integers(2, 6), st.integers(0, 2**31 - 1)),
     st.builds(lazy_cycle, st.integers(5, 9), st.floats(0.1, 0.9), st.floats(0.1, 0.9)),
 )
+# birth-death chains small enough for the 40-digit reference, with pi_star down to 6e-8
+REFERENCE_BIRTH_DEATH = [
+    lazy_birth_death(n, right, hold) for n, right in RESOLVING_BIRTH_DEATH[:2] for hold in RESOLVING_BIRTH_DEATH_HOLDS
+]
+
+
+def with_examples(chains):
+    """Run a hypothesis test over P on each of chains too, as explicit examples."""
+
+    def decorate(test):
+        for P in chains:
+            test = example(P=P)(test)
+        return test
+
+    return decorate
 
 
 @st.composite
@@ -287,12 +303,36 @@ class TestPseudoSpectralGap:
 
     @given(P=REFERENCE_CHAINS)
     @settings(max_examples=20, deadline=None)
+    # the rare-cycle chain, the rare-state pair of three eps and the birth-death chains
+    @with_examples(
+        [StochasticMatrix(rare_cycle_rows())]
+        + [rare_state_chain(eps, q) for eps in (1e-2, 1e-4, 1e-6) for q in (0.4, 0.05)]
+        + REFERENCE_BIRTH_DEATH
+    )
     def test_matches_40_digit_reference(self, P):
         # the loop's certificate means no skip past k_explored beats its maxima
         rep = spectral_gaps(P)
         ref_ps, ref_dps = mp_spectral_gaps(P, rep.k_explored + 5)
         assert abs(rep.gamma_ps - ref_ps) <= 1e-12
         assert abs(rep.gamma_dps - ref_dps) <= 1e-12
+
+    # up to 20 states, which the 40-digit reference solves in well under a second
+    @given(P=reversible_chains().filter(lambda P: P.n <= 20))
+    @settings(max_examples=40, deadline=None)
+    @with_examples(REFERENCE_BIRTH_DEATH)
+    def test_gamma_star_matches_40_digit_reference(self, P):
+        # on a reversible chain gamma_star and the absolute gap are 1 - |lambda_2|
+        modulus = mp_stationary_and_modulus(P)[1]
+        assert abs(spectral_gaps(P).gamma_star - (1.0 - modulus)) <= 1e-12
+        assert abs(absolute_spectral_gap(P) - (1.0 - modulus)) <= 1e-12
+
+    def test_rare_state_pair_has_close_thresholds_and_distant_gaps(self):
+        # the rare-state pair at eps = 1e-2: 1/(gamma_ps pi_star) agree within 1.22x
+        A, B = rare_state_chain(1e-2, 0.4), rare_state_chain(1e-2, 0.05)
+        gaps = [spectral_gaps(P).gamma_ps for P in (A, B)]
+        thresholds = [1.0 / (g * stationary_distribution(P).min()) for g, P in zip(gaps, (A, B))]
+        assert [round(g, 3) for g in gaps] == [0.652, 0.116]
+        assert [round(t) for t in thresholds] == [63, 52]
 
     @given(P=REFERENCE_CHAINS)
     @settings(max_examples=20, deadline=None)
@@ -671,6 +711,25 @@ class TestSecondModulusFloor:
         assert solved == [(oracle_module._RITZ_DIM,) * 2, (200, 200)]
         monkeypatch.setattr(oracle_module, "_SUBSPACE_MIN_N", 200)
         assert oracle_module._second_modulus_floor(L, root) == floor
+
+    @pytest.mark.parametrize("pi", ["uniform", "random"])
+    @pytest.mark.parametrize("n", [41, 64, 100])
+    def test_rank_one_chain_has_no_subspace_floor(self, n, pi):
+        # every row is pi, so L = root root^T and the deflated L is zero up to
+        # rounding, which vanishes in the float32 squarings: there is no Ritz
+        # value, the subspace walk runs out of candidates, and the whole
+        # spectrum, the Perron root set to 0 and the rest rounding off 0,
+        # gives the floor 0
+        weights = np.ones(n) if pi == "uniform" else np.random.default_rng(n).uniform(0.5, 2.0, n)
+        P = StochasticMatrix(np.tile(weights / weights.sum(), (n, 1)))
+        L, root = build_L(P), perron_root(P)
+        ritz = oracle_module._ritz_values(L, root)
+        assert ritz.size == 0
+        assert oracle_module._walk(L, ritz, root, ritz=True) is None
+        w = np.linalg.eigvals(L)
+        w[np.argmin(np.abs(w - 1.0))] = 0.0
+        assert oracle_module._walk(L, w, root, ritz=False) == 0.0 == second_modulus_floor_two_sided(L)
+        assert oracle_module._second_modulus_floor(L, root) == 0.0
 
 
 class TestLemmaLedger:

@@ -9,11 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import mixgap.tallies as tallies_module
 from mixgap.chain import Trajectory, simulate
+from mixgap.cli import main
 from mixgap.confidence import confidence_interval
 from mixgap.errors import NoTriggerError, TrajectoryTooShortError
 from mixgap.estimators import DEFAULT_ALPHA, gamma_dps_hat, gamma_ps_amplified
 from mixgap.fixtures import example_chain
+from mixgap.io import save_trajectory
 from mixgap.tallies import smoothed_estimates, tally
 from reference_routes import tally_counts
 
@@ -84,6 +87,19 @@ class TestTally:
         assert t.visits.tolist() == [sum(expected[x]) for x in range(n)]
         triples = sorted([src, dst, count] for (src, dst), count in pairs.items())
         assert t.to_dict()["transitions"] == triples
+
+    def test_refuses_two_tables_beyond_physical_memory(self, monkeypatch, tmp_path, capsys):
+        # the counts and one chunk's bincount are both n x n int64 tables, so
+        # memory one byte short of 16 n^2 is refused before either is allocated
+        n = 100
+        monkeypatch.setattr(tallies_module, "_physical_memory", lambda: 16 * n * n - 1)
+        tr = Trajectory(np.arange(1000) % n, n=n)
+        with pytest.raises(ValueError, match="physical memory"):
+            tally(tr, 1)
+        path = tmp_path / "tr.txt"
+        save_trajectory(tr, path)
+        assert main(["stats", "--trajectory", str(path)]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "INVALID_INPUT"
 
     def test_purity(self):
         a = tally(ZIGZAG, 2)
