@@ -279,9 +279,15 @@ def build_L(P: StochasticMatrix) -> np.ndarray:
     L(x, x') = sqrt(pi(x)) P(x, x') / sqrt(pi(x')); symmetric exactly when P
     is reversible.
     """
-    pi = stationary_distribution(P)
-    s = np.sqrt(pi)
-    return (s[:, None] * P.rows) / s[None, :]
+    return _rescaled(P.rows, np.sqrt(stationary_distribution(P)))
+
+
+def _rescaled(A: np.ndarray, root: np.ndarray) -> np.ndarray:
+    """root(x) A(x, x') / root(x') of a matrix or a stack (..., n, n), dividing in place, so no
+    third n x n array is held; root = sqrt(pi) gives L = D_pi^{1/2} A D_pi^{-1/2}."""
+    L = root[..., :, None] * A
+    L /= root[..., None, :]
+    return L
 
 
 def stationary_projector(P: StochasticMatrix) -> np.ndarray:

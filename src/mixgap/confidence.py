@@ -31,7 +31,7 @@ from .chain import StochasticMatrix, Trajectory, _report_dict, _stack
 from .errors import MixgapError
 from .estimators import DEFAULT_ALPHA, _dps_hat_batch
 from .oracle import DEFAULT_K_CAP, _skip_loop
-from .tallies import SkippedTallies, _smoothed_batch, tally
+from .tallies import SkippedTallies, _check_alpha, _smoothed_batch, tally
 
 DEFAULT_C = 48.0
 DEFAULT_DELTA = 0.05
@@ -60,13 +60,12 @@ def term_W(t: SkippedTallies, alpha: float, delta: float) -> float:
     """Transition-learning term: twice the worst per-state TV bound."""
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must be in (0, 1)")
+    _check_alpha(alpha, t.n, t.num_pairs)
     return _W_batch([t], alpha, [delta])[0]
 
 
 def _W_batch(ts: Sequence[SkippedTallies], alpha: float, deltas: Sequence[float]) -> list[float]:
     """`term_W` of each table (all over one n) at its delta (any delta > 0, see `delta_hat`)."""
-    if alpha <= 0:
-        raise ValueError("alpha must be > 0")
     n = ts[0].n
     visits = _stack([t.visits for t in ts]).astype(float)
     root_sums = np.sqrt(_stack([t.counts for t in ts])).sum(axis=2)
@@ -82,6 +81,7 @@ def _W_batch(ts: Sequence[SkippedTallies], alpha: float, deltas: Sequence[float]
 
 def term_V(t: SkippedTallies, alpha: float, W: float) -> float:
     """Stationary-rescaling term sqrt(n) (N_max + an)/(N_min + an) W."""
+    _check_alpha(alpha, t.n, t.num_pairs)
     if W < 0:
         raise ValueError("W must be >= 0")
     n = t.n
@@ -100,6 +100,7 @@ def term_T(
     +inf when the empirical pseudo-spectral gap is numerically zero, which
     makes U infinite and the interval vacuous.
     """
+    _check_alpha(alpha, t.n, t.num_pairs)
     if gamma_ps_of_Phat <= DEGENERATE_GAP_TOL:
         return math.inf
     n = t.n
@@ -109,6 +110,7 @@ def term_T(
 
 def term_U(t: SkippedTallies, alpha: float, T: float) -> float:
     """Frequency-relative term; +inf exactly when some frequency <= T."""
+    _check_alpha(alpha, t.n, t.num_pairs)
     return _U_batch([t], alpha, [T])[0]
 
 
@@ -192,8 +194,7 @@ def _intervals(
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must be in (0, 1)")
-    if not 0.0 < alpha < math.inf:
-        raise ValueError(f"alpha must be finite and > 0, got {alpha}")
+    _check_alpha(alpha)
     if not 0.0 <= c < math.inf:
         raise ValueError(f"c must be finite and >= 0, got {c}")
     estimates = _dps_hat_batch(trs, alpha)

@@ -1,14 +1,10 @@
-"""The second-singular-value kernel, plus two reference eigensolvers.
+"""Reference eigensolvers for the sigma_2 of `oracle.second_singular_values`.
 
-Every spectral gap in the package is a function of sigma_2, the second
-singular value of an n x n matrix: the multiplicative reversiblization gap is
-1 - sigma_2^2 (Fill 1991; Paulin 2015) and the reversible dilation gap is
-1 - sigma_2. `second_singular_value` computes it by a direct SVD, which keeps
-full precision where an eigensolve of the Gram matrix A^T A loses half the
-digits, and `second_singular_values` does the same for a stack of matrices.
-The dense symmetric spectrum and the seeded two-pass Lanczos iteration are
-independent routes to the same number through the dilation
-[[0, A], [A^T, 0]], whose eigenvalues are +/- the singular values of A.
+Nothing in the package imports this module: the tests and the benchmark's
+tracer call its routes by name. The dense symmetric spectrum and the seeded
+two-pass Lanczos iteration reach sigma_2(A) independently of the SVD kernel,
+through the dilation [[0, A], [A^T, 0]], whose eigenvalues are +/- the
+singular values of A.
 """
 
 from __future__ import annotations
@@ -22,27 +18,6 @@ from .errors import NoConvergenceError
 SYMMETRY_TOL = 1e-10
 # no solver reads it; kept because the benchmark records it with each workload
 DENSE_THRESHOLD = 512
-
-
-def second_singular_value(A: np.ndarray) -> float:
-    """sigma_2 of a square matrix; 0.0 for a 1 x 1 matrix.
-
-    On a one-dimensional space the operator deflated by its top singular pair
-    is zero, so its norm, the second singular value, is 0.
-    """
-    return float(second_singular_values(A))
-
-
-def second_singular_values(A: np.ndarray) -> np.ndarray:
-    """sigma_2 of each matrix of a stack of shape (..., n, n), as `second_singular_value`.
-
-    numpy runs the same LAPACK solve on each matrix of a stack, so each value
-    has the bits of that matrix's own `second_singular_value`.
-    """
-    A = np.asarray(A, dtype=float)
-    if A.shape[-1] < 2:
-        return np.zeros(A.shape[:-2])
-    return np.linalg.svd(A, compute_uv=False)[..., 1]
 
 
 # kept as a reference route: tests and the benchmark's tracer call it by name

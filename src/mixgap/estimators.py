@@ -27,8 +27,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import eigensolve
-from .chain import Trajectory, _report_dict
+from . import oracle
+from .chain import Trajectory, _report_dict, _rescaled
 from .errors import NoTriggerError, NoUsableKError, TrajectoryTooShortError
 from .tallies import _smoothed_batch, tally
 
@@ -119,12 +119,14 @@ def _gaps(cells: Sequence[tuple[Trajectory, int]], alpha: float | None = None) -
         if alpha is None:
             roots = [np.sqrt(t.visits.astype(float)) for t in tables]
             gaps = [
-                None if t.n_min == 0 else 1.0 - eigensolve.second_singular_value(t.counts / np.outer(r, r)) ** 2
+                None if t.n_min == 0 else 1.0 - float(oracle.second_singular_values(t.counts / np.outer(r, r))) ** 2
                 for t, r in zip(tables, roots)
             ]
         else:
-            L_hats = _smoothed_batch(tables, alpha)[2]
-            gaps = (1.0 - eigensolve.second_singular_values(L_hats)).tolist()
+            P_hats, pi_hats = _smoothed_batch(tables, alpha)
+            L_hats = _rescaled(P_hats, np.sqrt(pi_hats))
+            del P_hats  # not held through the SVD
+            gaps = (1.0 - oracle.second_singular_values(L_hats)).tolist()
         for tr, g in zip(trs, gaps):
             tr._gaps[k, alpha] = g
     return [tr._gaps[k, alpha] for tr, k in cells]

@@ -1,7 +1,9 @@
 """Exact spectral-gap oracles for a known transition matrix.
 
-Computes the absolute spectral gap, the per-skip gaps of the multiplicative
-reversiblization and of the reversible dilation, and the (dilated)
+Every gap is a function of sigma_2(L^k), L = D_pi^{1/2} P D_pi^{-1/2}, and
+`second_singular_values` is the one kernel that solves it, here and for the
+estimators' L_hat. Computes the absolute spectral gap, the per-skip gaps of
+the multiplicative reversiblization and of the reversible dilation, and the (dilated)
 pseudo-spectral gap via a self-terminating loop over skip rates. Also houses
 verifier routines for the gap inequalities used as ground truth by the test
 suite. The floor on |lambda_2| behind the Weyl stop needs only the few
@@ -24,10 +26,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import eigensolve
 from .chain import (
     StochasticMatrix,
     _report_dict,
+    _rescaled,
     _stack,
     _stationary_batch,
     build_L,
@@ -88,9 +90,19 @@ class SpectralReport:
         return _report_dict(self)
 
 
+def second_singular_values(A: np.ndarray) -> np.ndarray:
+    """sigma_2 of each matrix of a stack (..., n, n) by a direct SVD, which keeps the digits an
+    eigensolve of A^T A loses; each value has the bits of its matrix solved alone. 0 for n = 1,
+    where the operator deflated by its top singular pair is zero."""
+    A = np.asarray(A, dtype=float)
+    if A.shape[-1] < 2:
+        return np.zeros(A.shape[:-2])
+    return np.linalg.svd(A, compute_uv=False)[..., 1]
+
+
 def _sigma2(Lk: np.ndarray) -> list[float]:
     """sigma_2(L^k) of each matrix of a stack, clipped to at most 1."""
-    return [min(s, 1.0) for s in eigensolve.second_singular_values(Lk).tolist()]
+    return [min(s, 1.0) for s in second_singular_values(Lk).tolist()]
 
 
 def _sigma2_of_power(P: StochasticMatrix, k: int) -> float:
@@ -118,7 +130,7 @@ def absolute_spectral_gap(P: StochasticMatrix) -> float:
     spectrum is used with the Perron eigenvalue removed.
     """
     if is_reversible(P):
-        rho = eigensolve.second_singular_value(build_L(P))
+        rho = _sigma2(build_L(P)[None])[0]
     else:
         eigs = np.linalg.eigvals(P.rows)
         perron = int(np.argmin(np.abs(eigs - 1.0)))
@@ -272,8 +284,7 @@ def _skip_loop(
     if not live:
         return out
     root = np.sqrt(_stack([out[i] for i in live]))
-    L = root[:, :, None] * _stack([Ps[i].rows for i in live])
-    L /= root[:, None, :]
+    L = _rescaled(_stack([Ps[i].rows for i in live]), root)
     sigmas: dict[int, list[float]] = {i: [] for i in live}
     best_ps, k_ps = dict.fromkeys(live, 0.0), dict.fromkeys(live, 0)
     best_dps, k_dps = dict.fromkeys(live, 0.0), dict.fromkeys(live, 0)
@@ -381,8 +392,7 @@ def full_spectral_report(P: StochasticMatrix) -> SpectralReport:
 
 def pi_norm(A: np.ndarray, pi: np.ndarray) -> float:
     """Operator norm of A on l2(pi), via conjugation with D_pi^{1/2}."""
-    s = np.sqrt(pi)
-    return float(np.linalg.norm((s[:, None] * A) / s[None, :], 2))
+    return float(np.linalg.norm(_rescaled(A, np.sqrt(pi)), 2))
 
 
 def reversiblization_norm(P: StochasticMatrix, k: int) -> float:

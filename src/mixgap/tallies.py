@@ -8,7 +8,8 @@ smallest unsigned dtype that holds n - 1 and codes in the smallest that holds
 n^2 - 1 up to 16 bits, past that in the intp that np.bincount reads. A
 trajectory memoizes its compact states and each skip's table within the bytes
 of its int64 states; a table past that limit is returned uncached.
-On the counts sit the alpha-smoothed estimates; `estimators._gaps` forms the
+On the counts sit the alpha-smoothed P_hat and pi_hat, under the one alpha rule
+(`_check_alpha`); callers rescale them to L_hat. `estimators._gaps` forms the
 unsmoothed N_{xx'}/sqrt(N_x N_{x'}) itself.
 Everything here runs on numpy; only `SkippedTallies.transitions` imports
 scipy.sparse, on first use.
@@ -24,7 +25,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .chain import Trajectory, _physical_memory, _stack
+from .chain import Trajectory, _physical_memory, _rescaled, _stack
 from .errors import TrajectoryTooShortError
 
 if TYPE_CHECKING:
@@ -106,8 +107,9 @@ def tally(tr: Trajectory, k: int = 1) -> SkippedTallies:
 
     Raises:
         TrajectoryTooShortError: if the trajectory has no pair at skip k.
-        ValueError: if two int64 n x n tables, the counts and one chunk's
-            bincount (16 n^2 bytes), would not fit in physical memory.
+        ValueError: if three int64 n x n tables, the counts, one chunk's
+            pair codes and its bincount (24 n^2 bytes), would not fit in
+            physical memory.
     """
     if k < 1:
         raise ValueError("skip rate must be >= 1")
@@ -120,9 +122,9 @@ def tally(tr: Trajectory, k: int = 1) -> SkippedTallies:
         return memo[k]
     n = tr.n
     # refuse before allocating, so a huge state index is an input error, not a
-    # crash; the counts and each chunk's bincount are two int64 n x n tables
-    if 16 * n * n > _physical_memory():
-        raise ValueError(f"two n x n count tables for n = {n} exceed physical memory")
+    # crash; the counts, a chunk's codes (intp past n = 256) and its bincount are three n x n tables
+    if 24 * n * n > _physical_memory():
+        raise ValueError(f"three n x n count tables for n = {n} exceed physical memory")
     codes = memo.get("codes")
     if codes is None:
         codes = tr.states.astype(np.min_scalar_type(n - 1))
@@ -152,30 +154,30 @@ def smoothed_estimates(t: SkippedTallies, alpha: float) -> SmoothedEstimates:
     pi_hat(x) = (N_x + n a) / (floor((m-1)/k) + n^2 a)
     L_hat = diag(pi_hat)^{1/2} P_hat diag(pi_hat)^{-1/2}
     """
-    P_hat, pi_hat, L_hat = _smoothed_batch([t], alpha)
-    return SmoothedEstimates(alpha=alpha, P_hat=P_hat[0], pi_hat=pi_hat[0], L_hat=L_hat[0])
+    (P_hat,), (pi_hat,) = _smoothed_batch([t], alpha)
+    return SmoothedEstimates(alpha=alpha, P_hat=P_hat, pi_hat=pi_hat, L_hat=_rescaled(P_hat, np.sqrt(pi_hat)))
 
 
-def _smoothed_batch(
-    ts: Sequence[SkippedTallies], alpha: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The stacks of `smoothed_estimates` P_hat, pi_hat and L_hat of tables over one n.
+def _check_alpha(alpha: float, n: int = 0, pairs: int = 0) -> None:
+    """Refuse an alpha that is not finite and > 0, or, given a table's n and pair count,
+    one whose pairs + n^2 alpha is infinite: pi_hat would be 0 and L_hat NaN."""
+    if not 0.0 < alpha < np.inf:
+        raise ValueError(f"alpha must be finite and > 0, got {alpha}")
+    if not pairs + n * n * alpha < np.inf:
+        raise ValueError(f"alpha must keep n^2 alpha finite, got {alpha} with n = {n}")
+
+
+def _smoothed_batch(ts: Sequence[SkippedTallies], alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """The stacks of `smoothed_estimates` P_hat and pi_hat of tables over one n.
 
     Every entry is the same float operation on the same numbers as for one
     table alone, so each matrix of a stack has that table's bits.
     """
-    if not 0.0 < alpha < np.inf:
-        raise ValueError(f"alpha must be finite and > 0, got {alpha}")
     n = ts[0].n
     pairs = np.array([t.num_pairs for t in ts])
-    # with pairs + n^2 alpha infinite, pi_hat would be 0 and L_hat NaN
-    if not pairs.max() + n * n * alpha < np.inf:
-        raise ValueError(f"alpha must keep n^2 alpha finite, got {alpha} with n = {n}")
+    _check_alpha(alpha, n, pairs.max())
     visits = _stack([t.visits for t in ts]).astype(float)
     P_hat = _stack([t.counts for t in ts]) + alpha
     P_hat /= (visits + n * alpha)[:, :, None]
     pi_hat = (visits + n * alpha) / (pairs + n * n * alpha)[:, None]
-    root = np.sqrt(pi_hat)
-    L_hat = root[:, :, None] * P_hat
-    L_hat /= root[:, None, :]
-    return P_hat, pi_hat, L_hat
+    return P_hat, pi_hat

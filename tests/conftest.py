@@ -52,6 +52,21 @@ def lazy_torus(side, lazy=0.5, moves=(0.35, 0.15, 0.3, 0.2)):
     return StochasticMatrix(P)
 
 
+def sparse_chain(n: int, seed: int, extra: int) -> StochasticMatrix:
+    """A Hamiltonian cycle on a random permutation of the n states plus `extra`
+    random edges (self-loops and repeats allowed), each edge weighted gamma(2) + 1e-3.
+
+    The cycle keeps the chain irreducible; with no self-loop and every cycle
+    length sharing a factor it is periodic."""
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(n)
+    support = np.zeros((n, n), dtype=bool)
+    support[order, np.roll(order, -1)] = True
+    support[rng.integers(0, n, extra), rng.integers(0, n, extra)] = True
+    W = np.where(support, rng.gamma(2.0, size=(n, n)) + 1e-3, 0.0)
+    return StochasticMatrix(W / W.sum(axis=1, keepdims=True))
+
+
 @st.composite
 def simulated_chains(draw):
     """Irreducible chains from five families. Lazy drifted cycles merge slowly

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import mixgap.bench as bench_module
-from mixgap import eigensolve
+from mixgap import oracle
 from mixgap.bench import _BATCH_STEPS, CSV_HEADER, bench_convergence
 from mixgap.fixtures import get_fixture, random_dense_chain
 
@@ -81,8 +81,8 @@ def test_no_stack_holds_more_entries_than_the_batch_has_steps(monkeypatch):
     # 40 trials of 1,000 steps on 60 states: bounded by m alone, one batch of
     # 40 would stack 40 60 x 60 tables, 144,000 entries
     stacks = []
-    svds = eigensolve.second_singular_values
-    monkeypatch.setattr(eigensolve, "second_singular_values", lambda A: stacks.append(np.shape(A)) or svds(A))
+    svds = oracle.second_singular_values
+    monkeypatch.setattr(oracle, "second_singular_values", lambda A: stacks.append(np.shape(A)) or svds(A))
     bench_convergence(lazy_cycle(60), m_grid=[1000], seeds=40)
     assert max(math.prod(shape) for shape in stacks) <= _BATCH_STEPS
     assert max(shape[0] for shape in stacks) == _BATCH_STEPS // 60**2

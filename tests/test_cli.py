@@ -21,7 +21,7 @@ import mixgap.chain as chain_module
 from mixgap.bench import _BATCH_STEPS
 from mixgap.chain import StochasticMatrix, Trajectory, is_irreducible, matrix_power, simulate
 from mixgap.cli import main, parse_args
-from mixgap.confidence import confidence_interval, term_U, term_V, term_W
+from mixgap.confidence import confidence_interval, term_T, term_U, term_V, term_W
 from mixgap.estimators import adaptive_K_dps
 from mixgap.fixtures import FIXTURES, example_chain
 from mixgap.io import save_matrix, save_trajectory
@@ -615,7 +615,7 @@ class TestValidationMessages:
             (lambda: simulate(example_chain(), 10, start="uniform"), "unknown start value 'uniform'"),
             (lambda: adaptive_K_dps(1, 2), "m must be >= 3"),
             (lambda: term_W(tally(EX31_TRAJ, 1), 0.01, 1.5), "delta must be in (0, 1)"),
-            (lambda: term_W(tally(EX31_TRAJ, 1), 0.0, 0.05), "alpha must be > 0"),
+            (lambda: term_W(tally(EX31_TRAJ, 1), 0.0, 0.05), "alpha must be finite and > 0, got 0.0"),
             (lambda: term_V(tally(EX31_TRAJ, 1), 0.01, -1.0), "W must be >= 0"),
             (lambda: term_U(tally(EX31_TRAJ, 1), 0.01, -1.0), "T must be >= 0"),
             (lambda: confidence_interval(EX31_TRAJ, delta=1.5), "delta must be in (0, 1)"),
@@ -635,6 +635,29 @@ class TestValidationMessages:
     def test_library_check_raises_its_message(self, call, message):
         with pytest.raises(ValueError) as err:
             call()
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "alpha, message",
+        [
+            *((a, f"alpha must be finite and > 0, got {a}") for a in (np.nan, np.inf, -1.0, 0.0)),
+            # ex31 has n = 3, and 9e308 overflows
+            (1e308, "alpha must keep n^2 alpha finite, got 1e+308 with n = 3"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "term",
+        [
+            lambda t, alpha: term_W(t, alpha, 0.05),
+            lambda t, alpha: term_V(t, alpha, 0.1),
+            lambda t, alpha: term_T(t, alpha, 0.1, 0.5),
+            lambda t, alpha: term_U(t, alpha, 0.1),
+        ],
+        ids=["W", "V", "T", "U"],
+    )
+    def test_interval_terms_refuse_a_bad_alpha(self, term, alpha, message):
+        with pytest.raises(ValueError) as err:
+            term(tally(EX31_TRAJ, 1), alpha)
         assert str(err.value) == message
 
     @pytest.mark.parametrize(
@@ -883,7 +906,11 @@ class TestArgumentParsing:
         assert report["estimator"] == "dps"
 
     def test_import_loads_no_scipy(self):
-        code = "import mixgap, sys; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+        # nor the reference eigensolvers, which only the tests and the benchmark's tracer call
+        code = (
+            "import mixgap, sys; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy' or m == 'mixgap.eigensolve'])"
+        )
         child = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, check=True, env=child_env()
         )

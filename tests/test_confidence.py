@@ -6,7 +6,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import mixgap.eigensolve
 import mixgap.oracle as oracle_module
 from mixgap.chain import StochasticMatrix, Trajectory, _simulate_batch, simulate
 from mixgap.confidence import (
@@ -305,9 +304,9 @@ class TestConfidenceInterval:
     def test_interval_after_the_estimate_solves_each_smoothed_skip_once(self, monkeypatch):
         tr = simulate(example_chain(), 100_000, seed=1)  # K_hat = 2
         solved = []
-        svds = mixgap.eigensolve.second_singular_values
+        svds = oracle_module.second_singular_values
         monkeypatch.setattr(
-            mixgap.eigensolve,
+            oracle_module,
             "second_singular_values",
             lambda A: solved.extend(np.reshape(A, (-1, *np.shape(A)[-2:])).copy()) or svds(A),
         )

@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mixgap import eigensolve, estimators
+from mixgap import estimators, oracle
 from mixgap.chain import StochasticMatrix, Trajectory, simulate
-from mixgap.eigensolve import second_singular_value
 from mixgap.errors import NoTriggerError, NoUsableKError
 from mixgap.estimators import (
     _gaps,
@@ -211,7 +210,7 @@ class TestDpsEstimator:
         P = example_chain()
         k1 = make_tallies([[0, 2, 0], [0, 0, 2], [2, 0, 2]], k=1, m=9)
         k2 = make_tallies([[0, 0, 4], [2, 0, 2], [2, 4, 2]], k=2, m=33)
-        per_k = {t.k: 1.0 - second_singular_value(smoothed_estimates(t, 1e-12).L_hat) for t in (k1, k2)}
+        per_k = {t.k: 1.0 - oracle.second_singular_values(smoothed_estimates(t, 1e-12).L_hat) for t in (k1, k2)}
         value = max(per_k[k] / k for k in (1, 2))
         assert per_k[1] == pytest.approx(gamma_ddagger(P, 1), abs=1e-8)
         assert per_k[2] == pytest.approx(gamma_ddagger(P, 2), abs=1e-8)
@@ -381,9 +380,9 @@ class TestTallyReuse:
         assert [g is None for g in alone[None][8:12]] == [False, True, True, True]
         tally_builds.clear()
         solves = []
-        stacked = eigensolve.second_singular_values
+        stacked = oracle.second_singular_values
         monkeypatch.setattr(
-            eigensolve, "second_singular_values", lambda A: solves.append(A.shape[:-2]) or stacked(A)
+            oracle, "second_singular_values", lambda A: solves.append(A.shape[:-2]) or stacked(A)
         )
         # the 9 usable unsmoothed gaps one by one, the smoothed ones in one stack per skip
         for alpha, stacks in ((None, [()] * 9), (1e-2, [(3,)] * 4)):

@@ -20,7 +20,7 @@ from mixgap.chain import (
     simulate,
     stationary_distribution,
 )
-from mixgap.eigensolve import dense_symmetric_spectrum, second_singular_value
+from mixgap.eigensolve import dense_symmetric_spectrum
 from mixgap.errors import (
     MixgapError,
     NoConvergenceError,
@@ -35,6 +35,7 @@ from mixgap.oracle import (
     gamma_ddagger,
     pi_norm,
     reversiblization_norm,
+    second_singular_values,
     spectral_gaps,
     verify_lemma_properties,
 )
@@ -51,6 +52,7 @@ from conftest import (
     random_reversible,
     rare_cycle_rows,
     rare_state_chain,
+    sparse_chain,
 )
 from reference_routes import (
     generic_dilation,
@@ -148,7 +150,7 @@ def full_loop(P: StochasticMatrix):
     while (k + 1) * best_dps < 1.0:
         k += 1
         Lk = Lk @ L
-        sigma2 = min(second_singular_value(Lk), 1.0)
+        sigma2 = min(second_singular_values(Lk), 1.0)
         if (1.0 - sigma2**2) / k > best_ps:
             best_ps, k_ps = (1.0 - sigma2**2) / k, k
         if (1.0 - sigma2) / k > best_dps:
@@ -325,6 +327,24 @@ class TestPseudoSpectralGap:
         modulus = mp_stationary_and_modulus(P)[1]
         assert abs(spectral_gaps(P).gamma_star - (1.0 - modulus)) <= 1e-12
         assert abs(absolute_spectral_gap(P) - (1.0 - modulus)) <= 1e-12
+
+    @given(P=st.builds(sparse_chain, st.integers(3, 8), st.integers(0, 2**31 - 1), st.integers(0, 8)))
+    @settings(max_examples=25, deadline=None)
+    def test_sparse_chain_matches_40_digit_reference_or_is_periodic(self, P):
+        # a sparse support may leave the chain periodic: then |lambda_2| = 1
+        # and the refusal is the only right answer
+        ref_pi, ref_modulus = mp_stationary_and_modulus(P)
+        try:
+            rep = spectral_gaps(P)
+        except NonconvergentGapError:
+            assert abs(ref_modulus - 1.0) <= 1e-12
+            return
+        ref_ps, ref_dps = mp_spectral_gaps(P, rep.k_explored + 5)
+        assert abs(rep.gamma_ps - ref_ps) <= 1e-12
+        assert abs(rep.gamma_dps - ref_dps) <= 1e-12
+        pi = stationary_distribution(P)
+        assert np.all(np.abs(pi - ref_pi) <= STATIONARY_TOL * ref_pi)
+        assert oracle_module._second_modulus_floor(build_L(P), np.sqrt(pi)) <= ref_modulus
 
     def test_rare_state_pair_has_close_thresholds_and_distant_gaps(self):
         # the rare-state pair at eps = 1e-2: 1/(gamma_ps pi_star) agree within 1.22x

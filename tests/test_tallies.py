@@ -1,6 +1,7 @@
 import json
 import sys
 import threading
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -88,11 +89,11 @@ class TestTally:
         triples = sorted([src, dst, count] for (src, dst), count in pairs.items())
         assert t.to_dict()["transitions"] == triples
 
-    def test_refuses_two_tables_beyond_physical_memory(self, monkeypatch, tmp_path, capsys):
-        # the counts and one chunk's bincount are both n x n int64 tables, so
-        # memory one byte short of 16 n^2 is refused before either is allocated
+    def test_refuses_three_tables_beyond_physical_memory(self, monkeypatch, tmp_path, capsys):
+        # the counts, one chunk's pair codes and its bincount are n x n int64
+        # tables, so memory one byte short of 24 n^2 is refused before any is allocated
         n = 100
-        monkeypatch.setattr(tallies_module, "_physical_memory", lambda: 16 * n * n - 1)
+        monkeypatch.setattr(tallies_module, "_physical_memory", lambda: 24 * n * n - 1)
         tr = Trajectory(np.arange(1000) % n, n=n)
         with pytest.raises(ValueError, match="physical memory"):
             tally(tr, 1)
@@ -100,6 +101,19 @@ class TestTally:
         save_trajectory(tr, path)
         assert main(["stats", "--trajectory", str(path)]) == 1
         assert json.loads(capsys.readouterr().err)["error"] == "INVALID_INPUT"
+
+    def test_peak_is_within_the_three_tables_it_refuses_at(self):
+        # past n = 256 the pair codes are intp, and a chunk of n^2 of them sits
+        # beside the counts and that chunk's bincount
+        n = 1000
+        tr = Trajectory(np.random.default_rng(0).integers(0, n, size=1_100_000), n=n)
+        tracemalloc.start()
+        try:
+            tally(tr, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24 * n * n + tr._tallies["codes"].nbytes + 2**20
 
     def test_purity(self):
         a = tally(ZIGZAG, 2)
